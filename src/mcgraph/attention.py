@@ -13,9 +13,7 @@ regularizer and the gradient checker can treat them uniformly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -37,10 +35,6 @@ class EncoderConfig:
     @property
     def embed_dim(self) -> int:
         return self.num_heads * self.head_dim
-
-    def as_dict(self) -> dict:
-        return {"num_heads": self.num_heads, "feature_dim": self.feature_dim,
-                "head_dim": self.head_dim}
 
 
 @dataclass(frozen=True)
@@ -199,28 +193,3 @@ def encode_view(view: CriterionView, params: Mapping[str, np.ndarray],
                 config: EncoderConfig, use_global: bool = True) -> ViewEmbedding:
     matrix = encode_view_tensors(view, _as_tensors(params), config, use_global).value
     return ViewEmbedding(criterion_index=view.criterion_index, matrix=matrix)
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray],
-                    config: dict) -> None:
-    """JSON round-trip of all parameters plus the config that produced them."""
-    payload = {
-        "config": config,
-        "params": {
-            name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-            for name, arr in sorted(params.items())
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    params = {
-        name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return params, payload["config"]

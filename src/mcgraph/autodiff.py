@@ -84,11 +84,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def forward(root: Tensor) -> np.ndarray:
-    """Return the value at the graph root (evaluation is eager at build time)."""
-    return root.value
-
-
 def topo_order(root: Tensor) -> list[Tensor]:
     """Deterministic topological order of the subgraph rooted at `root`."""
     order: list[Tensor] = []

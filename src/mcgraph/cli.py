@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attention as att
 from . import dataset as ds
 from . import evaluate as ev
 from . import recommend as rec
@@ -110,12 +109,6 @@ def _echo_config(cfg: ev.ExperimentConfig) -> None:
         print(f"  {line}", file=sys.stderr)
 
 
-def _load_input(cfg: ev.ExperimentConfig) -> ds.RatingDataset:
-    if cfg.dataset_path:
-        return ds.load_ratings(cfg.dataset_path)
-    return ev.make_planted_dataset(seed=cfg.split_seed)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     if not cfg.dataset_path:
@@ -140,7 +133,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    stats = ds.compute_stats(_load_input(cfg))
+    stats = ds.compute_stats(ev.load_dataset(cfg))
     payload = stats.as_dict()
     payload["config"] = ev.config_as_dict(cfg)
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -169,25 +162,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
     train_data, test_data = ev.prepared_data(cfg)
-    views = build_views(train_data)
-    train_cfg = cfg.train_config()
-    params, _ = train_embeddings(views, train_cfg, cfg.seed_base)
-    matrices = [att.encode_view(v, params, cfg.encoder,
-                                train_cfg.use_global_attention).matrix
-                for v in views]
-    fused = rec.fuse(matrices, train_data.num_users)
-    predictor = rec.train_predictor(fused, train_data, cfg.predictor,
-                                    seed=cfg.seed_base)
-    predictions = ev._model_predictions(predictor, fused, train_data, test_data)
+    predictions = ev.fit(cfg, train_data, cfg.seed_base).predict(test_data)
     actuals = [r.overall for r in test_data.records]
+    mae = ev.mae(predictions, actuals)
     out = _out_dir(args)
     rec.write_predictions(test_data, predictions, out / "predictions.csv")
     _write_json({"config": ev.config_as_dict(cfg), "seed": cfg.seed_base,
-                 "mae": ev.mae(predictions, actuals),
-                 "rmse": ev.rmse(predictions, actuals)},
+                 "mae": mae, "rmse": ev.rmse(predictions, actuals)},
                 out / "predict.json")
-    print(f"predicted {len(test_data.records)} pairs: "
-          f"mae {ev.mae(predictions, actuals):.4f}")
+    print(f"predicted {len(test_data.records)} pairs: mae {mae:.4f}")
     return EXIT_OK
 
 

@@ -82,7 +82,8 @@ class NonFiniteLossError(RuntimeError):
     def __init__(self, epoch: int, last_report: LossReport | None):
         detail = (f"last finite report: {last_report}" if last_report
                   else "no finite epoch completed")
-        super().__init__(f"loss became non-finite at epoch {epoch}; {detail}")
+        super().__init__(
+            f"loss or its gradient became non-finite at epoch {epoch}; {detail}")
         self.epoch = epoch
         self.last_report = last_report
 
@@ -278,13 +279,18 @@ def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
                              permutations, cfg).value)
 
 
+def _weighted(lcl, hgcl, l2, cfg: LossConfig):
+    """alpha·LCL + beta·HGCL + lambda·L2 for floats and tensors alike."""
+    return lcl * cfg.alpha + hgcl * cfg.beta + l2 * cfg.l2_weight
+
+
 def total_loss(l_lcl: float, l_hgcl: float, params: Mapping[str, np.ndarray],
                cfg: LossConfig, epoch: int = 0) -> LossReport:
     """Weighted combination; the report identity holds exactly as computed."""
     l2 = 0.0
     for arr in params.values():
         l2 += float((arr * arr).sum())
-    total = cfg.alpha * l_lcl + cfg.beta * l_hgcl + cfg.l2_weight * l2
+    total = _weighted(l_lcl, l_hgcl, l2, cfg)
     return LossReport(epoch=epoch, l_lcl=l_lcl, l_hgcl=l_hgcl,
                       l2_term=l2, l_total=total)
 
@@ -378,7 +384,7 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
                 lcl = ad.Tensor(0.0)
                 hgcl = ad.Tensor(0.0)
             l2 = ad.sum_of_squares(tensors.values())
-            total = lcl * cfg.loss.alpha + hgcl * cfg.loss.beta + l2 * cfg.loss.l2_weight
+            total = _weighted(lcl, hgcl, l2, cfg.loss)
 
             report = LossReport(epoch=epoch + 1, l_lcl=float(lcl.value),
                                 l_hgcl=float(hgcl.value), l2_term=float(l2.value),
@@ -389,7 +395,10 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
 
             ad.backward(total)
             grads = {key: ad.grad_of(tensor) for key, tensor in tensors.items()}
-        clip_gradients(grads, cfg.clip_norm)
+        # a NaN norm skips clipping (NaN > max_norm is False); stop before
+        # Adam writes it into the parameters
+        if not np.isfinite(clip_gradients(grads, cfg.clip_norm)):
+            raise NonFiniteLossError(epoch + 1, trace[-1])
         adam_update(params, grads, state, cfg.learning_rate)
     return params, trace
 

@@ -123,7 +123,7 @@ def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> Ratin
             raise ParseError(1, f"header {header!r} does not match requested schema "
                                 f"{list(schema)!r}")
 
-        records = []
+        records, ratings, line_numbers = [], [], []
         for line_number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -131,13 +131,21 @@ def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> Ratin
                 raise ParseError(line_number,
                                  f"expected {len(header)} columns, got {len(row)}")
             try:
-                overall = float(row[2])
-                criteria = tuple(float(v) for v in row[3:])
+                values = tuple(map(float, row[2:]))
             except ValueError as exc:
                 raise ParseError(line_number, f"non-numeric rating: {exc}") from None
-            records.append(RatingRecord(row[0], row[1], overall, criteria))
+            records.append(RatingRecord(row[0], row[1], values[0], values[1:]))
+            ratings.append(values)
+            line_numbers.append(line_number)
     if not records:
         raise DatasetError(f"empty dataset: {path} has a header but no records")
+    matrix = np.array(ratings)
+    bad = ~(np.isfinite(matrix) & (matrix >= 0.0))
+    if bad.any():
+        first, column = np.argwhere(bad)[0]
+        raise ParseError(line_numbers[first],
+                         f"rating {ratings[first][column]!r} in column "
+                         f"{header[2 + column]} must be finite and nonnegative")
     return from_records(records, dedupe=True)
 
 
@@ -154,7 +162,10 @@ def save_ratings(dataset: RatingDataset, path: str | Path) -> None:
 
 def normalize_scale(dataset: RatingDataset,
                     source_range: tuple[float, float]) -> RatingDataset:
-    """Affinely map every rating from [lo, hi] onto [1, 5]."""
+    """Affinely map every rating from [lo, hi] onto [1, 5].
+
+    A criterion value of 0 marks "not rated" and stays 0.
+    """
     lo, hi = source_range
     if not hi > lo:
         raise ValueError(f"source range must satisfy hi > lo, got [{lo}, {hi}]")
@@ -167,7 +178,7 @@ def normalize_scale(dataset: RatingDataset,
 
     records = tuple(
         RatingRecord(rec.user_id, rec.item_id, convert(rec, rec.overall),
-                     tuple(convert(rec, v) for v in rec.criteria))
+                     tuple(convert(rec, v) if v else 0.0 for v in rec.criteria))
         for rec in dataset.records)
     return RatingDataset(dataset.num_users, dataset.num_items, dataset.num_criteria,
                          records, dataset.user_index, dataset.item_index)

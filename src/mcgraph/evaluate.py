@@ -14,7 +14,8 @@ import numpy as np
 
 from . import attention as att
 from . import recommend as rec
-from .contrastive import LossConfig, NonFiniteLossError, TrainConfig, train
+from .contrastive import (LossConfig, LossReport, NonFiniteLossError,
+                          TrainConfig, train)
 from .dataset import (RatingDataset, RatingRecord, from_records, load_ratings,
                       split_train_test, subsample_train)
 from .graph import build_views
@@ -279,12 +280,16 @@ class RunResult:
     failed: bool = False
 
 
+def load_dataset(cfg: ExperimentConfig) -> RatingDataset:
+    """The ratings file at `dataset_path`, or the planted dataset if it is empty."""
+    if cfg.dataset_path:
+        return load_ratings(cfg.dataset_path)
+    return make_planted_dataset(seed=cfg.split_seed)
+
+
 def prepared_data(cfg: ExperimentConfig) -> tuple[RatingDataset, RatingDataset]:
     """The fixed train/test pair every run of an experiment shares."""
-    if cfg.dataset_path:
-        data = load_ratings(cfg.dataset_path)
-    else:
-        data = make_planted_dataset(seed=cfg.split_seed)
+    data = load_dataset(cfg)
     if cfg.criteria_count:
         data = restrict_criteria(data, cfg.criteria_count)
     train_data, test_data = split_train_test(data, cfg.test_fraction,
@@ -293,20 +298,48 @@ def prepared_data(cfg: ExperimentConfig) -> tuple[RatingDataset, RatingDataset]:
     return train_data, test_data
 
 
-def _model_predictions(predictor: rec.RatingPredictor, fused: rec.FusedEmbedding,
-                       train_data: RatingDataset,
-                       test_data: RatingDataset) -> np.ndarray:
-    """Predict test pairs through the train index; unseen ids get the mean."""
-    global_mean = float(np.mean([r.overall for r in train_data.records]))
-    out = np.empty(len(test_data.records))
-    for pos, record in enumerate(test_data.records):
-        user = train_data.user_index.get(record.user_id)
-        item = train_data.item_index.get(record.item_id)
-        if user is None or item is None:
-            out[pos] = global_mean
-        else:
-            out[pos] = rec.predict_rating(predictor, fused, user, item)
-    return out
+@dataclass(frozen=True, eq=False)
+class FittedModel:
+    """Trained encoder, fused train embeddings and the rating head on top."""
+
+    params: dict[str, np.ndarray]
+    trace: list[LossReport]
+    train_data: RatingDataset
+    fused: rec.FusedEmbedding
+    predictor: rec.RatingPredictor
+
+    def predict(self, test_data: RatingDataset) -> np.ndarray:
+        """Score test pairs through the train index in one batch.
+
+        A pair whose user or item is missing from the train index gets the
+        train global mean.
+        """
+        users = np.array([self.train_data.user_index.get(r.user_id, -1)
+                          for r in test_data.records], dtype=np.intp)
+        items = np.array([self.train_data.item_index.get(r.item_id, -1)
+                          for r in test_data.records], dtype=np.intp)
+        seen = (users >= 0) & (items >= 0)
+        out = np.full(len(test_data.records),
+                      float(np.mean([r.overall for r in self.train_data.records])))
+        out[seen] = rec.predict_many(self.predictor, self.fused,
+                                     users[seen], items[seen])
+        return out
+
+
+def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedModel:
+    """Train the encoder on the train views, then fit the head on its embeddings.
+
+    Raises NonFiniteLossError when training diverges.
+    """
+    views = build_views(train_data)
+    train_cfg = cfg.train_config()
+    params, trace = train(views, train_cfg, seed)
+    matrices = [att.encode_view(v, params, cfg.encoder,
+                                train_cfg.use_global_attention).matrix
+                for v in views]
+    fused = rec.fuse(matrices, train_data.num_users)
+    predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
+    return FittedModel(params, trace, train_data, fused, predictor)
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
@@ -314,21 +347,15 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
     seed = cfg.seed_base + run_index
     start = time.perf_counter()
     train_data, test_data = prepared_data(cfg)
-    views = build_views(train_data)
-    train_cfg = cfg.train_config()
     try:
-        params, trace = train(views, train_cfg, seed)
+        model = fit(cfg, train_data, seed)
     except NonFiniteLossError:
         nan = float("nan")
         return RunResult(run_index, seed, nan, nan,
                          time.perf_counter() - start, nan, nan, failed=True)
-    matrices = [att.encode_view(v, params, cfg.encoder,
-                                train_cfg.use_global_attention).matrix
-                for v in views]
-    fused = rec.fuse(matrices, train_data.num_users)
-    predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
-    predictions = _model_predictions(predictor, fused, train_data, test_data)
+    predictions = model.predict(test_data)
     actuals = [r.overall for r in test_data.records]
+    trace = model.trace
     return RunResult(run_index, seed, mae(predictions, actuals),
                      rmse(predictions, actuals),
                      time.perf_counter() - start,
@@ -370,8 +397,8 @@ class MetricReport:
     def rmse_std(self) -> float:
         return float(np.std(self.rmse_runs))
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "variant": self.variant,
             "label": self.label,
             "ts_percent": self.ts_percent,
@@ -385,9 +412,6 @@ class MetricReport:
             "failed_runs": self.failed_runs,
             "config": dict(self.config),
         }
-        if include_timing:
-            out["wall_clock_runs"] = list(self.wall_clock_runs)
-        return out
 
 
 def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
@@ -479,11 +503,7 @@ def sweep_sensitivity(cfg: ExperimentConfig,
 
 
 def _effective_criteria(cfg: ExperimentConfig) -> int:
-    if cfg.criteria_count:
-        return cfg.criteria_count
-    if cfg.dataset_path:
-        return load_ratings(cfg.dataset_path).num_criteria
-    return make_planted_dataset(seed=cfg.split_seed).num_criteria
+    return cfg.criteria_count or load_dataset(cfg).num_criteria
 
 
 def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],

@@ -26,10 +26,6 @@ def central_diff(loss_of, block: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 class TestForward:
-    def test_constant_leaf_is_identity(self):
-        x = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert_allclose(ad.forward(ad.Tensor(x)), x)
-
     def test_values_are_float64(self):
         t = ad.Tensor([[1, 2], [3, 4]])
         assert t.value.dtype == np.float64

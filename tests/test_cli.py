@@ -52,6 +52,19 @@ class TestExitCodes:
         assert cli.main(["stats", "--data", str(bad)]) == cli.EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rows, line", [
+        ("u1,i1,4,4\nu1,i2,nan,3\nu2,i1,5,inf\n", 3),
+        ("u1,i1,4,4\n\nu2,i1,5,-1\n", 4),
+    ], ids=["nan_then_inf", "negative_after_blank_line"])
+    def test_invalid_rating_is_data_error_naming_line(self, tmp_path, capsys,
+                                                       rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id,item_id,overall,c1\n" + rows, encoding="utf-8")
+        assert cli.main(["stats", "--data", str(bad)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"line {line}:" in captured.err
+        assert captured.out == ""
+
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n", encoding="utf-8")
@@ -185,6 +198,20 @@ class TestIngest:
         assert max(values) == 5.0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scale, row, expected", [
+        ("1:5", "u1,i1,5,5,0", (5.0, 0.0)),
+        ("0:10", "u1,i1,10,10,0", (5.0, 0.0)),
+    ], ids=["one_to_five", "zero_to_ten"])
+    def test_scale_keeps_unrated_criterion_at_zero(self, tmp_path, capsys,
+                                                   scale, row, expected):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"user_id,item_id,overall,c1,c2\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--data", str(raw), "--scale", scale,
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert ds.load_ratings(out / "ratings.csv").records[0].criteria == expected
+        capsys.readouterr()
+
     def test_bad_scale_is_usage(self, ratings_csv, capsys):
         assert cli.main(["ingest", "--data", ratings_csv,
                          "--scale", "wide"]) == cli.EXIT_USAGE
@@ -244,6 +271,16 @@ class TestPredict:
         cli.main(["predict", "--config", fast_cfg, "--out", str(b)])
         for name in ("predictions.csv", "predict.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        capsys.readouterr()
+
+
+    def test_mae_matches_run_single(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["predict", "--config", fast_cfg, "--seed", "3",
+                         "--out", str(out)]) == cli.EXIT_OK
+        sidecar = json.loads((out / "predict.json").read_text())
+        cfg = ev.apply_config_values(ev.ExperimentConfig(), sidecar["config"])
+        assert sidecar["mae"] == ev.run_single(cfg, 0).mae
         capsys.readouterr()
 
 

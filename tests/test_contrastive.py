@@ -342,6 +342,13 @@ class TestTrain:
         with pytest.raises(cl.NonFiniteLossError, match="epoch 1"):
             cl.train(views, cfg, seed=0)
 
+    def test_nan_gradient_aborts_before_the_update(self, monkeypatch):
+        views = two_view_setup()
+        monkeypatch.setattr(ad, "grad_of",
+                            lambda leaf: np.full_like(leaf.value, np.nan))
+        with pytest.raises(cl.NonFiniteLossError, match="epoch 1"):
+            cl.train(views, self.tiny_config(), seed=0, epochs=1)
+
     def test_contrastive_disabled_reports_zero_losses(self):
         views = two_view_setup()
         cfg = self.tiny_config(use_contrastive=False)
