@@ -2,7 +2,8 @@
 
 Prints the per-variant MAE/RMSE statistics that the directional acceptance
 checks rely on: ablation ordering, the criteria-count trend, loss shrinkage,
-and the comparison against the nearest-neighbour baselines.
+and the comparison against the nearest-neighbour baselines. Ends with the
+published-results table (`evaluate.comparison_table`) next to the variants.
 """
 
 import argparse
@@ -38,14 +39,15 @@ def main():
     t0 = time.perf_counter()
 
     results = {}
+    reports = []
     for variant in ev.VARIANTS:
         tuned = replace(cfg, variant=variant)
         runs = ev.experiment_runs(tuned, jobs=args.jobs)
-        results[variant] = (tuned, runs)
-        report = ev.aggregate_runs(tuned, runs)
-        describe(ev.VARIANT_LABELS[variant], report)
+        results[variant] = runs
+        reports.append(ev.aggregate_runs(tuned, runs))
+        describe(ev.VARIANT_LABELS[variant], reports[-1])
 
-    full_cfg, full_runs = results["full"]
+    full_runs = results["full"]
     shrunk = sum(r.final_loss < 0.6 * r.first_loss for r in full_runs
                  if not r.failed)
     slowest = max(r.wall_clock for r in full_runs)
@@ -55,7 +57,7 @@ def main():
     single = replace(cfg, criteria_count=1)
     report_c1 = ev.run_experiment(single, jobs=args.jobs)
     describe("1 criterion", report_c1)
-    full_report = ev.aggregate_runs(full_cfg, full_runs)
+    full_report = reports[0]
     pooled = np.sqrt((full_report.mae_std ** 2 + report_c1.mae_std ** 2) / 2)
     gap = report_c1.mae_mean - full_report.mae_mean
     print(f"criteria trend: gap {gap:.4f} vs 0.5*pooled_std {0.5 * pooled:.4f}")
@@ -63,6 +65,8 @@ def main():
     for name in ("user_knn", "multi_user_knn", "mlr"):
         describe(name, ev.baseline_report(cfg, name))
 
+    print()
+    print(ev.comparison_table(reports), end="")
     print(f"total wall clock {time.perf_counter() - t0:.1f}s")
 
 

@@ -191,7 +191,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows a[idx]; the backward scatter-adds into the source rows."""
+    """Gather a[idx] along the first axis (idx of any shape); the backward
+    scatter-adds into the source rows."""
     idx = np.asarray(idx, dtype=np.intp)
     value = a.value[idx]
 
@@ -200,21 +201,6 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
             a.grad = np.zeros_like(a.value)
         np.add.at(a.grad, idx, g)
     return Tensor(value, "take_rows", (a,), back)
-
-
-def permute_within_rows(a: Tensor, col_idx: np.ndarray) -> Tensor:
-    """out[i, j] = a[i, col_idx[i, j]] with col_idx a per-row permutation."""
-    col_idx = np.asarray(col_idx, dtype=np.intp)
-    if col_idx.shape != a.value.shape:
-        raise ShapeError(f"permute_within_rows: index {col_idx.shape} vs value {a.shape}")
-    rows = np.arange(a.value.shape[0])[:, None]
-    value = a.value[rows, col_idx]
-
-    def back(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, (rows, col_idx), g)
-    return Tensor(value, "permute_within_rows", (a,), back)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -390,14 +376,6 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cosine_rows: {a.shape} vs {b.shape}")
     dots = tsum(mul(a, b), axis=1)
     return div(dots, mul(row_norms(a), row_norms(b)))
-
-
-def cosine_vec(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity between two 1-D tensors."""
-    dots = tsum(mul(a, b))
-    na = tsqrt(tsum(mul(a, a)))
-    nb = tsqrt(tsum(mul(b, b)))
-    return div(dots, mul(na, nb))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ under an adaptive-moment optimizer.
 Sampling (negatives, corruption permutations) happens outside the
 differentiable graph and is refreshed on a fixed epoch period, so between
 refreshes the loss is a fixed differentiable function of the parameters.
+
+Each loss is one batched InfoNCE over every ordered view pair at once: the
+views are stacked, the rows of all pairs are gathered by index arrays, and
+one segment sum forms every denominator. A loss thus adds the same number of
+tape nodes whatever the number of views, positives or negatives.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import attention as att
 from . import autodiff as ad
+from .dataset import DatasetError
 from .graph import CriterionView
 
 
@@ -78,6 +84,10 @@ class ContrastPlan:
     permutations: dict  # (view_a, view_b) -> (K, n, d) within-row column indices
 
 
+class IsolatedViewError(DatasetError, ValueError):
+    """A view has no edge, so it has no anchor: a criterion nobody rated."""
+
+
 class NonFiniteLossError(RuntimeError):
     def __init__(self, epoch: int, last_report: LossReport | None):
         detail = (f"last finite report: {last_report}" if last_report
@@ -111,17 +121,13 @@ def neighborhood_similarities(view: CriterionView,
     return out
 
 
-def neighborhood_similarity(view: CriterionView, embeddings: np.ndarray,
-                            node: int) -> float:
-    return float(neighborhood_similarities(view, embeddings)[node])
-
-
 def select_anchor(view: CriterionView, embeddings: np.ndarray) -> int:
     """Node with the highest neighborhood similarity; ties pick the lowest index."""
     sims = neighborhood_similarities(view, embeddings)
     if np.all(np.isneginf(sims)):
-        raise ValueError(
-            f"view {view.criterion_index}: every node is isolated, no anchor exists")
+        raise IsolatedViewError(
+            f"view {view.criterion_index}: every node is isolated, no anchor "
+            f"exists (criterion {view.criterion_index} has no nonzero rating)")
     return int(np.argmax(sims))
 
 
@@ -201,55 +207,73 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 # losses (tensor level)
 
+def _info_nce(anchors: ad.Tensor, partners: ad.Tensor, segments: np.ndarray,
+              num_terms: int, cfg: LossConfig) -> ad.Tensor:
+    """Summed InfoNCE terms: row t < num_terms of (anchors, partners) is term
+    t's positive; every later row r is a negative of term segments[r]."""
+    scaled = ad.cosine_rows(anchors, partners) * (1.0 / cfg.temperature)
+    denom = ad.segment_sum(ad.texp(scaled), segments, num_terms)
+    return ad.tsum(ad.tlog(denom) - ad.take_rows(scaled, np.arange(num_terms)))
+
+
 def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
                cfg: LossConfig) -> ad.Tensor:
-    """Mean InfoNCE term over every (positive node, ordered view pair)."""
-    inv_t = 1.0 / cfg.temperature
-    term_count = 0
-    total = None
-    for ps in samples:
-        term_count += ps.positives.size
-        if ps.negatives is None or ps.positives.size == 0:
-            continue  # terms exist but are exactly -log(1) = 0
-        p, k = ps.negatives.shape
-        e_a = ad.take_rows(embeddings[ps.view_a], ps.positives)
-        e_b = ad.take_rows(embeddings[ps.view_b], ps.positives)
-        sim_pos = ad.cosine_rows(e_a, e_b)
+    """Mean InfoNCE term over every (positive node, ordered view pair).
 
-        rep = np.repeat(np.arange(p), k)
-        sim_neg = ad.cosine_rows(ad.take_rows(e_a, rep),
-                                 ad.take_rows(embeddings[ps.view_b],
-                                              ps.negatives.ravel()))
-        pos_exp = ad.texp(sim_pos * inv_t)
-        neg_sum = ad.segment_sum(ad.texp(sim_neg * inv_t), rep, p)
-        terms = ad.tlog(pos_exp + neg_sum) - sim_pos * inv_t
-        contribution = ad.tsum(terms)
-        total = contribution if total is None else total + contribution
-    if total is None or term_count == 0:
+    A pair without negatives keeps its terms in the count; each is exactly
+    -log(1) = 0. Node i of view v is row v*n + i of the stacked views.
+    """
+    n = embeddings[0].shape[0]
+    term_count = sum(ps.positives.size for ps in samples)
+    active = [ps for ps in samples
+              if ps.negatives is not None and ps.positives.size]
+    if not active:
         return ad.Tensor(0.0)
-    return total * (1.0 / term_count)
+    anchors = np.concatenate([ps.view_a * n + ps.positives for ps in active])
+    partners = [ps.view_b * n + ps.positives for ps in active]
+    negatives = [ps.view_b * n + ps.negatives.ravel() for ps in active]
+    terms = np.arange(anchors.size)
+    per_term = np.concatenate([np.full(ps.positives.size, ps.negatives.shape[1])
+                               for ps in active])
+    segments = np.concatenate([terms, np.repeat(terms, per_term)])
+
+    stack = ad.concat(embeddings, axis=0)
+    # a negative's anchor row is its term's anchor row
+    left = ad.take_rows(stack, anchors[segments])
+    right = ad.take_rows(stack, np.concatenate(partners + negatives))
+    return _info_nce(left, right, segments, anchors.size, cfg) * (1.0 / term_count)
 
 
 def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
                 cfg: LossConfig) -> ad.Tensor:
-    """Mean InfoNCE term over ordered view pairs of column-mean embeddings."""
-    inv_t = 1.0 / cfg.temperature
-    total = None
-    count = 0
-    means = [ad.tmean(e, axis=0) for e in embeddings]
-    for a, b in _ordered_pairs(len(embeddings)):
-        count += 1
-        sim_pos = ad.cosine_vec(means[a], means[b])
-        pos_exp = ad.texp(sim_pos * inv_t)
-        denom = pos_exp
-        for perm in permutations[(a, b)]:
-            corrupted = ad.tmean(ad.permute_within_rows(embeddings[a], perm), axis=0)
-            denom = denom + ad.texp(ad.cosine_vec(means[a], corrupted) * inv_t)
-        term = ad.tlog(denom) - sim_pos * inv_t
-        total = term if total is None else total + term
-    if total is None:
+    """Mean InfoNCE term over ordered view pairs of column-mean embeddings.
+
+    Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
+    of E_a with each row's columns permuted by permutations[(a, b)][k]; every
+    pair's (K, n, d) block has the same K.
+    """
+    pairs = list(_ordered_pairs(len(embeddings)))
+    if not pairs:
         return ad.Tensor(0.0)
-    return total * (1.0 / count)
+    n, d = embeddings[0].shape
+    num_pairs, k = len(pairs), permutations[pairs[0]].shape[0]
+    view_a, view_b = np.array(pairs).T
+    # flat index of E_a[i, perm[k, i, j]] in the stacked views, filled in
+    # place: the (P, K, n, d) index is the largest array of the loss
+    flat_idx = np.empty((num_pairs, k, n, d), dtype=np.intp)
+    for p, (a, b) in enumerate(pairs):
+        np.add(permutations[(a, b)], a * n * d + np.arange(n)[:, None] * d,
+               out=flat_idx[p])
+
+    stack = ad.concat(embeddings, axis=0)
+    means = ad.tmean(ad.reshape(stack, (len(embeddings), n, d)), axis=1)
+    corrupted = ad.tmean(ad.take_rows(ad.reshape(stack, (-1,)), flat_idx), axis=2)
+    owners = np.repeat(np.arange(num_pairs), k)
+    left = ad.take_rows(means, np.concatenate([view_a, view_a[owners]]))
+    right = ad.concat([ad.take_rows(means, view_b),
+                       ad.reshape(corrupted, (num_pairs * k, d))], axis=0)
+    segments = np.concatenate([np.arange(num_pairs), owners])
+    return _info_nce(left, right, segments, num_pairs, cfg) * (1.0 / num_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Each rating criterion induces its own user-item graph: an N x M incidence
 holding the criterion's scores as edge weights, a symmetric (N+M) x (N+M)
 block extension of it, and a degree-normalized form of that extension. All
 matrices are kept sparse; (N+M)^2 dense storage is only for small oracles.
+A view also holds the normalized adjacency's edges as (center, neighbor)
+index arrays, computed once at construction and read on every encoder pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +29,15 @@ class CriterionView:
     extended: sp.csr_matrix            # (N+M) x (N+M) block form [[0, B], [B^T, 0]]
     degrees: np.ndarray                # weighted degree per node, length N+M
     adjacency: sp.csr_matrix           # normalized extension
+    _edges: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                  compare=False)
+
+    def __post_init__(self):
+        coo = self.adjacency.tocoo()
+        edges = (coo.row.astype(np.intp), coo.col.astype(np.intp))
+        for arr in edges:
+            arr.flags.writeable = False  # shared by every caller
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def num_nodes(self) -> int:
@@ -37,10 +47,9 @@ class CriterionView:
         """Edges of the normalized adjacency as (center, neighbor) index arrays.
 
         Row-major with sorted columns, so the order is deterministic. Item
-        nodes are offset by num_users.
+        nodes are offset by num_users. Computed once, at construction.
         """
-        coo = self.adjacency.tocoo()
-        return coo.row.astype(np.intp), coo.col.astype(np.intp)
+        return self._edges
 
 
 def extend_adjacency(incidence) -> sp.csr_matrix:
@@ -104,11 +113,3 @@ def build_views(train: RatingDataset) -> list[CriterionView]:
             adjacency=normalize_adjacency(extended),
         ))
     return views
-
-
-def save_view_coordinates(view: CriterionView, path: str | Path) -> None:
-    """Dump the normalized adjacency as `row col value` lines (debug aid)."""
-    coo = view.adjacency.tocoo()
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -52,13 +52,6 @@ def fuse(embeddings: Sequence[np.ndarray], num_users: int) -> FusedEmbedding:
                           view_dim=embeddings[0].shape[1])
 
 
-def user_similarity(f_u: np.ndarray, f_v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(f_u), np.linalg.norm(f_v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("similarity is undefined for a zero vector")
-    return float(np.clip(np.dot(f_u, f_v) / (nu * nv), -1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # rating head
 
@@ -152,22 +145,6 @@ def predict_many(predictor: RatingPredictor, fused: FusedEmbedding,
                  users: np.ndarray, items: np.ndarray) -> np.ndarray:
     raw = predictor.raw(pair_features(fused, users, items))
     return np.clip(raw, RATING_MIN, RATING_MAX)
-
-
-def recommend_top_k(predictor: RatingPredictor, fused: FusedEmbedding,
-                    user: int, k: int,
-                    rated_items: frozenset[int] = frozenset()) -> list[int]:
-    """Highest-predicted unrated items; ties resolve to the lower item index."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    candidates = np.array([v for v in range(fused.num_items)
-                           if v not in rated_items], dtype=np.intp)
-    if candidates.size == 0:
-        return []
-    scores = predict_many(predictor, fused,
-                          np.full(candidates.size, user, dtype=np.intp), candidates)
-    order = np.lexsort((candidates, -scores))
-    return candidates[order[:k]].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,6 @@ class TestForward:
         for s in range(3):
             assert_allclose(out[s], vals[seg == s].sum(axis=0), rtol=1e-12)
 
-    def test_permute_within_rows_matches_loops(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 4))
-        idx = np.vstack([rng.permutation(4) for _ in range(3)])
-        out = ad.permute_within_rows(ad.Tensor(x), idx).value
-        expected = np.array([[x[i, idx[i, j]] for j in range(4)] for i in range(3)])
-        assert_allclose(out, expected)
-
     def test_shape_errors_name_the_operation(self):
         a = ad.Tensor(np.ones((2, 3)))
         b = ad.Tensor(np.ones((4, 5)))
@@ -240,14 +232,6 @@ class TestGradientsAgainstFiniteDifferences:
         coeff = ad.Tensor(rng.normal(size=(2, 2)))
         self.check(lambda t: ad.tsum(ad.mul(
             ad.segment_sum(t["v"], seg, 2), coeff)), params)
-
-    def test_permute_within_rows_gradient(self):
-        rng = np.random.default_rng(10)
-        params = {"x": rng.normal(size=(3, 4))}
-        idx = np.vstack([rng.permutation(4) for _ in range(3)])
-        coeff = ad.Tensor(rng.normal(size=(3, 4)))
-        self.check(lambda t: ad.tsum(ad.mul(
-            ad.permute_within_rows(t["x"], idx), coeff)), params)
 
     def test_cosine_similarity_gradient(self):
         rng = np.random.default_rng(12)

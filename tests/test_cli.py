@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, precedence, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"line {line}:" in captured.err
         assert captured.out == ""
+
+    def test_unrated_criterion_is_data_error(self, tmp_path, ratings_csv,
+                                             fast_cfg, capsys):
+        rows = [line.split(",") for line in
+                Path(ratings_csv).read_text(encoding="utf-8").splitlines()]
+        c3 = rows[0].index("c3")
+        for row in rows[1:]:
+            row[c3] = "0"  # nobody rated c3, so view 3 has no edge
+        unrated = tmp_path / "unrated.csv"
+        unrated.write_text("\n".join(",".join(r) for r in rows) + "\n",
+                           encoding="utf-8")
+        common = ["--data", str(unrated), "--config", fast_cfg]
+        for command in ("train", "predict"):
+            assert cli.main([command, *common, "--out",
+                             str(tmp_path / command)]) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert "data error: view 3: every node is isolated" in err
+        assert cli.main(["stats", "--data", str(unrated)]) == cli.EXIT_OK
+        assert cli.main(["train", *common, "--variant",
+                         "no_global_attention_no_cl", "--out",
+                         str(tmp_path / "no_cl")]) == cli.EXIT_OK
+        capsys.readouterr()
 
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Anchors, contrastive losses, and training loop behavior."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from mcgraph import attention as att
 from mcgraph import autodiff as ad
 from mcgraph import contrastive as cl
+from mcgraph.dataset import DatasetError
 from tests.test_attention import view_from_incidence
 
 
@@ -20,18 +23,18 @@ class TestNeighborhoodSimilarity:
     def test_identical_neighbors_score_one(self):
         view = view_from_incidence([[1.0, 1.0]])
         e = embed([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
-        assert_allclose(cl.neighborhood_similarity(view, e, 0), 1.0)
+        assert_allclose(cl.neighborhood_similarities(view, e)[0], 1.0)
 
     def test_mean_of_cosines_one_and_zero(self):
         view = view_from_incidence([[1.0, 1.0]])
         e = embed([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        assert_allclose(cl.neighborhood_similarity(view, e, 0), 0.5)
+        assert_allclose(cl.neighborhood_similarities(view, e)[0], 0.5)
 
     def test_isolated_node_gets_sentinel(self):
         view = view_from_incidence([[1.0, 0.0], [0.0, 0.0]])
         e = np.ones((4, 2))
-        assert cl.neighborhood_similarity(view, e, 1) == -np.inf
-        assert cl.neighborhood_similarity(view, e, 3) == -np.inf
+        assert cl.neighborhood_similarities(view, e)[1] == -np.inf
+        assert cl.neighborhood_similarities(view, e)[3] == -np.inf
 
 
 class TestSelectAnchor:
@@ -55,6 +58,11 @@ class TestSelectAnchor:
     def test_all_isolated_is_error(self):
         view = view_from_incidence([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="isolated"):
+            cl.select_anchor(view, np.ones((4, 2)))
+
+    def test_all_isolated_is_a_data_error(self):
+        view = view_from_incidence([[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DatasetError, match="criterion 1 has no nonzero rating"):
             cl.select_anchor(view, np.ones((4, 2)))
 
 
@@ -263,6 +271,104 @@ def two_view_setup(seed=0):
         b[0, 0] = 3.0  # keep the graph connected enough for anchors
         views.append(view_from_incidence(b))
     return views
+
+
+def _cos(u, v):
+    return np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def _info_nce_oracle(anchor, positive, negatives, t):
+    pos = np.exp(_cos(anchor, positive) / t)
+    neg = sum(np.exp(_cos(anchor, other) / t) for other in negatives)
+    return -np.log(pos / (pos + neg))
+
+
+def lcl_oracle(embs, samples, t):
+    """Per-pair, per-positive loop; pairs without negatives add zero terms."""
+    terms, count = [], 0
+    for ps in samples:
+        count += ps.positives.size
+        if ps.negatives is None:
+            continue
+        for row, i in enumerate(ps.positives):
+            terms.append(_info_nce_oracle(
+                embs[ps.view_a][i], embs[ps.view_b][i],
+                embs[ps.view_b][ps.negatives[row]], t))
+    return sum(terms) / count if count else 0.0
+
+
+def hgcl_oracle(embs, perms, t):
+    terms = []
+    for (a, b), block in perms.items():
+        corrupted = [np.take_along_axis(embs[a], perm, axis=1).mean(axis=0)
+                     for perm in block]
+        terms.append(_info_nce_oracle(embs[a].mean(axis=0), embs[b].mean(axis=0),
+                                      corrupted, t))
+    return sum(terms) / len(terms)
+
+
+def three_view_plan(rng, n=5, d=3, k_neg=3, k_perm=2):
+    """Hand-built plan: one pair lacks negatives, one lacks positives, and
+    neither K matches LossConfig().num_negatives."""
+    embs = [rng.normal(size=(n, d)) for _ in range(3)]
+    samples = []
+    for a, b in permutations(range(3), 2):
+        positives = np.sort(rng.choice(n, size=rng.integers(1, n + 1),
+                                       replace=False))
+        negatives = rng.integers(0, n, size=(positives.size, k_neg))
+        if (a, b) == (0, 1):
+            negatives = None
+        if (a, b) == (2, 0):
+            positives, negatives = positives[:0], negatives[:0]
+        samples.append(cl.PairSample(a, b, positives, negatives))
+    perms = {pair: np.argsort(rng.random((k_perm, n, d)), axis=2)
+             for pair in permutations(range(3), 2)}
+    return embs, tuple(samples), perms
+
+
+class TestBatchedLosses:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_match_per_pair_oracle(self, seed):
+        embs, samples, perms = three_view_plan(np.random.default_rng(seed))
+        cfg = cl.LossConfig(temperature=0.7)
+        assert_allclose(cl.local_contrastive_loss(embs, (), cfg, samples=samples),
+                        lcl_oracle(embs, samples, 0.7), rtol=1e-12, atol=1e-12)
+        assert_allclose(cl.global_contrastive_loss(embs, cfg, permutations=perms),
+                        hgcl_oracle(embs, perms, 0.7), rtol=1e-12, atol=1e-12)
+
+    def test_pass_gradient_check(self):
+        embs, samples, perms = three_view_plan(np.random.default_rng(11))
+        cfg = cl.LossConfig()
+
+        def loss_fn(t):
+            views = [t["e0"], t["e1"], t["e2"]]
+            return (cl.lcl_tensor(views, samples, cfg)
+                    + cl.hgcl_tensor(views, perms, cfg))
+
+        params = {f"e{v}": e for v, e in enumerate(embs)}
+        report = ad.finite_diff_check(loss_fn, params)
+        assert report.passed, f"failing blocks: {report.failing()}"
+
+    @staticmethod
+    def tape_sizes(num_views, k, n=6, d=3):
+        """Nodes each loss adds to the tape, its input leaves excluded."""
+        rng = np.random.default_rng(0)
+        cfg = cl.LossConfig(num_negatives=k)
+        embs = [ad.Tensor(rng.normal(size=(n, d))) for _ in range(num_views)]
+        samples = tuple(cl.PairSample(a, b, np.arange(n - 1),
+                                      rng.integers(0, n, size=(n - 1, k)))
+                        for a, b in permutations(range(num_views), 2))
+        perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
+        losses = (cl.lcl_tensor(embs, samples, cfg),
+                  cl.hgcl_tensor(embs, perms, cfg))
+        return [sum(node.op != "leaf" for node in ad.topo_order(loss))
+                for loss in losses]
+
+    def test_tape_size_independent_of_views_and_negatives(self):
+        base = self.tape_sizes(2, 2)
+        assert self.tape_sizes(2, 8) == base
+        assert self.tape_sizes(4, 2) == base
+        assert self.tape_sizes(4, 8) == base
 
 
 def test_full_objective_passes_gradient_check():

@@ -150,20 +150,16 @@ class TestBuildViews:
         for i, j in zip(centers, neighbors):
             assert dense[i, j] > 0
 
+    def test_neighbor_arrays_built_once_and_read_only(self):
+        view = graph.build_views(small_dataset())[0]
+        first = view.neighbor_arrays()
+        assert view.neighbor_arrays() is first
+        with pytest.raises(ValueError):
+            first[0][0] = 1
+
     def test_empty_dataset_rejected(self):
         data = small_dataset()
         empty = type(data)(data.num_users, data.num_items, data.num_criteria,
                            (), data.user_index, data.item_index)
         with pytest.raises(ValueError):
             graph.build_views(empty)
-
-
-def test_view_dump_round_trips_entries(tmp_path):
-    view = graph.build_views(small_dataset())[0]
-    path = tmp_path / "view.txt"
-    graph.save_view_coordinates(view, path)
-    rebuilt = np.zeros((4, 4))
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert_allclose(rebuilt, view.adjacency.toarray())

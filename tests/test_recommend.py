@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import recommend as rec
@@ -35,33 +33,6 @@ class TestFuse:
         fused = rec.fuse(views, num_users=4)
         for c, e in enumerate(views):
             assert np.array_equal(fused.matrix[:, 3 * c:3 * (c + 1)], e)
-
-
-class TestUserSimilarity:
-    def test_identical_vectors_score_one(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert_allclose(rec.user_similarity(v, v), 1.0, atol=1e-12)
-
-    def test_orthogonal_vectors_score_zero(self):
-        assert rec.user_similarity(np.array([1.0, 0.0]),
-                                   np.array([0.0, 1.0])) == 0.0
-
-    def test_forty_five_degree_pair(self):
-        sim = rec.user_similarity(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        assert_allclose(sim, 1.0 / np.sqrt(2.0), atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            rec.user_similarity(np.zeros(3), np.ones(3))
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=4) + 0.1, rng.normal(size=4) + 0.1
-        s1, s2 = rec.user_similarity(a, b), rec.user_similarity(b, a)
-        assert s1 == s2
-        assert -1.0 <= s1 <= 1.0
 
 
 def make_fused(num_users, num_items, width, seed=0):
@@ -182,37 +153,6 @@ class TestPredictRating:
             rec.predict_rating(predictor, fused, 5, 0)
         with pytest.raises(IndexError, match="item"):
             rec.predict_rating(predictor, fused, 0, 7)
-
-
-class TestTopK:
-    def test_all_predictions_equal_orders_by_index(self):
-        fused = make_fused(2, 5, 3)
-        predictor = constant_predictor(3, bias=3.0)
-        assert rec.recommend_top_k(predictor, fused, 0, 3) == [0, 1, 2]
-
-    def test_k_beyond_unrated_count_returns_all_unrated(self):
-        fused = make_fused(2, 4, 3)
-        predictor = constant_predictor(3, bias=3.0)
-        out = rec.recommend_top_k(predictor, fused, 0, 99,
-                                  rated_items=frozenset({1}))
-        assert out == [0, 2, 3]
-
-    def test_planted_favorite_ranks_first(self):
-        matrix = np.zeros((2 + 4, 2))
-        matrix[2 + 3] = [1.0, 0.0]  # only item 3 carries the favored direction
-        fused = rec.FusedEmbedding(matrix, num_users=2, view_dim=2)
-        weights = np.zeros(4)
-        weights[2] = 1.0  # reward the first item-feature column
-        predictor = rec.RatingPredictor(weights=weights, bias=3.0, epsilon=0.1,
-                                        regularization=1.0,
-                                        feature_mean=np.zeros(4),
-                                        feature_scale=np.ones(4))
-        assert rec.recommend_top_k(predictor, fused, 0, 2)[0] == 3
-
-    def test_invalid_k_rejected(self):
-        fused = make_fused(2, 2, 3)
-        with pytest.raises(ValueError):
-            rec.recommend_top_k(constant_predictor(3, 3.0), fused, 0, 0)
 
 
 # ---------------------------------------------------------------------------
