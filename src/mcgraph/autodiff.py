@@ -2,9 +2,16 @@
 
 Eager, define-by-run: every op computes its value immediately and records
 how to push gradients back to its parents. The primitive set is the minimum
-needed by the attention encoder and the contrastive losses: matmul, add,
-elementwise mul/div, concat, LeakyReLU/ReLU/ELU, masked (segment) softmax,
-exp, log, sqrt, sum/mean, row gather/scatter. Everything is float64.
+needed by the encoder's global gate and ELU, the contrastive losses and the
+gradient checker: matmul, add, elementwise mul/div, concat, reshape,
+ReLU/ELU, softmax, exp, log, sqrt, sum/mean, row gather and segment sum.
+The attention encoder builds each of its layers as one fused op of its own
+(see `attention.py`). Everything is float64.
+
+Every scatter (the row gather's backward, the segment sum, the fused
+attention op) goes through `_scatter_add`: one `np.bincount` per trailing
+column. It adds in index order exactly like numpy's unbuffered `ufunc.at`
+scatter, at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -72,6 +79,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.value)
     t.grad += g
+
+
+def _scatter_add(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum values[j] into row index[j] of a (num_rows, ...) array of zeros.
+
+    `index` may have any shape; its dims lead `values`' dims, and the rest of
+    `values`' shape is each row's shape. Entries are added in index order, as
+    the unbuffered `ufunc.at` scatter does, so the sums are bit-identical to it.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    row_shape = values.shape[index.ndim:]
+    columns = values.reshape(index.size, int(np.prod(row_shape))).T
+    out = np.empty((num_rows, columns.shape[0]))
+    flat = index.reshape(-1)
+    for j, column in enumerate(columns):
+        out[:, j] = np.bincount(flat, weights=column, minlength=num_rows)
+    return out.reshape((num_rows,) + row_shape)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -197,9 +221,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     value = a.value[idx]
 
     def back(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
+        _accumulate(a, _scatter_add(idx, g, a.value.shape[0]))
     return Tensor(value, "take_rows", (a,), back)
 
 
@@ -216,16 +238,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for part, piece in zip(parts, np.split(g, bounds, axis=axis)):
             _accumulate(part, piece)
     return Tensor(value, "concat", tuple(parts), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-    value = a.value.T
-
-    def back(g):
-        _accumulate(a, g.T)
-    return Tensor(value, "transpose", (a,), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -285,14 +297,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(value, "relu", (a,), back)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    value = np.where(a.value > 0.0, a.value, slope * a.value)
-
-    def back(g):
-        _accumulate(a, g * np.where(a.value > 0.0, 1.0, slope))
-    return Tensor(value, "leaky_relu", (a,), back)
-
-
 def elu(a: Tensor) -> Tensor:
     value = np.where(a.value > 0.0, a.value, np.expm1(a.value))
 
@@ -314,38 +318,12 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor(p, "softmax", (a,), back)
 
 
-def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over index sets: entries sharing a segment id normalize together.
-
-    The segment ids carry the sparsity mask of a graph view: scores live on
-    edges, segments are the edges' center nodes. Entries of an empty segment
-    simply do not exist. Numerically stabilized by a per-segment max shift.
-    """
-    if scores.value.ndim != 1:
-        raise ShapeError(f"segment_softmax: expected 1-D scores, got {scores.shape}")
-    seg = np.asarray(segments, dtype=np.intp)
-    if seg.shape != scores.value.shape:
-        raise ShapeError(f"segment_softmax: segments {seg.shape} vs scores {scores.shape}")
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, seg, scores.value)
-    e = np.exp(scores.value - seg_max[seg])
-    denom = np.bincount(seg, weights=e, minlength=num_segments)
-    p = e / denom[seg]
-
-    def back(g):
-        weighted = np.bincount(seg, weights=p * g, minlength=num_segments)
-        _accumulate(scores, p * (g - weighted[seg]))
-    return Tensor(p, "segment_softmax", (scores,), back)
-
-
 def segment_sum(values: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows (or scalars) of `values` into per-segment buckets."""
     seg = np.asarray(segments, dtype=np.intp)
     if seg.shape[0] != values.value.shape[0]:
         raise ShapeError(f"segment_sum: segments {seg.shape} vs values {values.shape}")
-    out_shape = (num_segments,) + values.value.shape[1:]
-    out = np.zeros(out_shape)
-    np.add.at(out, seg, values.value)
+    out = _scatter_add(seg, values.value, num_segments)
 
     def back(g):
         _accumulate(values, g[seg])

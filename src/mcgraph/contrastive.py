@@ -16,6 +16,12 @@ Each loss is one batched InfoNCE over every ordered view pair at once: the
 views are stacked, the rows of all pairs are gathered by index arrays, and
 one segment sum forms every denominator. A loss thus adds the same number of
 tape nodes whatever the number of views, positives or negatives.
+
+Only the contrastive terms live on the autodiff tape. The L2 term is a float
+(`_l2`) and its gradient, 2·lambda·theta, is added to the tape's gradients
+before clipping. Without contrastive training (the no-CL ablation, or a
+single view) no loss term reads the embeddings, so `train` skips the encoder
+pass and descends on weight decay alone.
 """
 
 from __future__ import annotations
@@ -303,6 +309,14 @@ def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
                              permutations, cfg).value)
 
 
+def _l2(params: Mapping[str, np.ndarray]) -> float:
+    """Sum of squares of every parameter, in key order."""
+    l2 = 0.0
+    for arr in params.values():
+        l2 += float((arr * arr).sum())
+    return l2
+
+
 def _weighted(lcl, hgcl, l2, cfg: LossConfig):
     """alpha·LCL + beta·HGCL + lambda·L2 for floats and tensors alike."""
     return lcl * cfg.alpha + hgcl * cfg.beta + l2 * cfg.l2_weight
@@ -311,9 +325,7 @@ def _weighted(lcl, hgcl, l2, cfg: LossConfig):
 def total_loss(l_lcl: float, l_hgcl: float, params: Mapping[str, np.ndarray],
                cfg: LossConfig, epoch: int = 0) -> LossReport:
     """Weighted combination; the report identity holds exactly as computed."""
-    l2 = 0.0
-    for arr in params.values():
-        l2 += float((arr * arr).sum())
+    l2 = _l2(params)
     total = _weighted(l_lcl, l_hgcl, l2, cfg)
     return LossReport(epoch=epoch, l_lcl=l_lcl, l_hgcl=l_hgcl,
                       l2_term=l2, l_total=total)
@@ -369,6 +381,16 @@ class TrainConfig:
     use_global_attention: bool = True
     use_contrastive: bool = True
 
+    def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.refresh_period < 1:
+            raise ValueError(f"refresh_period must be at least 1, got {self.refresh_period}")
+        if self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+
     def variant(self, name: str) -> "TrainConfig":
         """Named ablations: full, no_global_attention, no_global_attention_no_cl."""
         if name == "full":
@@ -391,34 +413,37 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
     trace: list[LossReport] = []
     plan: ContrastPlan | None = None
     use_cl = cfg.use_contrastive and len(views) >= 2
+    decay = 2.0 * cfg.loss.l2_weight
 
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tensors = {key: ad.Tensor(value) for key, value in params.items()}
-            embeddings = [att.encode_view_tensors(view, tensors, cfg.encoder,
-                                                  cfg.use_global_attention)
-                          for view in views]
-            if use_cl and (plan is None or epoch % cfg.refresh_period == 0):
-                plan = build_plan(views, [e.value for e in embeddings], cfg.loss,
-                                  np.random.default_rng([seed, epoch]))
+            l2 = _l2(params)
             if use_cl:
+                tensors = {key: ad.Tensor(value) for key, value in params.items()}
+                embeddings = [att.encode_view_tensors(view, tensors, cfg.encoder,
+                                                      cfg.use_global_attention)
+                              for view in views]
+                if plan is None or epoch % cfg.refresh_period == 0:
+                    plan = build_plan(views, [e.value for e in embeddings],
+                                      cfg.loss, np.random.default_rng([seed, epoch]))
                 lcl = lcl_tensor(embeddings, plan.samples, cfg.loss)
                 hgcl = hgcl_tensor(embeddings, plan.permutations, cfg.loss)
+                l_lcl, l_hgcl = float(lcl.value), float(hgcl.value)
             else:
-                lcl = ad.Tensor(0.0)
-                hgcl = ad.Tensor(0.0)
-            l2 = ad.sum_of_squares(tensors.values())
-            total = _weighted(lcl, hgcl, l2, cfg.loss)
-
-            report = LossReport(epoch=epoch + 1, l_lcl=float(lcl.value),
-                                l_hgcl=float(hgcl.value), l2_term=float(l2.value),
-                                l_total=float(total.value))
+                l_lcl = l_hgcl = 0.0
+            report = LossReport(epoch=epoch + 1, l_lcl=l_lcl, l_hgcl=l_hgcl,
+                                l2_term=l2,
+                                l_total=_weighted(l_lcl, l_hgcl, l2, cfg.loss))
             if not np.isfinite(report.l_total):
                 raise NonFiniteLossError(epoch + 1, trace[-1] if trace else None)
             trace.append(report)
 
-            ad.backward(total)
-            grads = {key: ad.grad_of(tensor) for key, tensor in tensors.items()}
+            if use_cl:
+                ad.backward(_weighted(lcl, hgcl, 0.0, cfg.loss))
+                grads = {key: ad.grad_of(tensor) + decay * params[key]
+                         for key, tensor in tensors.items()}
+            else:
+                grads = {key: decay * value for key, value in params.items()}
         # a NaN norm skips clipping (NaN > max_norm is False); stop before
         # Adam writes it into the parameters
         if not np.isfinite(clip_gradients(grads, cfg.clip_norm)):

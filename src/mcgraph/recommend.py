@@ -116,6 +116,7 @@ def train_predictor(fused: FusedEmbedding, train: RatingDataset,
     w = np.zeros(width)
     b = float(targets.mean())
     rng = np.random.default_rng(seed)
+    decay = cfg.regularization / n
     for epoch in range(cfg.epochs):
         step = cfg.learning_rate / (1.0 + 0.01 * epoch)
         order = rng.permutation(n)
@@ -125,8 +126,8 @@ def train_predictor(fused: FusedEmbedding, train: RatingDataset,
             residual = xb @ w + b - yb
             active = np.abs(residual) > cfg.epsilon
             signs = np.sign(residual) * active
-            grad_w = (signs @ xb) / len(batch) + (cfg.regularization / n) * w
-            grad_b = signs.mean()
+            grad_w = (signs @ xb) / len(batch) + decay * w
+            grad_b = signs.sum() / len(batch)  # signs.mean() without its overhead
             w -= step * grad_w
             b -= step * grad_b
     return RatingPredictor(weights=w, bias=b, epsilon=cfg.epsilon,

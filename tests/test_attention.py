@@ -1,6 +1,7 @@
 """Dual-attention encoder against brute-force oracles and gradient checks."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -134,6 +135,130 @@ class TestLocalForward:
         out = att.local_attention_forward(view, rng.normal(size=(4, 3)), layer)
         assert_allclose(out[1], np.zeros(2))
         assert_allclose(out[3], np.zeros(2))
+
+
+def gat_oracle(centers, neighbors, n, h_in, heads):
+    """Plain per-head GAT over an edge list: (E, H) coefficients and outputs."""
+    coeffs = np.zeros((len(centers), len(heads)))
+    outs = []
+    for k, (w, a) in enumerate(heads):
+        fp = w.shape[0]
+        proj = h_in @ w.T
+        out = np.zeros((n, fp))
+        for i in range(n):
+            edges = np.flatnonzero(centers == i)
+            if edges.size == 0:
+                continue
+            raw = np.array([a[:fp] @ proj[i] + a[fp:] @ proj[neighbors[e]]
+                            for e in edges])
+            scored = np.where(raw > 0, raw, 0.2 * raw)
+            e = np.exp(scored - scored.max())
+            coeffs[edges, k] = e / e.sum()
+            out[i] = sum(coeffs[edge, k] * proj[neighbors[edge]] for edge in edges)
+        outs.append(out)
+    return coeffs, np.concatenate(outs, axis=1)
+
+
+class TestFusedAttentionLayer:
+    """The one-node multi-head layer against per-head oracles."""
+
+    def graph(self):
+        # user 3 and item 3 rate nothing: two isolated nodes
+        b = np.array([[2.0, 1.0, 0.0, 0.0],
+                      [0.0, 4.0, 3.0, 0.0],
+                      [5.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        return view_from_incidence(b)
+
+    def draw(self, num_heads, fan_in=3, head_dim=2, num_nodes=8, seed=0):
+        rng = np.random.default_rng(seed)
+        heads = [(rng.normal(size=(head_dim, fan_in)), rng.normal(size=2 * head_dim))
+                 for _ in range(num_heads)]
+        return rng.normal(size=(num_nodes, fan_in)), heads
+
+    def layer(self, view, h_in, heads):
+        centers, neighbors = view.neighbor_arrays()
+        out, coeffs = att._attention_layer(
+            ad.Tensor(h_in), [ad.Tensor(w) for w, _ in heads],
+            [ad.Tensor(a) for _, a in heads], centers, neighbors, view.num_nodes)
+        return out.value, coeffs
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 3])
+    def test_matches_per_head_oracle(self, num_heads):
+        view = self.graph()
+        h_in, heads = self.draw(num_heads, seed=num_heads)
+        out, coeffs = self.layer(view, h_in, heads)
+        centers, neighbors = view.neighbor_arrays()
+        want_coeffs, want_out = gat_oracle(centers, neighbors, view.num_nodes,
+                                           h_in, heads)
+        assert_allclose(coeffs, want_coeffs, rtol=1e-12, atol=1e-12)
+        assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(out[[3, 7]], np.zeros((2, num_heads * 2)))
+
+    def test_singleton_neighbourhood_coefficient_is_one(self):
+        view = view_from_incidence([[3.0, 0.0], [0.0, 1.0]])
+        h_in, heads = self.draw(3, num_nodes=4, seed=4)
+        _, coeffs = self.layer(view, h_in, heads)
+        assert np.array_equal(coeffs, np.ones((4, 3)))
+
+    def test_zero_edge_view_gives_zero_rows_and_gradients(self):
+        view = view_from_incidence(np.zeros((3, 2)))
+        centers, neighbors = view.neighbor_arrays()
+        assert centers.size == 0
+        h_in, heads = self.draw(2, num_nodes=5, seed=5)
+        out, coeffs = self.layer(view, h_in, heads)
+        assert coeffs.shape == (0, 2)
+        assert np.array_equal(out, np.zeros((5, 4)))
+        leaves = [ad.Tensor(h_in)] + [ad.Tensor(w) for w, _ in heads]
+        attns = [ad.Tensor(a) for _, a in heads]
+        tensor, _ = att._attention_layer(leaves[0], leaves[1:], attns, centers,
+                                         neighbors, 5)
+        ad.backward(ad.tsum(ad.mul(tensor, tensor)))
+        for leaf in leaves + attns:
+            assert np.array_equal(ad.grad_of(leaf), np.zeros(leaf.shape))
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 3])
+    def test_passes_gradient_check(self, num_heads):
+        view = self.graph()
+        centers, neighbors = view.neighbor_arrays()
+        h_in, heads = self.draw(num_heads, seed=10 + num_heads)
+        params = {"h": h_in}
+        for k, (w, a) in enumerate(heads, start=1):
+            params[f"w{k}"], params[f"a{k}"] = w, a
+        weight = ad.Tensor(np.random.default_rng(20).normal(
+            size=(view.num_nodes, num_heads * 2)))
+
+        def loss_fn(t):
+            out, _ = att._attention_layer(
+                t["h"], [t[f"w{k}"] for k in range(1, num_heads + 1)],
+                [t[f"a{k}"] for k in range(1, num_heads + 1)],
+                centers, neighbors, view.num_nodes)
+            return ad.tsum(ad.mul(ad.elu(out), weight))
+
+        report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
+        assert report.passed, f"failing blocks: {report.failing()}"
+        assert len(report.blocks) == 1 + 2 * num_heads
+
+    def test_encoder_tape_size_independent_of_head_count(self):
+        view = self.graph()
+
+        def tape_size(num_heads, use_global):
+            cfg = att.EncoderConfig(num_heads=num_heads, feature_dim=3, head_dim=2)
+            params = att.init_params(view.num_nodes, 1, cfg, seed=0)
+            tensors = {key: ad.Tensor(value) for key, value in params.items()}
+            emb = att.encode_view_tensors(view, tensors, cfg, use_global)
+            return sum(node.op != "leaf" for node in ad.topo_order(emb))
+
+        for use_global in (True, False):
+            sizes = [tape_size(h, use_global) for h in (1, 2, 4)]
+            assert sizes == [sizes[0]] * 3
+
+
+class TestEncoderConfigValidation:
+    @pytest.mark.parametrize("name", ["num_heads", "feature_dim", "head_dim"])
+    def test_width_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            att.EncoderConfig(**{name: 0})
 
 
 class TestGlobalScores:

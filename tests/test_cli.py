@@ -88,6 +88,23 @@ class TestExitCodes:
                          str(tmp_path / "no_cl")]) == cli.EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line, field", [
+        ("clip_norm = -1", "clip_norm"),
+        ("refresh_period = 0", "refresh_period"),
+        ("epochs = 0", "epochs"),
+        ("learning_rate = 0", "learning_rate"),
+        ("num_heads = 0", "num_heads"),
+        ("head_dim = 0", "head_dim"),
+    ])
+    def test_invalid_training_value_is_usage_naming_field(self, tmp_path, capsys,
+                                                          line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("usage error:") and field in last
+
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n", encoding="utf-8")

@@ -263,6 +263,15 @@ class TestLossConfigValidation:
             cl.LossConfig(pos_threshold=0.2, neg_threshold=0.4)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("epochs", 0),
+        ("refresh_period", 0), ("clip_norm", 0.0), ("clip_norm", -1.0)])
+    def test_bad_value_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            cl.TrainConfig(**{name: value})
+
+
 def two_view_setup(seed=0):
     rng = np.random.default_rng(seed)
     views = []
@@ -462,6 +471,46 @@ class TestTrain:
         for r in trace:
             assert r.l_lcl == 0.0 and r.l_hgcl == 0.0
             assert r.l_total == cfg.loss.l2_weight * r.l2_term
+
+    def test_l2_term_is_total_loss_l2(self):
+        views = two_view_setup()
+        cfg = self.tiny_config()
+        _, trace = cl.train(views, cfg, seed=2, epochs=1)
+        initial = att.init_params(8, 2, cfg.encoder, seed=2)
+        report = cl.total_loss(trace[0].l_lcl, trace[0].l_hgcl, initial, cfg.loss)
+        assert trace[0].l2_term == report.l2_term
+        assert trace[0].l_total == report.l_total
+
+    @pytest.mark.parametrize("num_views, use_contrastive", [(2, False), (1, True)],
+                             ids=["no_cl", "single_view"])
+    def test_no_contrast_skips_encoder_and_matches_adam_oracle(
+            self, monkeypatch, num_views, use_contrastive):
+        def fail(*args, **kwargs):
+            raise AssertionError("the encoder ran without a contrastive loss")
+        monkeypatch.setattr(att, "encode_view_tensors", fail)
+        views = two_view_setup()[:num_views]
+        cfg = self.tiny_config(use_contrastive=use_contrastive, clip_norm=0.05)
+        params, trace = cl.train(views, cfg, seed=6, epochs=7)
+
+        # Adam on the weight decay alone, with the global-norm clip
+        theta = att.init_params(8, num_views, cfg.encoder, seed=6)
+        first = {k: np.zeros_like(v) for k, v in theta.items()}
+        second = {k: np.zeros_like(v) for k, v in theta.items()}
+        for t in range(1, 8):
+            grads = {k: 2.0 * cfg.loss.l2_weight * v for k, v in theta.items()}
+            norm = np.sqrt(sum((g ** 2).sum() for g in grads.values()))
+            scale = min(1.0, cfg.clip_norm / norm)
+            for k, g in grads.items():
+                g = g * scale
+                first[k] = 0.9 * first[k] + 0.1 * g
+                second[k] = 0.999 * second[k] + 0.001 * g * g
+                m_hat = first[k] / (1.0 - 0.9 ** t)
+                v_hat = second[k] / (1.0 - 0.999 ** t)
+                theta[k] = theta[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert params.keys() == theta.keys()
+        for key in theta:
+            assert_allclose(params[key], theta[key], rtol=1e-12, atol=1e-15)
+        assert all(r.l_lcl == 0.0 and r.l_hgcl == 0.0 for r in trace)
 
     def test_variant_names(self):
         cfg = self.tiny_config()

@@ -122,6 +122,39 @@ class TestRatingHead:
         assert np.array_equal(p1.weights, p2.weights)
         assert p1.bias == p2.bias
 
+    def test_matches_reference_minibatch_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        fused = make_fused(30, 20, 6, seed=11)
+        pairs = [(u, v) for u in range(30) for v in range(20)
+                 if rng.uniform() < 0.4]
+        data = self.dataset_from_targets(fused, pairs,
+                                         rng.uniform(1, 5, len(pairs)).tolist())
+        cfg = rec.PredictorConfig(epochs=5, batch_size=7)
+        got = rec.train_predictor(fused, data, cfg, seed=3)
+
+        # the plain loop: signs.mean() and the decay divided in every batch
+        users = np.array([data.user_index[r.user_id] for r in data.records])
+        items = np.array([data.item_index[r.item_id] for r in data.records])
+        targets = np.array([r.overall for r in data.records])
+        features = rec.pair_features(fused, users, items)
+        n = len(targets)
+        scale = features.std(axis=0)
+        x = (features - features.mean(axis=0)) / np.where(scale > 0, scale, 1.0)
+        w, b = np.zeros(x.shape[1]), float(targets.mean())
+        order_rng = np.random.default_rng(3)
+        for epoch in range(cfg.epochs):
+            step = cfg.learning_rate / (1.0 + 0.01 * epoch)
+            order = order_rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                residual = x[batch] @ w + b - targets[batch]
+                signs = np.sign(residual) * (np.abs(residual) > cfg.epsilon)
+                w -= step * ((signs @ x[batch]) / len(batch)
+                             + (cfg.regularization / n) * w)
+                b -= step * signs.mean()
+        assert np.array_equal(got.weights, w)
+        assert got.bias == b
+
     def test_empty_training_set_rejected(self):
         fused = make_fused(2, 2, 4)
         data = from_records([RatingRecord("u0", "i0", 3.0, (3.0,))])
