@@ -5,6 +5,17 @@ Per-view embeddings concatenate into one fused matrix; a rating for
 stacked pair features [F_user || F_item], trained by seeded minibatch
 subgradient descent. UserKNN, its multi-criteria variant, and multiple
 linear regression serve as reference predictors.
+
+The KNN baselines never build a dense (users x items) or (users x users)
+array. Ratings live in one sparse CSR per criterion; user-user Pearson comes
+from sparse products of the pattern, the user-centred values and their
+squares, so only pairs that share an item cost anything. A pair whose
+variance on the common items is within rounding of zero (a user who gave
+those items one score) has similarity 0. MultiUserKNN averages the
+per-criterion scores, and a neighbor counts only above SIMILARITY_FLOOR,
+which keeps out the rounding noise left where the scores cancel. All test
+pairs are scored at once: the item's raters come from the CSC form, the
+top-k is ordered by (-similarity, user index).
 """
 
 from __future__ import annotations
@@ -14,11 +25,16 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import RatingDataset
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
+# a KNN neighbor counts only above this similarity: per-criterion scores that
+# cancel (+1, -1, 0) leave a rounding-noise mean of about 1e-12, and no score
+# on the planted or the 50k-rating sets lies in (1e-9, 1e-6]
+SIMILARITY_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,98 +167,145 @@ def predict_many(predictor: RatingPredictor, fused: FusedEmbedding,
 # ---------------------------------------------------------------------------
 # baselines
 
-def _rating_matrices(data: RatingDataset, criterion: int | None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ratings and presence mask; criterion=None selects overall."""
-    n, m = data.num_users, data.num_items
-    ratings = np.zeros((n, m))
-    present = np.zeros((n, m), dtype=bool)
-    for rec in data.records:
-        u, v = data.user_index[rec.user_id], data.item_index[rec.item_id]
-        value = rec.overall if criterion is None else rec.criteria[criterion]
-        if criterion is not None and value == 0.0:
-            continue
-        ratings[u, v] = value
-        present[u, v] = True
-    return ratings, present
+def _rating_matrix(users: np.ndarray, items: np.ndarray, values: np.ndarray,
+                   shape: tuple[int, int]) -> sparse.csr_array:
+    """(users x items) CSR holding one stored entry per given rating.
+
+    Rows keep their items sorted, and a stored value of 0 stays an entry:
+    the pattern, not the value, says who rated what.
+    """
+    order = np.lexsort((items, users))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(users, minlength=shape[0]))])
+    return sparse.csr_array((values[order], items[order], indptr), shape=shape)
 
 
-def pearson_user_similarities(ratings: np.ndarray, present: np.ndarray) -> np.ndarray:
+def _row_means(ratings: sparse.csr_array) -> np.ndarray:
+    """Mean of each row's stored entries; 0 for a row without any."""
+    counts = np.diff(ratings.indptr)
+    sums = np.bincount(np.repeat(np.arange(counts.size), counts),
+                       weights=ratings.data, minlength=counts.size)
+    return sums / np.maximum(counts, 1)
+
+
+def _entries(matrix: sparse.csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """matrix[rows, cols] as a vector, 0 where nothing is stored."""
+    if rows.size == 0:  # scipy gives an empty sparse array, not a vector
+        return np.zeros(0)
+    return matrix[rows, cols]
+
+
+def pearson_user_similarities(ratings: sparse.csr_array) -> sparse.csr_array:
     """Pairwise sample Pearson over each pair's co-rated items.
 
-    Pairs with fewer than two common items, or zero variance on the common
-    support, get similarity 0.
+    `ratings` holds one stored entry per rating. The result is a sparse
+    (users x users) matrix: pairs with fewer than two common items, or zero
+    variance on the common support, have similarity 0, as has the diagonal.
+    Only pairs that share an item are ever computed.
     """
-    r = np.where(present, ratings, 0.0)
-    w = present.astype(np.float64)
-    n_common = w @ w.T
-    sum_u = r @ w.T        # sum of u's ratings over the common support
-    sum_v = sum_u.T
-    dot_uv = r @ r.T
-    sq_u = (r * r) @ w.T
-    sq_v = sq_u.T
+    def with_values(values: np.ndarray) -> sparse.csr_array:
+        return sparse.csr_array((values, ratings.indices, ratings.indptr),
+                                shape=ratings.shape)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cov = dot_uv - sum_u * sum_v / n_common
-        var_u = sq_u - sum_u * sum_u / n_common
-        var_v = sq_v - sum_v * sum_v / n_common
-        sims = cov / np.sqrt(var_u * var_v)
-    sims = np.where((n_common >= 2) & np.isfinite(sims), sims, 0.0)
-    np.fill_diagonal(sims, 0.0)
-    return np.clip(sims, -1.0, 1.0)
+    # Pearson is unchanged by a per-user shift; centring on each user's own
+    # mean cuts the cancellation in `sq - sum*sum/n`
+    centred = ratings.data - np.repeat(_row_means(ratings), np.diff(ratings.indptr))
+    pattern = with_values(np.ones_like(centred))
+    pattern_t = pattern.T.tocsr()
+    common = (pattern @ pattern_t).tocoo()
+    # one common item leaves zero variance anyway; most sharing pairs have
+    # only one, so dropping them here saves the lookups below
+    upper = (common.row < common.col) & (common.data >= 2)
+    rows, cols, n = common.row[upper], common.col[upper], common.data[upper]
+
+    x = with_values(centred)
+    sums = x @ pattern_t                          # [u, v]: u's values over v's items
+    squares = with_values(centred * centred) @ pattern_t
+    sum_u, sum_v = _entries(sums, rows, cols), _entries(sums, cols, rows)
+    sq_u, sq_v = _entries(squares, rows, cols), _entries(squares, cols, rows)
+    cov = _entries(x @ x.T, rows, cols) - sum_u * sum_v / n
+    var_u = sq_u - sum_u * sum_u / n
+    var_v = sq_v - sum_v * sum_v / n
+    # equal values on the common support have zero variance, but rounding
+    # leaves up to about 3*n*eps*sq of it, whatever order the sums run in;
+    # anything within 4*n*eps*sq counts as constant
+    bound = 4 * n * np.finfo(float).eps
+    varies = (var_u > bound * sq_u) & (var_v > bound * sq_v)
+    rows, cols = rows[varies], cols[varies]
+    sims = np.clip(cov[varies] / np.sqrt(var_u[varies] * var_v[varies]), -1.0, 1.0)
+    return sparse.csr_array((np.concatenate([sims, sims]),
+                             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                            shape=(ratings.shape[0], ratings.shape[0]))
 
 
-def _knn_predictions(train: RatingDataset, test: RatingDataset,
-                     sims: np.ndarray, k_neighbors: int) -> np.ndarray:
-    """Similarity-weighted neighbor mean with user-mean then global-mean fallback."""
-    ratings, present = _rating_matrices(train, criterion=None)
-    user_sums = ratings.sum(axis=1)
-    user_counts = present.sum(axis=1)
-    global_mean = ratings[present].mean()
-    user_means = np.where(user_counts > 0, user_sums / np.maximum(user_counts, 1),
-                          global_mean)
+def _knn_predictions(ratings: sparse.csr_array, train: RatingDataset,
+                     test: RatingDataset, sims: sparse.csr_array,
+                     k_neighbors: int) -> np.ndarray:
+    """Similarity-weighted neighbor mean with user-mean then global-mean fallback.
 
-    out = np.empty(len(test.records))
-    for idx, rec in enumerate(test.records):
-        u = train.user_index.get(rec.user_id)
-        v = train.item_index.get(rec.item_id)
-        if u is None:
-            out[idx] = global_mean
-            continue
-        if v is None:
-            out[idx] = user_means[u]
-            continue
-        raters = np.flatnonzero(present[:, v])
-        weights = sims[u, raters]
-        positive = weights > 0
-        raters, weights = raters[positive], weights[positive]
-        if raters.size == 0:
-            out[idx] = user_means[u] if user_counts[u] > 0 else global_mean
-            continue
-        if raters.size > k_neighbors:
-            top = np.argsort(-weights, kind="stable")[:k_neighbors]
-            raters, weights = raters[top], weights[top]
-        out[idx] = np.dot(weights, ratings[raters, v]) / weights.sum()
+    A test pair's neighbors are its item's raters whose similarity to the
+    user exceeds SIMILARITY_FLOOR; the k_neighbors best count, ties going to
+    the lower user index. All test pairs are scored at once.
+    """
+    global_mean = ratings.data.mean()
+    user_means = np.where(np.diff(ratings.indptr) > 0, _row_means(ratings), global_mean)
+    users = np.array([train.user_index.get(r.user_id, -1) for r in test.records],
+                     dtype=np.intp)
+    items = np.array([train.item_index.get(r.item_id, -1) for r in test.records],
+                     dtype=np.intp)
+    out = np.where(users >= 0, user_means[users], global_mean)
+
+    # one candidate per (test pair, rater of its item), read off the item's column
+    by_item = ratings.tocsc()
+    scored = np.flatnonzero((users >= 0) & (items >= 0))
+    starts = by_item.indptr[items[scored]]
+    lengths = by_item.indptr[items[scored] + 1] - starts
+    pair = np.repeat(scored, lengths)
+    slot = np.arange(pair.size) + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                            lengths)
+    raters = by_item.indices[slot]
+    weights = _entries(sims, users[pair], raters)
+    keep = weights > SIMILARITY_FLOOR
+    pair, slot, raters, weights = pair[keep], slot[keep], raters[keep], weights[keep]
+
+    order = np.lexsort((raters, -weights, pair))
+    pair, slot, weights = pair[order], slot[order], weights[order]
+    rank = np.arange(pair.size) - np.searchsorted(pair, pair)  # within its test pair
+    top = rank < k_neighbors
+    pair, slot, weights = pair[top], slot[top], weights[top]
+    num = np.bincount(pair, weights=weights * by_item.data[slot], minlength=out.size)
+    den = np.bincount(pair, weights=weights, minlength=out.size)
+    found = den > 0
+    out[found] = num[found] / den[found]
     return out
 
 
 def baseline_user_knn(train: RatingDataset, test: RatingDataset,
                       k_neighbors: int = 100) -> np.ndarray:
-    """Pearson-on-overall user KNN; positive-similarity neighbors only."""
-    ratings, present = _rating_matrices(train, criterion=None)
-    sims = pearson_user_similarities(ratings, present)
-    return _knn_predictions(train, test, sims, k_neighbors)
+    """Pearson-on-overall user KNN; neighbors above SIMILARITY_FLOOR only."""
+    users, items, overall = _record_indices(train)
+    ratings = _rating_matrix(users, items, overall, (train.num_users, train.num_items))
+    sims = pearson_user_similarities(ratings)
+    return _knn_predictions(ratings, train, test, sims, k_neighbors)
 
 
 def baseline_multi_user_knn(train: RatingDataset, test: RatingDataset,
                             k_neighbors: int = 100) -> np.ndarray:
-    """User KNN with similarities averaged over per-criterion Pearson scores."""
-    sims = np.zeros((train.num_users, train.num_users))
-    for c in range(train.num_criteria):
-        ratings, present = _rating_matrices(train, criterion=c)
-        sims += pearson_user_similarities(ratings, present)
-    sims /= train.num_criteria
-    return _knn_predictions(train, test, sims, k_neighbors)
+    """User KNN with similarities averaged over per-criterion Pearson scores.
+
+    A criterion value of 0 means unrated and leaves no entry in that
+    criterion's ratings.
+    """
+    users, items, overall = _record_indices(train)
+    shape = (train.num_users, train.num_items)
+    criteria = np.array([rec.criteria for rec in train.records])
+    sims = sparse.csr_array((train.num_users, train.num_users))
+    for values in criteria.T:
+        rated = values != 0.0
+        sims = sims + pearson_user_similarities(
+            _rating_matrix(users[rated], items[rated], values[rated], shape))
+    sims = sims / train.num_criteria
+    return _knn_predictions(_rating_matrix(users, items, overall, shape),
+                            train, test, sims, k_neighbors)
 
 
 def baseline_mlr(train: RatingDataset, test: RatingDataset) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Fusion, the rating head, and baseline predictors against hand oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mcgraph import evaluate as ev
 from mcgraph import recommend as rec
 from mcgraph.dataset import RatingRecord, from_records
 
@@ -245,6 +248,92 @@ def random_dataset(seed, n_users=8, n_items=10, density=0.6, criteria=3):
     return from_records(recs)
 
 
+def sparse_ratings(data, criterion=None):
+    """The library's rating matrix; criterion=None selects overall."""
+    users, items, values = rec._record_indices(data)
+    if criterion is not None:
+        values = np.array([r.criteria[criterion] for r in data.records])
+        rated = values != 0.0
+        users, items, values = users[rated], items[rated], values[rated]
+    return rec._rating_matrix(users, items, values, (data.num_users, data.num_items))
+
+
+def dense_ratings(data, criterion=None):
+    """Dense ratings and presence mask; a 0 criterion value is unrated."""
+    ratings = np.zeros((data.num_users, data.num_items))
+    present = np.zeros((data.num_users, data.num_items), dtype=bool)
+    for r in data.records:
+        u, v = data.user_index[r.user_id], data.item_index[r.item_id]
+        value = r.overall if criterion is None else r.criteria[criterion]
+        if criterion is not None and value == 0.0:
+            continue
+        ratings[u, v] = value
+        present[u, v] = True
+    return ratings, present
+
+
+def dense_pearson(ratings, present):
+    """The dense (users x users) formula the sparse similarities replace."""
+    r = np.where(present, ratings, 0.0)
+    w = present.astype(np.float64)
+    n_common = w @ w.T
+    sum_u = r @ w.T
+    sum_v = sum_u.T
+    dot_uv = r @ r.T
+    sq_u = (r * r) @ w.T
+    sq_v = sq_u.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cov = dot_uv - sum_u * sum_v / n_common
+        var_u = sq_u - sum_u * sum_u / n_common
+        var_v = sq_v - sum_v * sum_v / n_common
+        sims = cov / np.sqrt(var_u * var_v)
+    sims = np.where((n_common >= 2) & np.isfinite(sims), sims, 0.0)
+    np.fill_diagonal(sims, 0.0)
+    return np.clip(sims, -1.0, 1.0)
+
+
+def mixed_dataset(seed, n_users=14, n_items=12, density=0.35, criteria=3):
+    """Integer ratings with unrated zeros, sparse overlaps and constant users.
+
+    Integers keep the dense formula exact on a constant user, which it
+    otherwise scores with rounding noise (see test_constant_user_...).
+    """
+    rng = np.random.default_rng(seed)
+    recs = []
+    for u in range(n_users):
+        for v in range(n_items):
+            if rng.uniform() >= density:
+                continue
+            if u < 2:  # users 0 and 1 give every rated item the same score
+                crit = tuple(float(u + 2) for _ in range(criteria))
+                recs.append(RatingRecord(f"u{u}", f"i{v}", float(u + 2), crit))
+                continue
+            crit = tuple(float(rng.integers(1, 6)) if rng.uniform() >= 0.25 else 0.0
+                         for _ in range(criteria))
+            recs.append(RatingRecord(f"u{u}", f"i{v}", float(rng.integers(1, 6)), crit))
+    return from_records(recs)
+
+
+class TestSparsePearson:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("criterion", [None, 0, 1, 2])
+    def test_matches_dense_formula(self, seed, criterion):
+        data = mixed_dataset(seed)
+        ratings, present = dense_ratings(data, criterion)
+        n_common = present.astype(float) @ present.T.astype(float)
+        assert ((n_common == 1) & ~np.eye(data.num_users, dtype=bool)).any()
+        assert any(0.0 in r.criteria for r in data.records)
+        sims = rec.pearson_user_similarities(sparse_ratings(data, criterion))
+        assert sims.shape == (data.num_users, data.num_users)
+        assert_allclose(sims.toarray(), dense_pearson(ratings, present),
+                        rtol=0, atol=1e-9)
+
+    def test_constant_user_has_zero_similarity(self):
+        data = mixed_dataset(0)
+        sims = rec.pearson_user_similarities(sparse_ratings(data)).toarray()
+        assert np.all(sims[:2] == 0.0) and np.all(sims[:, :2] == 0.0)
+
+
 class TestUserKnn:
     def test_clone_neighbor_dominates(self):
         recs = [
@@ -294,6 +383,74 @@ class TestUserKnn:
         assert_allclose(ours, oracle, atol=1e-10)
 
 
+    @pytest.mark.parametrize("score, shared, own", [(2.7, 9, ()), (1.42, 3, (4.1,))])
+    def test_constant_user_falls_back_to_user_mean(self, score, shared, own):
+        # u0 gives every shared item one score, so its similarity to the
+        # neighbour is 0, not rounding noise that would let the neighbour's
+        # 5.0 stand in for u0's own mean. With an item of u0's own, the
+        # centred scores are inexact and only the zero-variance bound
+        # decides.
+        recs = [RatingRecord("u0", f"i{k}", score, (score,)) for k in range(shared)]
+        recs += [RatingRecord("u0", f"own{k}", y, (y,)) for k, y in enumerate(own)]
+        recs += [RatingRecord("n", f"i{k}", float(k % 5 + 1), (float(k % 5 + 1),))
+                 for k in range(shared)]
+        recs.append(RatingRecord("n", "target", 5.0, (5.0,)))
+        train = from_records(recs)
+        test = from_records([RatingRecord("u0", "target", 3.0, (3.0,))])
+        sims = rec.pearson_user_similarities(sparse_ratings(train))
+        assert sims[0, 1] == 0.0
+        user_mean = (score * shared + sum(own)) / (shared + len(own))
+        assert_allclose(rec.baseline_user_knn(train, test), [user_mean],
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k_neighbors", [1, 2, 3])
+    def test_top_k_breaks_ties_by_user_index(self, k_neighbors):
+        # "clone" has similarity 1; t1, t2, t3 rate u0's items alike (0.9)
+        # and disagree on the target, so k cuts through their tie. Each pads
+        # its ratings to a mean of 3, which makes their similarities to u0
+        # equal to the last bit, not only in exact arithmetic.
+        mine = (1.0, 2.0, 4.0, 5.0)
+        raters = [("t2", (2.0, 1.0, 4.0, 5.0), 4.0, 2.0),
+                  ("clone", mine, 5.0, 1.0),
+                  ("t1", (2.0, 1.0, 4.0, 5.0), 1.0, 5.0),
+                  ("anti", (5.0, 4.0, 2.0, 1.0), 3.0, 3.0),
+                  ("t3", (2.0, 1.0, 4.0, 5.0), 2.0, 4.0)]
+        recs = [RatingRecord("u0", f"i{k}", y, (y,)) for k, y in enumerate(mine)]
+        for name, values, target, pad in raters:
+            recs += [RatingRecord(name, f"i{k}", y, (y,)) for k, y in enumerate(values)]
+            recs.append(RatingRecord(name, "target", target, (target,)))
+            recs.append(RatingRecord(name, "pad", pad, (pad,)))
+        train = from_records(recs)
+        test = from_records([RatingRecord("u0", "target", 3.0, (3.0,))])
+        by_user = {}
+        for r in train.records:
+            by_user.setdefault(r.user_id, {})[r.item_id] = r.overall
+
+        def sim(u, v):
+            return pearson_oracle(by_user[u], by_user[v])
+
+        assert sim("u0", "t1") == sim("u0", "t2") == sim("u0", "t3") > 0
+        sims = rec.pearson_user_similarities(sparse_ratings(train))
+        tied = [sims[0, train.user_index[t]] for t in ("t1", "t2", "t3")]
+        assert tied[0] == tied[1] == tied[2] > 0
+        assert_allclose(rec.baseline_user_knn(train, test, k_neighbors=k_neighbors),
+                        knn_oracle(train, test, k_neighbors, sim), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k_neighbors", [1, 2, 3])
+    def test_top_k_matches_loop_oracle(self, k_neighbors):
+        train = random_dataset(5, n_users=12, n_items=10, density=0.7)
+        test = random_dataset(105, n_users=12, n_items=10, density=0.3)
+        by_user = {}
+        for r in train.records:
+            by_user.setdefault(r.user_id, {})[r.item_id] = r.overall
+
+        def sim(u, v):
+            return pearson_oracle(by_user.get(u, {}), by_user.get(v, {}))
+
+        assert_allclose(rec.baseline_user_knn(train, test, k_neighbors=k_neighbors),
+                        knn_oracle(train, test, k_neighbors, sim), rtol=0, atol=1e-10)
+
+
 class TestMultiUserKnn:
     def test_single_criterion_equal_to_overall_matches_user_knn(self):
         rng = np.random.default_rng(11)
@@ -322,13 +479,8 @@ class TestMultiUserKnn:
                                      (float(b[0]), float(b[0]),
                                       float(b[1]), float(b[1]))))
         train = from_records(recs)
-        ratings = {}
-        present = {}
-        sims = np.zeros((2, 2))
-        for c in range(4):
-            r, p = rec._rating_matrices(train, criterion=c)
-            sims += rec.pearson_user_similarities(r, p)
-        sims /= 4
+        sims = sum(rec.pearson_user_similarities(sparse_ratings(train, c))
+                   for c in range(4)) / 4
         assert_allclose(sims[0, 1], 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -349,6 +501,47 @@ class TestMultiUserKnn:
         ours = rec.baseline_multi_user_knn(train, test, k_neighbors=100)
         oracle = knn_oracle(train, test, 100, sim)
         assert_allclose(ours, oracle, atol=1e-10)
+
+
+    def test_planted_split_matches_loop_oracle(self):
+        # per-criterion scores that cancel leave a mean of rounding noise,
+        # which the similarity floor keeps out of the neighbourhood
+        train, test = ev.prepared_data(ev.ExperimentConfig())
+        by_user_crit = [dict() for _ in range(train.num_criteria)]
+        for r in train.records:
+            for c, value in enumerate(r.criteria):
+                if value != 0.0:
+                    by_user_crit[c].setdefault(r.user_id, {})[r.item_id] = value
+
+        def sim(u, v):
+            return float(np.mean([pearson_oracle(crit.get(u, {}), crit.get(v, {}))
+                                  for crit in by_user_crit]))
+
+        assert_allclose(rec.baseline_multi_user_knn(train, test),
+                        knn_oracle(train, test, 100, sim), rtol=0, atol=1e-9)
+
+
+def test_knn_baselines_stay_sparse():
+    # 10k ratings over 4000 x 4000: one dense users x users or users x items
+    # float array alone would take 128 MB
+    rng = np.random.default_rng(0)
+    n, per_user = 4000, 3
+    items = np.concatenate([rng.permutation(n) for _ in range(per_user)])
+    users = np.tile(np.arange(n), per_user)
+    values = rng.integers(1, 6, size=(items.size, 3)).astype(float)
+    recs = [RatingRecord(f"u{u}", f"i{v}", float(row.mean()), tuple(row.tolist()))
+            for u, v, row in zip(users.tolist(), items.tolist(), values)]
+    train = from_records(recs[:10_000], dedupe=True)
+    test = from_records(recs[10_000:], dedupe=True)
+    tracemalloc.start()
+    try:
+        rec.baseline_user_knn(train, test)
+        rec.baseline_multi_user_knn(train, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert train.num_users == n and train.num_items == n
+    assert peak < 16 * 2**20, peak
 
 
 class TestMlr:
