@@ -7,10 +7,16 @@ neighbors), then rescales node rows by a global gate derived from a
 softmax over pooled node scores. Datasets carry no node features, so the
 input matrix X is itself a learnable parameter shared by all views.
 
-The neighbor attention of a layer is one tape op with a hand-derived
-backward. All heads share one projection, h [W_1; ...; W_H]^T, and one
-softmax over the (edges, heads) score matrix; head k fills output columns
-k*F' to (k+1)*F'. Its tape cost is therefore the same for any head count.
+All views are encoded together as one block-diagonal graph of V*n nodes
+(`graph.BlockGraph`; node i of view v is row v*n + i), and each layer is
+one tape op with a hand-derived backward: the first layer projects the
+shared X by every view's heads in one matmul, the second projects each
+view's block by its own heads in one batched matmul. One softmax runs over
+the (edges, heads) scores of all views, the first layer's ELU and the
+global gate run inside the op, and sums over edges are cached CSR segment
+operators (`S @ values`). The encoder therefore adds two tape nodes
+whatever the number of views and heads; encoding one view is the
+one-block case.
 
 Parameters live in a flat name -> array dict so the optimizer, the
 regularizer and the gradient checker can treat them uniformly.
@@ -24,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .graph import CriterionView
+from .graph import BlockGraph, CriterionView, block_graph
 
 LEAKY_SLOPE = 0.2
 
@@ -103,106 +109,154 @@ def layer_params(params: Mapping[str, np.ndarray], view_index: int, layer: int,
                        global_weight=np.asarray(params[gate_key(view_index, layer)]))
 
 
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # tensor-level forward pass (used directly by training)
 
-def _attention_layer(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
-                     attns: Sequence[ad.Tensor], centers: np.ndarray,
-                     neighbors: np.ndarray, num_nodes: int
-                     ) -> tuple[ad.Tensor, np.ndarray]:
-    """All heads' attended sums as one tape node, and the (E, H) coefficients.
+def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
+                    attns: Sequence[ad.Tensor], gates: Sequence[ad.Tensor],
+                    graph: BlockGraph, first: bool
+                    ) -> tuple[ad.Tensor, np.ndarray, np.ndarray | None]:
+    """One dual-attention layer of every view as one tape node.
+
+    `weights` and `attns` hold each view's heads, view-major; `gates` holds
+    one global weight per view, or nothing to leave the gate out. The first
+    layer projects the shared (n, F) input by every view's heads and applies
+    ELU after the neighbor attention; a later layer projects each view's
+    block of the (V*n, F) stack by that view's heads. Returns the (V*n, H*F')
+    stack, the (E, H) attention coefficients and the (V, n) gate factors.
 
     Edge e = (centers[e], neighbors[e]) scores head k as
     LeakyReLU(a_k[:F'] . P_k[center] + a_k[F':] . P_k[neighbor]) with
-    P_k = h W_k^T; the softmax runs per center and head.
+    P_k = h W_k^T; the softmax runs per center and head. The gate scales
+    each view's rows by n * softmax(ReLU(h wg)) over that view's nodes.
     """
-    num_heads, head_dim = len(weights), weights[0].value.shape[0]
-    stacked = np.concatenate([w.value for w in weights])        # (H*F', F)
-    a = np.stack([t.value for t in attns]).reshape(num_heads, 2, head_dim)
-    proj = (h_in.value @ stacked.T).reshape(num_nodes, num_heads, head_dim)
-    s_src = np.einsum("nhd,hd->nh", proj, a[:, 0])
-    s_dst = np.einsum("nhd,hd->nh", proj, a[:, 1])
-    raw = s_src[centers] + s_dst[neighbors]                       # (E, H)
+    num_views, n = graph.num_views, graph.num_nodes
+    num_heads = len(weights) // num_views
+    head_dim = weights[0].value.shape[0]
+    width = num_heads * head_dim
+    centers, neighbors = graph.centers, graph.neighbors
+    w = np.stack([t.value for t in weights]).reshape(num_views, width, -1)
+    a = np.stack([t.value for t in attns]).reshape(num_views, num_heads, 2, head_dim)
+    if first:
+        proj = (h_in.value @ w.reshape(num_views * width, -1).T).reshape(
+            n, num_views, width).transpose(1, 0, 2)
+    else:
+        proj = h_in.value.reshape(num_views, n, -1) @ w.transpose(0, 2, 1)
+    proj = np.ascontiguousarray(proj).reshape(num_views * n, num_heads, head_dim)
+    blocks = proj.reshape(num_views, n, num_heads, head_dim)
+    s_src = np.einsum("vnhd,vhd->vnh", blocks, a[:, :, 0]).reshape(-1, num_heads)
+    s_dst = np.einsum("vnhd,vhd->vnh", blocks, a[:, :, 1]).reshape(-1, num_heads)
+    # np.take: row gathers run several times faster than fancy indexing
+    raw = np.take(s_src, centers, axis=0) + np.take(s_dst, neighbors, axis=0)
     slope = np.where(raw > 0.0, 1.0, LEAKY_SLOPE)
     scores = raw * slope
-    # per (center, head) max shift, on a flat index into (n * H)
-    flat = (centers[:, None] * num_heads + np.arange(num_heads)).reshape(-1)
-    seg_max = np.full(num_nodes * num_heads, -np.inf)
-    np.maximum.at(seg_max, flat, scores.reshape(-1))
-    e = np.exp(scores - seg_max.reshape(num_nodes, num_heads)[centers])
-    coeffs = e / ad._scatter_add(centers, e, num_nodes)[centers]
-    gathered = proj[neighbors]                                    # (E, H, F')
-    out = ad._scatter_add(centers, coeffs[:, :, None] * gathered, num_nodes)
+    # per (center, head) max shift; a center's edges are one run
+    e = np.exp(scores - np.repeat(
+        np.maximum.reduceat(scores, graph.run_starts, axis=0)
+        if centers.size else scores, graph.run_lengths, axis=0))
+    coeffs = e / np.take(graph.center_sum @ e, centers, axis=0)
+    # (E, H, F') rows are the largest arrays here: one at a time, none kept
+    messages = np.take(proj, neighbors, axis=0)
+    messages *= coeffs[:, :, None]
+    local = graph.center_sum @ messages.reshape(-1, width)
+    del messages
+    act = np.where(local > 0.0, local, np.expm1(local)) if first else local
+    factor = None
+    out = act
+    if gates:
+        wg = np.stack([t.value for t in gates])                   # (V, D)
+        act_v = act.reshape(num_views, n, width)
+        pre = (act_v @ wg[:, :, None])[:, :, 0]                   # (V, n)
+        probs = _softmax_rows(np.maximum(pre, 0.0))
+        # uniform scores make the factor exactly 1, leaving rows unchanged
+        factor = probs * float(n)
+        out = (act_v * factor[:, :, None]).reshape(num_views * n, width)
 
     def back(g):
-        g_edges = g.reshape(num_nodes, num_heads, head_dim)[centers]
-        d_coeffs = np.einsum("ehd,ehd->eh", g_edges, gathered)
-        weighted = ad._scatter_add(centers, coeffs * d_coeffs, num_nodes)
-        d_raw = coeffs * (d_coeffs - weighted[centers]) * slope
-        d_src = ad._scatter_add(centers, d_raw, num_nodes)        # (n, H)
-        d_dst = ad._scatter_add(neighbors, d_raw, num_nodes)
-        d_proj = ad._scatter_add(neighbors, coeffs[:, :, None] * g_edges,
-                                 num_nodes)
-        d_proj += d_src[:, :, None] * a[:, 0] + d_dst[:, :, None] * a[:, 1]
-        d_a = np.stack([np.einsum("nh,nhd->hd", d_src, proj),
-                        np.einsum("nh,nhd->hd", d_dst, proj)], axis=1)
-        d_proj = d_proj.reshape(num_nodes, num_heads * head_dim)
-        d_w = d_proj.T @ h_in.value
-        ad._accumulate(h_in, d_proj @ stacked)
-        for k in range(num_heads):
-            ad._accumulate(weights[k], d_w[k * head_dim:(k + 1) * head_dim])
-            ad._accumulate(attns[k], d_a[k].reshape(-1))
+        d_act = g
+        if gates:
+            g_v = g.reshape(num_views, n, width)
+            d_probs = (g_v * act_v).sum(axis=2) * float(n)
+            d_pre = probs * (d_probs - (probs * d_probs).sum(axis=1, keepdims=True))
+            d_pre *= pre > 0.0
+            d_act = (g_v * factor[:, :, None]
+                     + d_pre[:, :, None] * wg[:, None, :]).reshape(-1, width)
+            d_wg = np.einsum("vn,vnd->vd", d_pre, act_v)
+            for v, gate in enumerate(gates):
+                ad._accumulate(gate, d_wg[v])
+        d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
+        g_edges = np.take(d_local.reshape(-1, num_heads, head_dim), centers, axis=0)
+        d_coeffs = np.einsum("ehd,ehd->eh", g_edges,
+                             np.take(proj, neighbors, axis=0))
+        weighted = graph.center_sum @ (coeffs * d_coeffs)
+        d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0)) * slope
+        d_src = (graph.center_sum @ d_raw).reshape(num_views, n, num_heads)
+        d_dst = (graph.neighbor_sum @ d_raw).reshape(num_views, n, num_heads)
+        g_edges *= coeffs[:, :, None]
+        d_proj = (graph.neighbor_sum @ g_edges.reshape(-1, width)).reshape(
+            num_views, n, num_heads, head_dim)
+        d_proj += (d_src[..., None] * a[:, None, :, 0]
+                   + d_dst[..., None] * a[:, None, :, 1])
+        d_a = np.stack([np.einsum("vnh,vnhd->vhd", d_src, blocks),
+                        np.einsum("vnh,vnhd->vhd", d_dst, blocks)], axis=2)
+        d_proj = d_proj.reshape(num_views, n, width)
+        if first:
+            d_w = d_proj.transpose(0, 2, 1) @ h_in.value
+            d_h = (d_proj.transpose(1, 0, 2).reshape(n, -1)
+                   @ w.reshape(num_views * width, -1))
+        else:
+            h_blocks = h_in.value.reshape(num_views, n, -1)
+            d_w = d_proj.transpose(0, 2, 1) @ h_blocks
+            d_h = (d_proj @ w).reshape(num_views * n, -1)
+        ad._accumulate(h_in, d_h)
+        d_w = d_w.reshape(num_views * num_heads, head_dim, -1)
+        d_a = d_a.reshape(num_views * num_heads, -1)
+        for j, (weight, attn) in enumerate(zip(weights, attns)):
+            ad._accumulate(weight, d_w[j])
+            ad._accumulate(attn, d_a[j])
 
-    parents = (h_in, *weights, *attns)
-    tensor = ad.Tensor(out.reshape(num_nodes, num_heads * head_dim),
-                       "graph_attention", parents, back)
-    return tensor, coeffs
+    parents = (h_in, *weights, *attns, *gates)
+    return ad.Tensor(out, "dual_attention", parents, back), coeffs, factor
 
 
-def _local_layer(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
-                 attns: Sequence[ad.Tensor], centers: np.ndarray,
-                 neighbors: np.ndarray, num_nodes: int, last: bool) -> ad.Tensor:
-    out, _ = _attention_layer(h_in, weights, attns, centers, neighbors, num_nodes)
-    return out if last else ad.elu(out)
-
-
-def _global_gate(h_local: ad.Tensor, wg: ad.Tensor) -> ad.Tensor:
-    scores = ad.softmax(ad.relu(ad.matmul(h_local, wg)))
-    num_nodes = h_local.value.shape[0]
-    # uniform scores make the factor exactly 1, leaving rows unchanged
-    factor = ad.mul(scores, ad.Tensor(float(num_nodes)))
-    return ad.mul(h_local, ad.reshape(factor, (num_nodes, 1)))
+def encode_stack(graph: BlockGraph, tensors: Mapping[str, ad.Tensor],
+                 config: EncoderConfig, use_global: bool = True) -> ad.Tensor:
+    """Differentiable two-layer encoding of every view of `graph` in two tape
+    nodes; row v*n + i is node i's embedding in view v."""
+    heads = range(1, config.num_heads + 1)
+    h = tensors["x"]
+    for layer in (1, 2):
+        weights = [tensors[head_key(v, layer, k, "w")]
+                   for v in graph.view_indices for k in heads]
+        attns = [tensors[head_key(v, layer, k, "a")]
+                 for v in graph.view_indices for k in heads]
+        gates = ([tensors[gate_key(v, layer)] for v in graph.view_indices]
+                 if use_global else [])
+        h, _, _ = _dual_attention(h, weights, attns, gates, graph,
+                                  first=(layer == 1))
+    return h
 
 
 def encode_view_tensors(view: CriterionView, tensors: Mapping[str, ad.Tensor],
                         config: EncoderConfig, use_global: bool = True) -> ad.Tensor:
     """Differentiable two-layer encoding of one view; rows are node embeddings."""
-    centers, neighbors = view.neighbor_arrays()
-    n = view.num_nodes
-    h = tensors["x"]
-    heads = range(1, config.num_heads + 1)
-    for layer in (1, 2):
-        weights = [tensors[head_key(view.criterion_index, layer, k, "w")]
-                   for k in heads]
-        attns = [tensors[head_key(view.criterion_index, layer, k, "a")]
-                 for k in heads]
-        h = _local_layer(h, weights, attns, centers, neighbors, n,
-                         last=(layer == 2))
-        if use_global:
-            h = _global_gate(h, tensors[gate_key(view.criterion_index, layer)])
-    return h
+    return encode_stack(view.block, tensors, config, use_global)
 
 
 # ---------------------------------------------------------------------------
 # numpy-level operations (inference, inspection, tests)
 
-def _as_tensors(params: Mapping[str, np.ndarray]) -> dict[str, ad.Tensor]:
-    return {name: ad.Tensor(value) for name, value in params.items()}
-
-
-def _layer_tensors(layer: LayerParams) -> tuple[list[ad.Tensor], list[ad.Tensor]]:
-    return ([ad.Tensor(h.weight) for h in layer.heads],
-            [ad.Tensor(h.attn) for h in layer.heads])
+def _one_layer(view: CriterionView, h_in: np.ndarray, layer: LayerParams,
+               last: bool) -> tuple[ad.Tensor, np.ndarray, np.ndarray | None]:
+    return _dual_attention(ad.Tensor(h_in), [ad.Tensor(h.weight) for h in layer.heads],
+                           [ad.Tensor(h.attn) for h in layer.heads], [],
+                           view.block, first=not last)
 
 
 def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
@@ -214,8 +268,7 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
     """
     centers, neighbors = view.neighbor_arrays()
     n = view.num_nodes
-    _, coeffs = _attention_layer(ad.Tensor(h_in), *_layer_tensors(layer),
-                                 centers, neighbors, n)
+    _, coeffs, _ = _one_layer(view, h_in, layer, last=False)
     out = []
     for head_coeffs in coeffs.T:
         dense = np.zeros((n, n))
@@ -227,18 +280,25 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
 def local_attention_forward(view: CriterionView, h_in: np.ndarray,
                             layer: LayerParams, last: bool = False) -> np.ndarray:
     """Multi-head attended features, ELU-activated unless this is the last layer."""
-    centers, neighbors = view.neighbor_arrays()
-    return _local_layer(ad.Tensor(h_in), *_layer_tensors(layer), centers,
-                        neighbors, view.num_nodes, last).value
+    return _one_layer(view, h_in, layer, last)[0].value
 
 
 def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> np.ndarray:
     """Probability vector over nodes: softmax of ReLU-clamped pooled scores."""
-    return ad.softmax(ad.relu(ad.matmul(ad.Tensor(h_local),
-                                        ad.Tensor(global_weight)))).value
+    return _softmax_rows(np.maximum(h_local @ global_weight, 0.0))
+
+
+def encode_views(views: Sequence[CriterionView], params: Mapping[str, np.ndarray],
+                 config: EncoderConfig, use_global: bool = True) -> list[ViewEmbedding]:
+    """Encode every view in one pass over their block-diagonal graph."""
+    graph = views[0].block if len(views) == 1 else block_graph(views)
+    tensors = {name: ad.Tensor(value) for name, value in params.items()}
+    stack = encode_stack(graph, tensors, config, use_global).value
+    blocks = stack.reshape(graph.num_views, graph.num_nodes, -1)
+    return [ViewEmbedding(criterion_index=v.criterion_index, matrix=block)
+            for v, block in zip(views, blocks)]
 
 
 def encode_view(view: CriterionView, params: Mapping[str, np.ndarray],
                 config: EncoderConfig, use_global: bool = True) -> ViewEmbedding:
-    matrix = encode_view_tensors(view, _as_tensors(params), config, use_global).value
-    return ViewEmbedding(criterion_index=view.criterion_index, matrix=matrix)
+    return encode_views([view], params, config, use_global)[0]

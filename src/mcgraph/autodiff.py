@@ -2,16 +2,17 @@
 
 Eager, define-by-run: every op computes its value immediately and records
 how to push gradients back to its parents. The primitive set is the minimum
-needed by the encoder's global gate and ELU, the contrastive losses and the
-gradient checker: matmul, add, elementwise mul/div, concat, reshape,
-ReLU/ELU, softmax, exp, log, sqrt, sum/mean, row gather and segment sum.
-The attention encoder builds each of its layers as one fused op of its own
-(see `attention.py`). Everything is float64.
+needed by the contrastive losses and the gradient checker: add, elementwise
+mul/div, concat, reshape, exp, log, sqrt, sum/mean, row gather and segment
+sum. The attention encoder builds each of its two layers, for all views at
+once, as one fused op of its own (see `attention.py`). Everything is
+float64.
 
-Every scatter (the row gather's backward, the segment sum, the fused
-attention op) goes through `_scatter_add`: one `np.bincount` per trailing
-column. It adds in index order exactly like numpy's unbuffered `ufunc.at`
-scatter, at a fraction of its cost.
+The row gather's backward and the segment sum scatter through
+`_scatter_add`: one `np.bincount` per trailing column. It adds in index
+order exactly like numpy's unbuffered `ufunc.at` scatter, at a fraction of
+its cost. The fused encoder op sums over edges with cached CSR operators
+instead, which add in the same order.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class Tensor:
     def __truediv__(self, other): return div(self, _wrap(other))
     def __rtruediv__(self, other): return div(_wrap(other), self)
     def __neg__(self): return neg(self)
-    def __matmul__(self, other): return matmul(self, _wrap(other))
 
 
 def _wrap(x) -> Tensor:
@@ -197,23 +197,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(value, "div", (a, b), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.ndim != 2 or b.value.ndim not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks {a.value.ndim} @ {b.value.ndim}")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    value = a.value @ b.value
-
-    def back(g):
-        if b.value.ndim == 2:
-            _accumulate(a, g @ b.value.T)
-            _accumulate(b, a.value.T @ g)
-        else:
-            _accumulate(a, np.outer(g, b.value))
-            _accumulate(b, a.value.T @ g)
-    return Tensor(value, "matmul", (a, b), back)
-
-
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather a[idx] along the first axis (idx of any shape); the backward
     scatter-adds into the source rows."""
@@ -287,35 +270,6 @@ def tsqrt(a: Tensor) -> Tensor:
     def back(g):
         _accumulate(a, g * 0.5 / value)
     return Tensor(value, "sqrt", (a,), back)
-
-
-def relu(a: Tensor) -> Tensor:
-    value = np.maximum(a.value, 0.0)
-
-    def back(g):
-        _accumulate(a, g * (a.value > 0.0))
-    return Tensor(value, "relu", (a,), back)
-
-
-def elu(a: Tensor) -> Tensor:
-    value = np.where(a.value > 0.0, a.value, np.expm1(a.value))
-
-    def back(g):
-        _accumulate(a, g * np.where(a.value > 0.0, 1.0, value + 1.0))
-    return Tensor(value, "elu", (a,), back)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over a 1-D score vector."""
-    if a.value.ndim != 1:
-        raise ShapeError(f"softmax: expected 1-D scores, got {a.shape}")
-    shifted = a.value - a.value.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-
-    def back(g):
-        _accumulate(a, p * (g - np.dot(p, g)))
-    return Tensor(p, "softmax", (a,), back)
 
 
 def segment_sum(values: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:

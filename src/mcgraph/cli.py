@@ -33,8 +33,9 @@ SWEEP_KINDS = ("sensitivity", "dims", "ts", "criteria")
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    # a NaN or infinity raises here, before the file is opened
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -136,7 +137,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = ds.compute_stats(ev.load_dataset(cfg))
     payload = stats.as_dict()
     payload["config"] = ev.config_as_dict(cfg)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -12,10 +12,12 @@ Sampling (negatives, corruption permutations) happens outside the
 differentiable graph and is refreshed on a fixed epoch period, so between
 refreshes the loss is a fixed differentiable function of the parameters.
 
-Each loss is one batched InfoNCE over every ordered view pair at once: the
-views are stacked, the rows of all pairs are gathered by index arrays, and
-one segment sum forms every denominator. A loss thus adds the same number of
-tape nodes whatever the number of views, positives or negatives.
+The encoder returns all views as one stacked (V*n, d) tensor, and each loss
+reads that stack directly: one batched InfoNCE over every ordered view pair
+at once, whose rows are gathered by index arrays and whose denominators are
+one segment sum. A loss thus adds the same number of tape nodes whatever the
+number of views, positives or negatives; `lcl_tensor` and `hgcl_tensor`
+stack a list of per-view tensors first.
 
 Only the contrastive terms live on the autodiff tape. The L2 term is a float
 (`_l2`) and its gradient, 2·lambda·theta, is added to the tape's gradients
@@ -35,7 +37,7 @@ import numpy as np
 from . import attention as att
 from . import autodiff as ad
 from .dataset import DatasetError
-from .graph import CriterionView
+from .graph import CriterionView, block_graph
 
 
 @dataclass(frozen=True)
@@ -222,14 +224,14 @@ def _info_nce(anchors: ad.Tensor, partners: ad.Tensor, segments: np.ndarray,
     return ad.tsum(ad.tlog(denom) - ad.take_rows(scaled, np.arange(num_terms)))
 
 
-def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
-               cfg: LossConfig) -> ad.Tensor:
+def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
+              cfg: LossConfig) -> ad.Tensor:
     """Mean InfoNCE term over every (positive node, ordered view pair).
 
     A pair without negatives keeps its terms in the count; each is exactly
-    -log(1) = 0. Node i of view v is row v*n + i of the stacked views.
+    -log(1) = 0. Node i of view v is row v*n + i of the (V*n, d) `stack`.
     """
-    n = embeddings[0].shape[0]
+    n = stack.shape[0] // num_views
     term_count = sum(ps.positives.size for ps in samples)
     active = [ps for ps in samples
               if ps.negatives is not None and ps.positives.size]
@@ -243,36 +245,34 @@ def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
                                for ps in active])
     segments = np.concatenate([terms, np.repeat(terms, per_term)])
 
-    stack = ad.concat(embeddings, axis=0)
     # a negative's anchor row is its term's anchor row
     left = ad.take_rows(stack, anchors[segments])
     right = ad.take_rows(stack, np.concatenate(partners + negatives))
     return _info_nce(left, right, segments, anchors.size, cfg) * (1.0 / term_count)
 
 
-def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
-                cfg: LossConfig) -> ad.Tensor:
+def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
+               cfg: LossConfig) -> ad.Tensor:
     """Mean InfoNCE term over ordered view pairs of column-mean embeddings.
 
     Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
-    pair's (K, n, d) block has the same K.
+    pair's (K, n, d) block has the same K. E_v is block v of `stack`.
     """
-    pairs = list(_ordered_pairs(len(embeddings)))
+    pairs = list(_ordered_pairs(num_views))
     if not pairs:
         return ad.Tensor(0.0)
-    n, d = embeddings[0].shape
+    n, d = stack.shape[0] // num_views, stack.shape[1]
     num_pairs, k = len(pairs), permutations[pairs[0]].shape[0]
     view_a, view_b = np.array(pairs).T
-    # flat index of E_a[i, perm[k, i, j]] in the stacked views, filled in
-    # place: the (P, K, n, d) index is the largest array of the loss
+    # flat index of E_a[i, perm[k, i, j]] in the stack, filled in place: the
+    # (P, K, n, d) index is the largest array of the loss
     flat_idx = np.empty((num_pairs, k, n, d), dtype=np.intp)
     for p, (a, b) in enumerate(pairs):
         np.add(permutations[(a, b)], a * n * d + np.arange(n)[:, None] * d,
                out=flat_idx[p])
 
-    stack = ad.concat(embeddings, axis=0)
-    means = ad.tmean(ad.reshape(stack, (len(embeddings), n, d)), axis=1)
+    means = ad.tmean(ad.reshape(stack, (num_views, n, d)), axis=1)
     corrupted = ad.tmean(ad.take_rows(ad.reshape(stack, (-1,)), flat_idx), axis=2)
     owners = np.repeat(np.arange(num_pairs), k)
     left = ad.take_rows(means, np.concatenate([view_a, view_a[owners]]))
@@ -280,6 +280,19 @@ def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
                        ad.reshape(corrupted, (num_pairs * k, d))], axis=0)
     segments = np.concatenate([np.arange(num_pairs), owners])
     return _info_nce(left, right, segments, num_pairs, cfg) * (1.0 / num_pairs)
+
+
+def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
+               cfg: LossConfig) -> ad.Tensor:
+    """`lcl_stack` of per-view embedding tensors."""
+    return lcl_stack(ad.concat(embeddings, axis=0), len(embeddings), samples, cfg)
+
+
+def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
+                cfg: LossConfig) -> ad.Tensor:
+    """`hgcl_stack` of per-view embedding tensors."""
+    return hgcl_stack(ad.concat(embeddings, axis=0), len(embeddings),
+                      permutations, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +426,7 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
     trace: list[LossReport] = []
     plan: ContrastPlan | None = None
     use_cl = cfg.use_contrastive and len(views) >= 2
+    blocks = block_graph(views) if use_cl else None
     decay = 2.0 * cfg.loss.l2_weight
 
     for epoch in range(epochs):
@@ -420,14 +434,14 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
             l2 = _l2(params)
             if use_cl:
                 tensors = {key: ad.Tensor(value) for key, value in params.items()}
-                embeddings = [att.encode_view_tensors(view, tensors, cfg.encoder,
-                                                      cfg.use_global_attention)
-                              for view in views]
+                stack = att.encode_stack(blocks, tensors, cfg.encoder,
+                                         cfg.use_global_attention)
                 if plan is None or epoch % cfg.refresh_period == 0:
-                    plan = build_plan(views, [e.value for e in embeddings],
-                                      cfg.loss, np.random.default_rng([seed, epoch]))
-                lcl = lcl_tensor(embeddings, plan.samples, cfg.loss)
-                hgcl = hgcl_tensor(embeddings, plan.permutations, cfg.loss)
+                    plan = build_plan(
+                        views, stack.value.reshape(len(views), num_nodes, -1),
+                        cfg.loss, np.random.default_rng([seed, epoch]))
+                lcl = lcl_stack(stack, len(views), plan.samples, cfg.loss)
+                hgcl = hgcl_stack(stack, len(views), plan.permutations, cfg.loss)
                 l_lcl, l_hgcl = float(lcl.value), float(hgcl.value)
             else:
                 l_lcl = l_hgcl = 0.0

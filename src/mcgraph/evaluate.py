@@ -334,9 +334,8 @@ def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedMo
     views = build_views(train_data)
     train_cfg = cfg.train_config()
     params, trace = train(views, train_cfg, seed)
-    matrices = [att.encode_view(v, params, cfg.encoder,
-                                train_cfg.use_global_attention).matrix
-                for v in views]
+    matrices = [e.matrix for e in att.encode_views(
+        views, params, cfg.encoder, train_cfg.use_global_attention)]
     fused = rec.fuse(matrices, train_data.num_users)
     predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
     return FittedModel(params, trace, train_data, fused, predictor)
@@ -536,7 +535,7 @@ def sweep_criteria_count(cfg: ExperimentConfig, counts: Sequence[int],
 # report files
 
 def write_report_json(report: MetricReport, path: str | Path) -> None:
-    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 

@@ -5,17 +5,24 @@ holding the criterion's scores as edge weights, a symmetric (N+M) x (N+M)
 block extension of it, and a degree-normalized form of that extension. All
 matrices are kept sparse; (N+M)^2 dense storage is only for small oracles.
 A view also holds the normalized adjacency's edges as (center, neighbor)
-index arrays, computed once at construction and read on every encoder pass.
+index arrays, computed once at construction.
+
+`block_graph` stacks V views into one block-diagonal graph of V*n nodes
+(`BlockGraph`), the layout the encoder runs on: the stacked edges plus
+cached CSR operators that sum edge values into their centers or
+neighbors. A view's own one-block graph is built on first use and kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import RatingDataset
+from .dataset import DatasetError, RatingDataset
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,60 @@ class CriterionView:
         nodes are offset by num_users. Computed once, at construction.
         """
         return self._edges
+
+    @functools.cached_property
+    def block(self) -> "BlockGraph":
+        """This view alone as a one-block `BlockGraph`, built on first use."""
+        return block_graph([self])
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGraph:
+    """V views of n nodes each as one graph of V*n nodes.
+
+    Node i of view v is row v*n + i. The edges keep each view's row-major
+    order, so every center's edges are contiguous. `center_sum` and
+    `neighbor_sum` are (V*n, E) 0/1 CSR operators: `S @ values` adds each
+    edge's row into its center's (neighbor's) row, in edge order, as
+    `np.bincount` adds its weights.
+    """
+
+    view_indices: tuple[int, ...]  # criterion index of each block
+    num_nodes: int                 # per view
+    centers: np.ndarray
+    neighbors: np.ndarray
+    center_sum: sp.csr_matrix
+    neighbor_sum: sp.csr_matrix
+    run_starts: np.ndarray         # first edge of each center with edges
+    run_lengths: np.ndarray        # its edge count
+
+    @property
+    def num_views(self) -> int:
+        return len(self.view_indices)
+
+
+def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
+    """Stack the views' edges once; every encoder pass over them reuses it."""
+    n = views[0].num_nodes
+    centers = np.concatenate([v.neighbor_arrays()[0] + k * n
+                              for k, v in enumerate(views)])
+    neighbors = np.concatenate([v.neighbor_arrays()[1] + k * n
+                                for k, v in enumerate(views)])
+    size, ones = len(views) * n, np.ones(centers.size)
+
+    def segment_sum(rows: np.ndarray) -> sp.csr_matrix:
+        # a stable sort keeps each row's edges in increasing order
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
+        return sp.csr_matrix((ones, np.argsort(rows, kind="stable"), indptr),
+                             shape=(size, rows.size))
+
+    center_sum = segment_sum(centers)
+    runs = np.diff(center_sum.indptr)
+    return BlockGraph(
+        view_indices=tuple(v.criterion_index for v in views), num_nodes=n,
+        centers=centers, neighbors=neighbors, center_sum=center_sum,
+        neighbor_sum=segment_sum(neighbors),
+        run_starts=center_sum.indptr[:-1][runs > 0], run_lengths=runs[runs > 0])
 
 
 def extend_adjacency(incidence) -> sp.csr_matrix:
@@ -90,7 +151,7 @@ def degree_vector(extended) -> np.ndarray:
 def build_views(train: RatingDataset) -> list[CriterionView]:
     """One CriterionView per criterion; zero criterion scores leave no edge."""
     if len(train.records) == 0:
-        raise ValueError("cannot build graph views from an empty dataset")
+        raise DatasetError("cannot build graph views from an empty dataset")
     n, m = train.num_users, train.num_items
     rows = np.array([train.user_index[r.user_id] for r in train.records], dtype=np.intp)
     cols = np.array([train.item_index[r.item_id] for r in train.records], dtype=np.intp)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import attention as att
@@ -160,7 +162,7 @@ def gat_oracle(centers, neighbors, n, h_in, heads):
 
 
 class TestFusedAttentionLayer:
-    """The one-node multi-head layer against per-head oracles."""
+    """The one-node multi-head layer of one view against per-head oracles."""
 
     def graph(self):
         # user 3 and item 3 rate nothing: two isolated nodes
@@ -177,10 +179,10 @@ class TestFusedAttentionLayer:
         return rng.normal(size=(num_nodes, fan_in)), heads
 
     def layer(self, view, h_in, heads):
-        centers, neighbors = view.neighbor_arrays()
-        out, coeffs = att._attention_layer(
+        out, coeffs, _ = att._dual_attention(
             ad.Tensor(h_in), [ad.Tensor(w) for w, _ in heads],
-            [ad.Tensor(a) for _, a in heads], centers, neighbors, view.num_nodes)
+            [ad.Tensor(a) for _, a in heads], [], graph.block_graph([view]),
+            first=False)
         return out.value, coeffs
 
     @pytest.mark.parametrize("num_heads", [1, 2, 3])
@@ -203,7 +205,7 @@ class TestFusedAttentionLayer:
 
     def test_zero_edge_view_gives_zero_rows_and_gradients(self):
         view = view_from_incidence(np.zeros((3, 2)))
-        centers, neighbors = view.neighbor_arrays()
+        centers, _ = view.neighbor_arrays()
         assert centers.size == 0
         h_in, heads = self.draw(2, num_nodes=5, seed=5)
         out, coeffs = self.layer(view, h_in, heads)
@@ -211,8 +213,8 @@ class TestFusedAttentionLayer:
         assert np.array_equal(out, np.zeros((5, 4)))
         leaves = [ad.Tensor(h_in)] + [ad.Tensor(w) for w, _ in heads]
         attns = [ad.Tensor(a) for _, a in heads]
-        tensor, _ = att._attention_layer(leaves[0], leaves[1:], attns, centers,
-                                         neighbors, 5)
+        tensor, _, _ = att._dual_attention(leaves[0], leaves[1:], attns, [],
+                                           graph.block_graph([view]), first=False)
         ad.backward(ad.tsum(ad.mul(tensor, tensor)))
         for leaf in leaves + attns:
             assert np.array_equal(ad.grad_of(leaf), np.zeros(leaf.shape))
@@ -220,7 +222,6 @@ class TestFusedAttentionLayer:
     @pytest.mark.parametrize("num_heads", [1, 2, 3])
     def test_passes_gradient_check(self, num_heads):
         view = self.graph()
-        centers, neighbors = view.neighbor_arrays()
         h_in, heads = self.draw(num_heads, seed=10 + num_heads)
         params = {"h": h_in}
         for k, (w, a) in enumerate(heads, start=1):
@@ -229,11 +230,11 @@ class TestFusedAttentionLayer:
             size=(view.num_nodes, num_heads * 2)))
 
         def loss_fn(t):
-            out, _ = att._attention_layer(
+            out, _, _ = att._dual_attention(
                 t["h"], [t[f"w{k}"] for k in range(1, num_heads + 1)],
-                [t[f"a{k}"] for k in range(1, num_heads + 1)],
-                centers, neighbors, view.num_nodes)
-            return ad.tsum(ad.mul(ad.elu(out), weight))
+                [t[f"a{k}"] for k in range(1, num_heads + 1)], [],
+                graph.block_graph([view]), first=True)
+            return ad.tsum(ad.mul(out, weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
@@ -252,6 +253,130 @@ class TestFusedAttentionLayer:
         for use_global in (True, False):
             sizes = [tape_size(h, use_global) for h in (1, 2, 4)]
             assert sizes == [sizes[0]] * 3
+
+
+def view_oracle(view, h_in, heads, gate_weight, activate):
+    """One view's dual-attention layer in plain numpy: per-head GAT, then ELU
+    if `activate`, then the global gate n * softmax(ReLU(h wg)) if given."""
+    centers, neighbors = view.neighbor_arrays()
+    n = view.num_nodes
+    coeffs, out = gat_oracle(centers, neighbors, n, h_in, heads)
+    if activate:
+        out = np.where(out > 0, out, np.expm1(out))
+    if gate_weight is None:
+        return out, coeffs, None
+    z = np.maximum(out @ gate_weight, 0.0)
+    p = np.exp(z - z.max())
+    factor = n * p / p.sum()
+    return out * factor[:, None], coeffs, factor
+
+
+class TestBlockDiagonalEncoder:
+    """All views' layer as one op on the stacked graph, against per-view oracles."""
+
+    num_heads, head_dim, fan_in = 2, 2, 3
+
+    def views(self, count):
+        # 4 users x 4 items; the second view has isolated nodes, the third no edge
+        rng = np.random.default_rng(count)
+        b = rng.uniform(1, 5, size=(4, 4)) * (rng.uniform(size=(4, 4)) < 0.6)
+        b[0, 0] = 2.0
+        isolated = b.copy()
+        isolated[3, :] = isolated[:, 3] = 0.0
+        incidences = [b, isolated, np.zeros((4, 4))][:count]
+        return [view_from_incidence(inc, criterion_index=c + 1)
+                for c, inc in enumerate(incidences)]
+
+    def leaves(self, count, fan_in, seed):
+        rng = np.random.default_rng(seed)
+        heads = [[(rng.normal(size=(self.head_dim, fan_in)),
+                   rng.normal(size=2 * self.head_dim))
+                  for _ in range(self.num_heads)] for _ in range(count)]
+        gates = [rng.normal(size=self.num_heads * self.head_dim) for _ in range(count)]
+        return heads, gates
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("use_global", [True, False])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_matches_per_view_oracle(self, count, use_global, first):
+        views = self.views(count)
+        n, width = views[0].num_nodes, self.num_heads * self.head_dim
+        fan_in = self.fan_in if first else width
+        heads, gates = self.leaves(count, fan_in, seed=10 * count + first)
+        rng = np.random.default_rng(3)
+        h_in = rng.normal(size=(n if first else count * n, fan_in))
+        out, coeffs, factor = att._dual_attention(
+            ad.Tensor(h_in), [ad.Tensor(w) for view in heads for w, _ in view],
+            [ad.Tensor(a) for view in heads for _, a in view],
+            [ad.Tensor(g) for g in gates] if use_global else [],
+            graph.block_graph(views), first=first)
+        assert out.shape == (count * n, width)
+        want = [view_oracle(view, h_in if first else h_in[v * n:(v + 1) * n],
+                            heads[v], gates[v] if use_global else None, first)
+                for v, view in enumerate(views)]
+        assert_allclose(out.value, np.concatenate([w[0] for w in want]),
+                        rtol=1e-12, atol=1e-12)
+        assert_allclose(coeffs, np.concatenate([w[1] for w in want]),
+                        rtol=1e-12, atol=1e-12)
+        if use_global:
+            assert_allclose(factor, np.stack([w[2] for w in want]),
+                            rtol=1e-12, atol=1e-12)
+        else:
+            assert factor is None
+        if count == 3:  # the edgeless view's rows stay zero
+            assert np.array_equal(out.value[2 * n:], np.zeros((n, width)))
+
+    def test_stacked_encoding_matches_one_view_at_a_time(self):
+        views = self.views(3)
+        cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
+        params = att.init_params(views[0].num_nodes, 3, cfg, seed=4)
+        for use_global in (True, False):
+            stacked = att.encode_views(views, params, cfg, use_global)
+            for view, emb in zip(views, stacked):
+                alone = att.encode_view(view, params, cfg, use_global)
+                assert emb.criterion_index == alone.criterion_index
+                assert_allclose(emb.matrix, alone.matrix, rtol=1e-12, atol=1e-12)
+
+    def test_passes_gradient_check_on_every_leaf(self):
+        views = self.views(3)
+        cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
+        params = att.init_params(views[0].num_nodes, 3, cfg, seed=5)
+        blocks = graph.block_graph(views)
+        weight = ad.Tensor(np.random.default_rng(6).normal(
+            size=(3 * views[0].num_nodes, cfg.embed_dim)))
+
+        def loss_fn(t):
+            return ad.tsum(ad.mul(att.encode_stack(blocks, t, cfg), weight))
+
+        report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
+        assert report.passed, f"failing blocks: {report.failing()}"
+        assert len(report.blocks) == len(params) == 1 + 3 * 2 * (2 * 2 + 1)
+
+    def test_tape_size_independent_of_view_count(self):
+        cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
+
+        def tape_size(count, use_global):
+            b = self.views(1)[0].incidence.toarray()
+            views = [view_from_incidence(b, criterion_index=c + 1)
+                     for c in range(count)]
+            params = att.init_params(views[0].num_nodes, count, cfg, seed=0)
+            tensors = {key: ad.Tensor(value) for key, value in params.items()}
+            stack = att.encode_stack(graph.block_graph(views), tensors, cfg, use_global)
+            return sum(node.op != "leaf" for node in ad.topo_order(stack))
+
+        for use_global in (True, False):
+            assert [tape_size(v, use_global) for v in (1, 2, 4)] == [2, 2, 2]
+
+    def test_csr_segment_sums_equal_scatter_add(self):
+        blocks = graph.block_graph(self.views(3))
+        rng = np.random.default_rng(7)
+        rows = 3 * blocks.num_nodes
+        for shape in [(blocks.centers.size,), (blocks.centers.size, 5)]:
+            values = rng.normal(size=shape)
+            assert np.array_equal(blocks.center_sum @ values,
+                                  ad._scatter_add(blocks.centers, values, rows))
+            assert np.array_equal(blocks.neighbor_sum @ values,
+                                  ad._scatter_add(blocks.neighbors, values, rows))
 
 
 class TestEncoderConfigValidation:
@@ -277,12 +402,27 @@ class TestGlobalScores:
         scores = att.global_attention_scores(h, np.array([1.0]))
         assert_allclose(scores, [0.5, 0.5])
 
+    def test_single_node_scores_one(self):
+        scores = att.global_attention_scores(np.array([[4.2, -1.0]]),
+                                             np.array([1.0, 0.5]))
+        assert_allclose(scores, [1.0])
+
     def test_scores_form_probability_vector(self):
         rng = np.random.default_rng(5)
         scores = att.global_attention_scores(rng.normal(size=(7, 4)),
                                              rng.normal(size=4))
         assert np.all(scores >= 0)
         assert_allclose(scores.sum(), 1.0, atol=1e-12)
+
+
+@given(st.lists(st.floats(min_value=-3, max_value=3,
+                          allow_nan=False, allow_infinity=False),
+                min_size=2, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_global_scores_sum_to_one(scores):
+    p = att.global_attention_scores(np.array(scores)[:, None], np.ones(1))
+    assert_allclose(p.sum(), 1.0, rtol=1e-12)
+    assert np.all(p >= 0)
 
 
 class TestEncodeView:

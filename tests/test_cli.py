@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, precedence, artifacts, determinism."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgraph import cli
 from mcgraph import dataset as ds
@@ -87,6 +90,34 @@ class TestExitCodes:
                          "no_global_attention_no_cl", "--out",
                          str(tmp_path / "no_cl")]) == cli.EXIT_OK
         capsys.readouterr()
+
+    def test_empty_train_split_is_data_error(self, tmp_path, fast_cfg,
+                                             monkeypatch, capsys):
+        data = ev.make_planted_dataset(seed=0)
+        empty = ds.RatingDataset(data.num_users, data.num_items,
+                                 data.num_criteria, (), data.user_index,
+                                 data.item_index)
+        monkeypatch.setattr(ev, "prepared_data", lambda cfg: (empty, empty))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) \
+            == cli.EXIT_DATA
+        assert "data error: cannot build graph views from an empty dataset" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [{"mae": float("nan")},
+                                         {"runs": [1.0, float("inf")]}])
+    def test_non_finite_json_raises_before_writing(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_json(payload, path)
+        assert not path.exists()
+
+    def test_non_finite_stats_print_nothing(self, monkeypatch, capsys):
+        stats = ds.DatasetStats(1.0, 1.0, 0.5, 3, float("nan"))
+        monkeypatch.setattr(ds, "compute_stats", lambda data: stats)
+        assert cli.main(["stats"]) != cli.EXIT_OK
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("line, field", [
         ("clip_norm = -1", "clip_norm"),
@@ -427,3 +458,49 @@ class TestSweep:
         runs = (out / "runs_ts.csv").read_text().splitlines()
         assert len(runs) == 5
         capsys.readouterr()
+
+
+VALID_ROWS = [["u1", "i1", "4", "4", "3"], ["u1", "i2", "2", "1", "2"],
+              ["u2", "i1", "5", "5", "4"], ["u2", "i2", "3", "3", "3"],
+              ["u3", "i1", "1", "2", "1"], ["u3", "i2", "4", "5", "4"]]
+HEADER = ["user_id", "item_id", "overall", "c1", "c2"]
+WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+
+
+@st.composite
+def malformed_csv(draw):
+    """A valid ratings CSV with one defect: a bad header, a ragged row, a
+    non-numeric, NaN/infinite or negative rating."""
+    header, rows = list(HEADER), [list(r) for r in VALID_ROWS]
+    kind = draw(st.sampled_from(["header", "ragged", "text", "non_finite",
+                                 "negative"]))
+    row = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(2, len(HEADER) - 1))
+    if kind == "header":
+        header = draw(st.lists(WORD, min_size=1, max_size=6).filter(
+            lambda names: names != HEADER))
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            rows[row].append(draw(WORD))
+        else:
+            del rows[row][draw(st.integers(0, len(HEADER) - 1))]
+    elif kind == "text":
+        rows[row][column] = draw(WORD)
+    elif kind == "non_finite":
+        rows[row][column] = draw(st.sampled_from(
+            ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]))
+    else:
+        rows[row][column] = repr(-draw(st.floats(min_value=1e-9, max_value=10.0)))
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+
+
+@given(malformed_csv())
+@settings(max_examples=40, deadline=None)
+def test_malformed_csv_evaluate_exits_2_without_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, out = Path(tmp) / "ratings.csv", Path(tmp) / "out"
+        csv_path.write_text(text, encoding="utf-8")
+        code = cli.main(["evaluate", "--data", str(csv_path), "--runs", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert not out.exists()

@@ -487,7 +487,7 @@ class TestTrain:
             self, monkeypatch, num_views, use_contrastive):
         def fail(*args, **kwargs):
             raise AssertionError("the encoder ran without a contrastive loss")
-        monkeypatch.setattr(att, "encode_view_tensors", fail)
+        monkeypatch.setattr(att, "encode_stack", fail)
         views = two_view_setup()[:num_views]
         cfg = self.tiny_config(use_contrastive=use_contrastive, clip_norm=0.05)
         params, trace = cl.train(views, cfg, seed=6, epochs=7)

@@ -388,6 +388,14 @@ class TestReportFiles:
         assert loaded["mae_runs"] == list(report.mae_runs)
         assert "wall_clock_runs" not in loaded
 
+    def test_nan_in_report_raises_before_writing(self, tmp_path):
+        report = ev.MetricReport("full", 100, (0,), (float("nan"),), (0.5,),
+                                 (1.0,), 0, {})
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="JSON"):
+            ev.write_report_json(report, path)
+        assert not path.exists()
+
     def test_json_report_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         ev.write_report_json(ev.run_experiment(fast_config()), a)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import graph
-from mcgraph.dataset import RatingRecord, from_records
+from mcgraph.dataset import DatasetError, RatingRecord, from_records
 
 
 def dense_normalize_oracle(bp: np.ndarray) -> np.ndarray:
@@ -161,5 +161,5 @@ class TestBuildViews:
         data = small_dataset()
         empty = type(data)(data.num_users, data.num_items, data.num_criteria,
                            (), data.user_index, data.item_index)
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="empty dataset"):
             graph.build_views(empty)
