@@ -29,7 +29,7 @@ def main():
     ds.save_ratings(data, args.out)
     stats = ds.compute_stats(data)
     print(f"wrote {args.out}: {data.num_users} users x {data.num_items} items, "
-          f"{len(data.records)} records, sparsity {stats.sparsity:.3f}")
+          f"{len(data)} records, sparsity {stats.sparsity:.3f}")
 
 
 if __name__ == "__main__":

@@ -164,14 +164,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _echo_config(cfg)
     train_data, test_data = ev.prepared_data(cfg)
     predictions = ev.fit(cfg, train_data, cfg.seed_base).predict(test_data)
-    actuals = [r.overall for r in test_data.records]
-    mae = ev.mae(predictions, actuals)
+    mae = ev.mae(predictions, test_data.overall)
     out = _out_dir(args)
     rec.write_predictions(test_data, predictions, out / "predictions.csv")
     _write_json({"config": ev.config_as_dict(cfg), "seed": cfg.seed_base,
-                 "mae": mae, "rmse": ev.rmse(predictions, actuals)},
+                 "mae": mae, "rmse": ev.rmse(predictions, test_data.overall)},
                 out / "predict.json")
-    print(f"predicted {len(test_data.records)} pairs: mae {mae:.4f}")
+    print(f"predicted {len(test_data)} pairs: mae {mae:.4f}")
     return EXIT_OK
 
 

@@ -1,14 +1,23 @@
 """Loading, validation, normalization, splitting and summary statistics.
 
 Rating data is plain CSV with header `user_id,item_id,overall,c1,...,cC`.
-Ids are opaque strings; dense integer indices are assigned in order of
-first appearance and live in the dataset's index maps.
+A `RatingDataset` holds its R ratings as columns, one typed array per field
+in the manner of Apache Arrow and pandas: int `users` and `items` codes, an
+`overall` vector and an (R, C) `criteria` matrix, plus the `user_ids` and
+`item_ids` arrays the codes index. Ids are opaque strings; codes are
+assigned in order of first appearance, and `user_index`/`item_index` map
+each id to its code. The loader, the split and every pipeline stage read
+the columns; `records`, one `RatingRecord` per rating, is built only when
+asked for.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,17 +48,78 @@ class RatingRecord:
     criteria: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("user_ids", "item_ids", "users", "items", "overall", "criteria")
+
+
+@dataclass(frozen=True, eq=False)
 class RatingDataset:
-    num_users: int
-    num_items: int
-    num_criteria: int
-    records: tuple[RatingRecord, ...]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
+    """R ratings as columns: row r is user `user_ids[users[r]]` rating item
+    `item_ids[items[r]]` with `overall[r]` and the criteria row `criteria[r]`.
+
+    A criterion value of 0 means "not rated". The columns are read-only
+    views, so datasets may share them. Two datasets are equal when their
+    columns are.
+    """
+
+    user_ids: np.ndarray  # (num_users,) object
+    item_ids: np.ndarray  # (num_items,) object
+    users: np.ndarray     # (R,) intp codes into user_ids
+    items: np.ndarray     # (R,) intp codes into item_ids
+    overall: np.ndarray   # (R,) float64
+    criteria: np.ndarray  # (R, C) float64
+    user_index: dict[str, int] = field(init=False, repr=False)
+    item_index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        columns = {
+            "user_ids": _id_array(self.user_ids),
+            "item_ids": _id_array(self.item_ids),
+            "users": np.asarray(self.users, dtype=np.intp),
+            "items": np.asarray(self.items, dtype=np.intp),
+            "overall": np.ascontiguousarray(self.overall, dtype=np.float64),
+            "criteria": np.ascontiguousarray(self.criteria, dtype=np.float64),
+        }
+        rows = columns["users"].shape
+        if (len(rows) != 1 or columns["items"].shape != rows
+                or columns["overall"].shape != rows
+                or columns["criteria"].ndim != 2
+                or columns["criteria"].shape[0] != rows[0]):
+            raise ValueError("rating columns disagree in shape: " + ", ".join(
+                f"{name} {column.shape}" for name, column in columns.items()))
+        for name, column in columns.items():
+            column = column.view()  # the caller's array stays writeable
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for name, ids in (("user_index", self.user_ids), ("item_index", self.item_ids)):
+            object.__setattr__(self, name, dict(zip(ids.tolist(), range(ids.size))))
+
+    @property
+    def num_users(self) -> int:
+        return self.user_ids.size
+
+    @property
+    def num_items(self) -> int:
+        return self.item_ids.size
+
+    @property
+    def num_criteria(self) -> int:
+        return self.criteria.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.users.size
+
+    def __eq__(self, other):
+        if not isinstance(other, RatingDataset):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _COLUMNS)
+
+    @functools.cached_property
+    def records(self) -> tuple[RatingRecord, ...]:
+        """The ratings as `RatingRecord`s in row order, built on first access."""
+        return tuple(map(RatingRecord, self.user_ids[self.users].tolist(),
+                         self.item_ids[self.items].tolist(), self.overall.tolist(),
+                         map(tuple, self.criteria.tolist())))
 
 
 @dataclass(frozen=True)
@@ -70,45 +140,142 @@ class DatasetStats:
         }
 
 
-def from_records(records: Iterable[RatingRecord], dedupe: bool = False) -> RatingDataset:
-    """Assemble a dataset, assigning dense indices in first-appearance order.
+def _id_array(ids: Sequence[str]) -> np.ndarray:
+    if isinstance(ids, np.ndarray) and ids.dtype == object and ids.ndim == 1:
+        return ids
+    return np.fromiter(ids, dtype=object, count=len(ids))
 
-    With dedupe=True a repeated (user, item) pair keeps the last occurrence's
-    values at the pair's original position; otherwise repeats are an error.
+
+def _encode(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Each row's code, adding unseen ids to `index` in first-appearance order."""
+    for key in dict.fromkeys(ids):
+        if key not in index:
+            index[key] = len(index)
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+def from_columns(user_ids: Sequence[str], item_ids: Sequence[str], overall,
+                 criteria, dedupe: bool = False) -> RatingDataset:
+    """Assemble a dataset from per-rating columns; codes follow first appearance.
+
+    `criteria` is (R, C). With dedupe=True a repeated (user, item) pair keeps
+    the last occurrence's values at the pair's first position; otherwise
+    repeats are an error.
     """
-    by_pair: dict[tuple[str, str], RatingRecord] = {}
-    num_criteria = None
+    user_index, item_index = {}, {}
+    return _assemble(user_index, item_index, _encode(user_index, user_ids),
+                     _encode(item_index, item_ids), overall, criteria, dedupe)
+
+
+def _assemble(user_index: dict[str, int], item_index: dict[str, int],
+              users: np.ndarray, items: np.ndarray, overall, criteria,
+              dedupe: bool) -> RatingDataset:
+    """The dataset of rows coded into the two indexes' ids; see `from_columns`."""
+    if users.size == 0:
+        raise DatasetError("empty dataset: no rating records")
+    user_names, item_names = _id_array(list(user_index)), _id_array(list(item_index))
+    overall = np.asarray(overall, dtype=np.float64)
+    criteria = np.asarray(criteria, dtype=np.float64)
+    keys = users * item_names.size + items
+    _, first = np.unique(keys, return_index=True)
+    if first.size < keys.size:
+        if not dedupe:
+            repeated = np.ones(keys.size, dtype=bool)
+            repeated[first] = False
+            row = int(np.argmax(repeated))
+            raise DatasetError(f"duplicate rating for pair "
+                               f"{(user_names[users[row]], item_names[items[row]])}")
+        # a user's (item's) first row is its pair's first row, so dropping
+        # later repeats keeps every id and its first-appearance code
+        _, last_reversed = np.unique(keys[::-1], return_index=True)
+        by_position = np.argsort(first)
+        rows, values = first[by_position], (keys.size - 1 - last_reversed)[by_position]
+        users, items = users[rows], items[rows]
+        overall, criteria = overall[values], criteria[values]
+    return RatingDataset(user_names, item_names, users, items, overall, criteria)
+
+
+def from_records(records: Iterable[RatingRecord], dedupe: bool = False) -> RatingDataset:
+    """Assemble a dataset from records; see `from_columns`."""
+    user_ids, item_ids, overall, criteria = [], [], [], []
     for rec in records:
-        if num_criteria is None:
-            num_criteria = len(rec.criteria)
-        elif len(rec.criteria) != num_criteria:
+        if criteria and len(rec.criteria) != len(criteria[0]):
             raise DatasetError(
                 f"record ({rec.user_id}, {rec.item_id}) has {len(rec.criteria)} "
-                f"criteria, dataset has {num_criteria}")
-        key = (rec.user_id, rec.item_id)
-        if key in by_pair and not dedupe:
-            raise DatasetError(f"duplicate rating for pair {key}")
-        by_pair[key] = rec
-    if not by_pair:
-        raise DatasetError("empty dataset: no rating records")
+                f"criteria, dataset has {len(criteria[0])}")
+        user_ids.append(rec.user_id)
+        item_ids.append(rec.item_id)
+        overall.append(rec.overall)
+        criteria.append(rec.criteria)
+    return from_columns(user_ids, item_ids, overall, criteria, dedupe)
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    final = tuple(by_pair.values())
-    for rec in final:
-        user_index.setdefault(rec.user_id, len(user_index))
-        item_index.setdefault(rec.item_id, len(item_index))
-    return RatingDataset(len(user_index), len(item_index), num_criteria,
-                         final, user_index, item_index)
+
+def subset(dataset: RatingDataset, rows: np.ndarray) -> RatingDataset:
+    """The given rows in the given order, codes renumbered by first appearance."""
+    if len(rows) == 0:
+        raise DatasetError("empty dataset: no rating records")
+    user_ids, users = _recode(dataset.user_ids, dataset.users[rows])
+    item_ids, items = _recode(dataset.item_ids, dataset.items[rows])
+    return RatingDataset(user_ids, item_ids, users, items,
+                         dataset.overall[rows], dataset.criteria[rows])
+
+
+def _first_rows(codes: np.ndarray, size: int) -> np.ndarray:
+    """The first row holding each code in range(size); len(codes) if none does."""
+    first = np.full(size, codes.size, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    return first
+
+
+def _recode(ids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids `codes` name, in first-appearance order, and the codes into them."""
+    first = _first_rows(codes, ids.size)
+    present = np.flatnonzero(first < codes.size)
+    present = present[np.argsort(first[present])]
+    renumber = np.empty(ids.size, dtype=np.intp)
+    renumber[present] = np.arange(present.size)
+    return ids[present], renumber[codes]
+
+
+def pair_codes(train: RatingDataset, data: RatingDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `data` as (user, item) codes of `train`, -1 for an id it lacks."""
+    users = np.array([train.user_index.get(u, -1) for u in data.user_ids.tolist()],
+                     dtype=np.intp)
+    items = np.array([train.item_index.get(v, -1) for v in data.item_ids.tolist()],
+                     dtype=np.intp)
+    return users[data.users], items[data.items]
 
 
 def _expected_header(num_criteria: int) -> list[str]:
     return ["user_id", "item_id", "overall"] + [f"c{k}" for k in range(1, num_criteria + 1)]
 
 
+# rows tokenized at a time: one chunk's strings are freed before the next
+# chunk is read, so a large file never holds all its fields as objects
+_CHUNK_ROWS = 8192
+
+
+def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseError | None:
+    """The error for the first ragged or non-numeric row; blank rows are skipped."""
+    for line_number, row in enumerate(rows, start=first_line):
+        if not row:
+            continue
+        if len(row) != width:
+            return ParseError(line_number, f"expected {width} columns, got {len(row)}")
+        try:
+            [float(v) for v in row[2:]]
+        except ValueError as exc:
+            return ParseError(line_number, f"non-numeric rating: {exc}")
+    return None
+
+
 def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> RatingDataset:
-    """Read a ratings CSV. Duplicate (user, item) rows keep the last occurrence."""
+    """Read a ratings CSV. A duplicate (user, item) row's values replace the
+    earlier ones at the pair's first position."""
     path = Path(path)
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users, items, values, lines = [], [], [], []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -122,31 +289,45 @@ def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> Ratin
         if schema is not None and list(schema) != header:
             raise ParseError(1, f"header {header!r} does not match requested schema "
                                 f"{list(schema)!r}")
-
-        records, ratings, line_numbers = [], [], []
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(line_number,
-                                 f"expected {len(header)} columns, got {len(row)}")
+        width, first_line = len(header), 2
+        while True:
+            chunk: list[list[str]] = []
             try:
-                values = tuple(map(float, row[2:]))
-            except ValueError as exc:
-                raise ParseError(line_number, f"non-numeric rating: {exc}") from None
-            records.append(RatingRecord(row[0], row[1], values[0], values[1:]))
-            ratings.append(values)
-            line_numbers.append(line_number)
-    if not records:
+                chunk.extend(islice(reader, _CHUNK_ROWS))  # keeps rows read before an error
+            except csv.Error:
+                # a bad row before the unreadable one is reported first
+                error = _first_bad_row(chunk, width, first_line)
+                if error is None:
+                    raise
+                raise error from None
+            if not chunk:
+                break
+            filled = [k for k, row in enumerate(chunk) if row]  # blank lines hold no rating
+            rows = [chunk[k] for k in filled]
+            try:
+                if any(len(row) != width for row in rows):
+                    raise ValueError("ragged row")
+                columns = [list(map(itemgetter(k), rows)) for k in range(width)]
+                values.append(np.column_stack([
+                    np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
+                    for column in columns[2:]]))
+            except ValueError:
+                raise _first_bad_row(chunk, width, first_line) from None
+            users.append(_encode(user_index, columns[0]))
+            items.append(_encode(item_index, columns[1]))
+            lines.append(np.asarray(filled, dtype=np.intp) + first_line)
+            first_line += len(chunk)
+    if not user_index:
         raise DatasetError(f"empty dataset: {path} has a header but no records")
-    matrix = np.array(ratings)
-    bad = ~(np.isfinite(matrix) & (matrix >= 0.0))
+    values = np.concatenate(values)
+    bad = ~(np.isfinite(values) & (values >= 0.0))
     if bad.any():
         first, column = np.argwhere(bad)[0]
-        raise ParseError(line_numbers[first],
-                         f"rating {ratings[first][column]!r} in column "
+        raise ParseError(int(np.concatenate(lines)[first]),
+                         f"rating {float(values[first, column])!r} in column "
                          f"{header[2 + column]} must be finite and nonnegative")
-    return from_records(records, dedupe=True)
+    return _assemble(user_index, item_index, np.concatenate(users), np.concatenate(items),
+                     values[:, 0], values[:, 1:], dedupe=True)
 
 
 def save_ratings(dataset: RatingDataset, path: str | Path) -> None:
@@ -155,9 +336,10 @@ def save_ratings(dataset: RatingDataset, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(dataset.num_criteria))
-        for rec in dataset.records:
-            writer.writerow([rec.user_id, rec.item_id, repr(rec.overall)]
-                            + [repr(v) for v in rec.criteria])
+        writer.writerows(zip(dataset.user_ids[dataset.users].tolist(),
+                             dataset.item_ids[dataset.items].tolist(),
+                             map(repr, dataset.overall.tolist()),
+                             *(map(repr, column) for column in dataset.criteria.T.tolist())))
 
 
 def normalize_scale(dataset: RatingDataset,
@@ -169,64 +351,70 @@ def normalize_scale(dataset: RatingDataset,
     lo, hi = source_range
     if not hi > lo:
         raise ValueError(f"source range must satisfy hi > lo, got [{lo}, {hi}]")
-
-    def convert(rec: RatingRecord, value: float) -> float:
-        if not lo <= value <= hi:
-            raise RangeError(f"rating {value} for pair ({rec.user_id}, {rec.item_id}) "
-                             f"outside source range [{lo}, {hi}]")
-        return 1.0 + 4.0 * (value - lo) / (hi - lo)
-
-    records = tuple(
-        RatingRecord(rec.user_id, rec.item_id, convert(rec, rec.overall),
-                     tuple(convert(rec, v) if v else 0.0 for v in rec.criteria))
-        for rec in dataset.records)
-    return RatingDataset(dataset.num_users, dataset.num_items, dataset.num_criteria,
-                         records, dataset.user_index, dataset.item_index)
+    values = np.column_stack([dataset.overall, dataset.criteria])
+    rated = np.column_stack([np.ones(len(dataset), dtype=bool), dataset.criteria != 0.0])
+    outside = rated & ~((lo <= values) & (values <= hi))
+    if outside.any():
+        row, column = np.argwhere(outside)[0]  # row-major: record order
+        raise RangeError(
+            f"rating {float(values[row, column])} for pair "
+            f"({dataset.user_ids[dataset.users[row]]}, "
+            f"{dataset.item_ids[dataset.items[row]]}) "
+            f"outside source range [{lo}, {hi}]")
+    scaled = np.where(rated, 1.0 + 4.0 * (values - lo) / (hi - lo), 0.0)
+    return RatingDataset(dataset.user_ids, dataset.item_ids, dataset.users,
+                         dataset.items, scaled[:, 0], scaled[:, 1:])
 
 
 def compute_stats(dataset: RatingDataset) -> DatasetStats:
     if dataset.num_users <= 0 or dataset.num_items <= 0:
         raise DatasetError("stats need at least one user and one item")
-    n_records = len(dataset.records)
-    all_criteria = np.array([v for rec in dataset.records for v in rec.criteria])
+    n_records = len(dataset)
     return DatasetStats(
         avg_reviews_per_user=n_records / dataset.num_users,
         avg_reviews_per_item=n_records / dataset.num_items,
         sparsity=1.0 - n_records / (dataset.num_users * dataset.num_items),
         num_criteria=dataset.num_criteria,
-        variance_criteria_ratings=float(all_criteria.var()),
+        # row-major, the order the summation has always run in
+        variance_criteria_ratings=float(dataset.criteria.ravel().var()),
     )
+
+
+def _cold_candidates(codes: np.ndarray, size: int, is_test: np.ndarray,
+                     candidates: np.ndarray) -> np.ndarray:
+    """Which candidates are the first candidate of a code no kept train row has."""
+    in_train = np.bincount(codes[~is_test], minlength=size) > 0
+    candidate_codes = codes[candidates]
+    is_first = _first_rows(candidate_codes, size)[candidate_codes] == np.arange(candidates.size)
+    return is_first & ~in_train[candidate_codes]
 
 
 def split_train_test(dataset: RatingDataset, test_fraction: float,
                      seed: int) -> tuple[RatingDataset, RatingDataset]:
-    """Random record partition; test rows with a cold user or item move to train."""
+    """Random record partition; test rows with a cold user or item move to train.
+
+    Candidates are visited in position order. A cold candidate moves to the
+    end of train, which warms its user and item for later candidates, so a
+    candidate is cold exactly when it is the first candidate of a user (or
+    item) that no kept train row has.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n = len(dataset.records)
+    n = len(dataset)
     n_test = int(test_fraction * n)
     if n_test == 0 or n_test == n:
         raise DatasetError(f"{n} records cannot support a {test_fraction} test split")
 
     order = np.random.default_rng(seed).permutation(n)
-    test_positions = set(order[:n_test].tolist())
-    train_recs = [dataset.records[i] for i in range(n) if i not in test_positions]
-    train_users = {rec.user_id for rec in train_recs}
-    train_items = {rec.item_id for rec in train_recs}
-
-    test_recs = []
-    for i in sorted(test_positions):
-        rec = dataset.records[i]
-        # cold user or item: prediction has no embedding for it, keep in train
-        if rec.user_id not in train_users or rec.item_id not in train_items:
-            train_recs.append(rec)
-            train_users.add(rec.user_id)
-            train_items.add(rec.item_id)
-        else:
-            test_recs.append(rec)
-    if not test_recs:
+    is_test = np.zeros(n, dtype=bool)
+    is_test[order[:n_test]] = True
+    candidates = np.flatnonzero(is_test)
+    cold = (_cold_candidates(dataset.users, dataset.num_users, is_test, candidates)
+            | _cold_candidates(dataset.items, dataset.num_items, is_test, candidates))
+    if cold.all():
         raise DatasetError("every candidate test record was cold; cannot split")
-    return from_records(train_recs), from_records(test_recs)
+    train_rows = np.concatenate([np.flatnonzero(~is_test), candidates[cold]])
+    return subset(dataset, train_rows), subset(dataset, candidates[~cold])
 
 
 def subsample_train(train: RatingDataset, ts_percent: int, seed: int) -> RatingDataset:
@@ -235,7 +423,7 @@ def subsample_train(train: RatingDataset, ts_percent: int, seed: int) -> RatingD
         raise ValueError(f"ts_percent must be one of 40, 60, 80, 100, got {ts_percent}")
     if ts_percent == 100:
         return train
-    n = len(train.records)
+    n = len(train)
     keep = (ts_percent * n) // 100
     chosen = np.random.default_rng(seed).permutation(n)[:keep]
-    return from_records(train.records[i] for i in sorted(chosen.tolist()))
+    return subset(train, np.sort(chosen))

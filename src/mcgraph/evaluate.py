@@ -16,8 +16,8 @@ from . import attention as att
 from . import recommend as rec
 from .contrastive import (LossConfig, LossReport, NonFiniteLossError,
                           TrainConfig, train)
-from .dataset import (RatingDataset, RatingRecord, from_records, load_ratings,
-                      split_train_test, subsample_train)
+from .dataset import (RatingDataset, from_columns, load_ratings, pair_codes,
+                      split_train_test, subsample_train, subset)
 from .graph import build_views
 from .recommend import PredictorConfig
 
@@ -212,7 +212,7 @@ def make_planted_dataset(num_users: int = 50, num_items: int = 30,
     noise_users = set(rng.choice(num_users, size=n_noise, replace=False).tolist())
     offsets = rng.uniform(-criterion_jitter, criterion_jitter, size=num_criteria)
 
-    records = []
+    user_ids, item_ids, overall, criteria = [], [], [], []
     for u in range(num_users):
         for v in range(num_items):
             if u in noise_users:
@@ -234,10 +234,11 @@ def make_planted_dataset(num_users: int = 50, num_items: int = 30,
                 values = np.clip(raw, 1.0, 5.0)
             crit = np.where(present, values, 0.0)
             rated = crit[crit > 0]
-            records.append(RatingRecord(f"u{u:03d}", f"i{v:03d}",
-                                        float(rated.mean()),
-                                        tuple(float(c) for c in crit)))
-    return from_records(records)
+            user_ids.append(f"u{u:03d}")
+            item_ids.append(f"i{v:03d}")
+            overall.append(float(rated.mean()))
+            criteria.append(crit)
+    return from_columns(user_ids, item_ids, overall, criteria)
 
 
 def restrict_criteria(dataset: RatingDataset, count: int) -> RatingDataset:
@@ -246,9 +247,8 @@ def restrict_criteria(dataset: RatingDataset, count: int) -> RatingDataset:
         raise ValueError(f"criteria count {count} outside 1..{dataset.num_criteria}")
     if count == dataset.num_criteria:
         return dataset
-    records = [RatingRecord(r.user_id, r.item_id, r.overall, r.criteria[:count])
-               for r in dataset.records]
-    return from_records(records)
+    return RatingDataset(dataset.user_ids, dataset.item_ids, dataset.users,
+                         dataset.items, dataset.overall, dataset.criteria[:, :count])
 
 
 def restrict_users(dataset: RatingDataset, max_users: int,
@@ -260,9 +260,7 @@ def restrict_users(dataset: RatingDataset, max_users: int,
         return dataset
     rng = np.random.default_rng(seed)
     keep_ids = rng.choice(dataset.num_users, size=max_users, replace=False)
-    keep = {int(u) for u in keep_ids}
-    records = [r for r in dataset.records if dataset.user_index[r.user_id] in keep]
-    return from_records(records)
+    return subset(dataset, np.flatnonzero(np.isin(dataset.users, keep_ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +312,9 @@ class FittedModel:
         A pair whose user or item is missing from the train index gets the
         train global mean.
         """
-        users = np.array([self.train_data.user_index.get(r.user_id, -1)
-                          for r in test_data.records], dtype=np.intp)
-        items = np.array([self.train_data.item_index.get(r.item_id, -1)
-                          for r in test_data.records], dtype=np.intp)
+        users, items = pair_codes(self.train_data, test_data)
         seen = (users >= 0) & (items >= 0)
-        out = np.full(len(test_data.records),
-                      float(np.mean([r.overall for r in self.train_data.records])))
+        out = np.full(len(test_data), float(np.mean(self.train_data.overall)))
         out[seen] = rec.predict_many(self.predictor, self.fused,
                                      users[seen], items[seen])
         return out
@@ -343,9 +337,16 @@ def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedMo
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
     """One seeded pipeline: train embeddings, fit the head, score the test set."""
+    return _run_prepared(cfg, prepared_data(cfg), run_index)
+
+
+def _run_prepared(cfg: ExperimentConfig,
+                  data: tuple[RatingDataset, RatingDataset],
+                  run_index: int) -> RunResult:
+    """`run_single` on an already prepared train/test pair."""
     seed = cfg.seed_base + run_index
     start = time.perf_counter()
-    train_data, test_data = prepared_data(cfg)
+    train_data, test_data = data
     try:
         model = fit(cfg, train_data, seed)
     except NonFiniteLossError:
@@ -353,10 +354,9 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:
         return RunResult(run_index, seed, nan, nan,
                          time.perf_counter() - start, nan, nan, failed=True)
     predictions = model.predict(test_data)
-    actuals = [r.overall for r in test_data.records]
     trace = model.trace
-    return RunResult(run_index, seed, mae(predictions, actuals),
-                     rmse(predictions, actuals),
+    return RunResult(run_index, seed, mae(predictions, test_data.overall),
+                     rmse(predictions, test_data.overall),
                      time.perf_counter() - start,
                      trace[0].l_total if trace else float("nan"),
                      trace[-1].l_total if trace else float("nan"))
@@ -414,14 +414,18 @@ class MetricReport:
 
 
 def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """All run results in run-index order, regardless of execution order."""
+    """All run results in run-index order, regardless of execution order.
+
+    The train/test pair is prepared once and shared by every run.
+    """
     if cfg.n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    run = partial(_run_prepared, cfg, prepared_data(cfg))
     indices = range(cfg.n_runs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(run_single, cfg), indices))
-    return [run_single(cfg, i) for i in indices]
+            return list(pool.map(run, indices))
+    return [run(i) for i in indices]
 
 
 def aggregate_runs(cfg: ExperimentConfig, results: Sequence[RunResult]) -> MetricReport:
@@ -460,12 +464,11 @@ def baseline_report(cfg: ExperimentConfig, name: str) -> MetricReport:
     start = time.perf_counter()
     train_data, test_data = prepared_data(cfg)
     predictions = predictors[name](train_data, test_data)
-    actuals = [r.overall for r in test_data.records]
     elapsed = time.perf_counter() - start
     return MetricReport(variant=name, ts_percent=cfg.ts_percent,
                         run_indices=(0,),
-                        mae_runs=(mae(predictions, actuals),),
-                        rmse_runs=(rmse(predictions, actuals),),
+                        mae_runs=(mae(predictions, test_data.overall),),
+                        rmse_runs=(rmse(predictions, test_data.overall),),
                         wall_clock_runs=(elapsed,), failed_runs=0,
                         config=config_as_dict(cfg))
 

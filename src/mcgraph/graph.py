@@ -150,15 +150,14 @@ def degree_vector(extended) -> np.ndarray:
 
 def build_views(train: RatingDataset) -> list[CriterionView]:
     """One CriterionView per criterion; zero criterion scores leave no edge."""
-    if len(train.records) == 0:
+    if len(train) == 0:
         raise DatasetError("cannot build graph views from an empty dataset")
     n, m = train.num_users, train.num_items
-    rows = np.array([train.user_index[r.user_id] for r in train.records], dtype=np.intp)
-    cols = np.array([train.item_index[r.item_id] for r in train.records], dtype=np.intp)
+    rows, cols = train.users, train.items
 
     views = []
     for c in range(train.num_criteria):
-        weights = np.array([r.criteria[c] for r in train.records], dtype=np.float64)
+        weights = train.criteria[:, c]
         present = weights != 0.0
         incidence = sp.csr_matrix(
             (weights[present], (rows[present], cols[present])), shape=(n, m))

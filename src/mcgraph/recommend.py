@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .dataset import RatingDataset
+from .dataset import RatingDataset, pair_codes
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
@@ -100,13 +100,6 @@ def pair_features(fused: FusedEmbedding, users: np.ndarray,
                            fused.matrix[fused.num_users + items]], axis=1)
 
 
-def _record_indices(data: RatingDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    users = np.array([data.user_index[r.user_id] for r in data.records], dtype=np.intp)
-    items = np.array([data.item_index[r.item_id] for r in data.records], dtype=np.intp)
-    targets = np.array([r.overall for r in data.records])
-    return users, items, targets
-
-
 def train_predictor(fused: FusedEmbedding, train: RatingDataset,
                     cfg: PredictorConfig = PredictorConfig(),
                     seed: int = 0) -> RatingPredictor:
@@ -118,10 +111,10 @@ def train_predictor(fused: FusedEmbedding, train: RatingDataset,
     Weights start at zero and the bias at the target mean, so a constant
     target column is fit exactly without any descent steps firing.
     """
-    if len(train.records) == 0:
+    if len(train) == 0:
         raise ValueError("cannot train the rating head on an empty dataset")
-    users, items, targets = _record_indices(train)
-    features = pair_features(fused, users, items)
+    targets = train.overall
+    features = pair_features(fused, train.users, train.items)
     n, width = features.shape
 
     mean = features.mean(axis=0)
@@ -248,10 +241,7 @@ def _knn_predictions(ratings: sparse.csr_array, train: RatingDataset,
     """
     global_mean = ratings.data.mean()
     user_means = np.where(np.diff(ratings.indptr) > 0, _row_means(ratings), global_mean)
-    users = np.array([train.user_index.get(r.user_id, -1) for r in test.records],
-                     dtype=np.intp)
-    items = np.array([train.item_index.get(r.item_id, -1) for r in test.records],
-                     dtype=np.intp)
+    users, items = pair_codes(train, test)
     out = np.where(users >= 0, user_means[users], global_mean)
 
     # one candidate per (test pair, rater of its item), read off the item's column
@@ -282,8 +272,8 @@ def _knn_predictions(ratings: sparse.csr_array, train: RatingDataset,
 def baseline_user_knn(train: RatingDataset, test: RatingDataset,
                       k_neighbors: int = 100) -> np.ndarray:
     """Pearson-on-overall user KNN; neighbors above SIMILARITY_FLOOR only."""
-    users, items, overall = _record_indices(train)
-    ratings = _rating_matrix(users, items, overall, (train.num_users, train.num_items))
+    ratings = _rating_matrix(train.users, train.items, train.overall,
+                             (train.num_users, train.num_items))
     sims = pearson_user_similarities(ratings)
     return _knn_predictions(ratings, train, test, sims, k_neighbors)
 
@@ -295,42 +285,40 @@ def baseline_multi_user_knn(train: RatingDataset, test: RatingDataset,
     A criterion value of 0 means unrated and leaves no entry in that
     criterion's ratings.
     """
-    users, items, overall = _record_indices(train)
-    shape = (train.num_users, train.num_items)
-    criteria = np.array([rec.criteria for rec in train.records])
+    users, items, shape = train.users, train.items, (train.num_users, train.num_items)
     sims = sparse.csr_array((train.num_users, train.num_users))
-    for values in criteria.T:
+    for values in train.criteria.T:
         rated = values != 0.0
         sims = sims + pearson_user_similarities(
             _rating_matrix(users[rated], items[rated], values[rated], shape))
     sims = sims / train.num_criteria
-    return _knn_predictions(_rating_matrix(users, items, overall, shape),
+    return _knn_predictions(_rating_matrix(users, items, train.overall, shape),
                             train, test, sims, k_neighbors)
 
 
 def baseline_mlr(train: RatingDataset, test: RatingDataset) -> np.ndarray:
     """Least-squares fit of the overall rating on the criteria ratings."""
-    if len(train.records) < train.num_criteria + 1:
+    if len(train) < train.num_criteria + 1:
         raise ValueError(
             f"multiple linear regression needs at least {train.num_criteria + 1} "
-            f"records, got {len(train.records)}")
-    design = np.array([rec.criteria for rec in train.records])
-    design = np.column_stack([design, np.ones(len(train.records))])
-    targets = np.array([rec.overall for rec in train.records])
+            f"records, got {len(train)}")
+    design = np.column_stack([train.criteria, np.ones(len(train))])
+    targets = train.overall
 
     coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < design.shape[1]:
         gram = design.T @ design + 1e-6 * np.eye(design.shape[1])
         coef = np.linalg.solve(gram, design.T @ targets)
 
-    test_design = np.array([rec.criteria for rec in test.records])
-    test_design = np.column_stack([test_design, np.ones(len(test.records))])
+    test_design = np.column_stack([test.criteria, np.ones(len(test))])
     return np.clip(test_design @ coef, RATING_MIN, RATING_MAX)
 
 
 def write_predictions(test: RatingDataset, predicted: np.ndarray,
                       path: str | Path) -> None:
     lines = ["user_id,item_id,actual,predicted"]
-    for rec, value in zip(test.records, predicted):
-        lines.append(f"{rec.user_id},{rec.item_id},{rec.overall!r},{float(value)!r}")
+    for user, item, actual, value in zip(test.user_ids[test.users].tolist(),
+                                         test.item_ids[test.items].tolist(),
+                                         test.overall.tolist(), predicted):
+        lines.append(f"{user},{item},{actual!r},{float(value)!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

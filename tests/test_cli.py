@@ -94,9 +94,9 @@ class TestExitCodes:
     def test_empty_train_split_is_data_error(self, tmp_path, fast_cfg,
                                              monkeypatch, capsys):
         data = ev.make_planted_dataset(seed=0)
-        empty = ds.RatingDataset(data.num_users, data.num_items,
-                                 data.num_criteria, (), data.user_index,
-                                 data.item_index)
+        none = np.zeros(0, dtype=np.intp)
+        empty = ds.RatingDataset(data.user_ids, data.item_ids, none, none,
+                                 np.zeros(0), np.zeros((0, data.num_criteria)))
         monkeypatch.setattr(ev, "prepared_data", lambda cfg: (empty, empty))
         out = tmp_path / "out"
         assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) \
@@ -156,12 +156,12 @@ class TestExitCodes:
 
     def test_numeric_abort_from_all_failed_runs(self, tmp_path, fast_cfg,
                                                 monkeypatch, capsys):
-        def broken(cfg, run_index):
+        def broken(cfg, data, run_index):
             nan = float("nan")
             return ev.RunResult(run_index, run_index, nan, nan, 0.0, nan, nan,
                                 failed=True)
 
-        monkeypatch.setattr(ev, "run_single", broken)
+        monkeypatch.setattr(ev, "_run_prepared", broken)
         code = cli.main(["evaluate", "--config", fast_cfg,
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERIC

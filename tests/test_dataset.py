@@ -1,12 +1,20 @@
 """Rating data loading, normalization, splitting and statistics."""
 
+import contextlib
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mcgraph import cli, graph
 from mcgraph import dataset as ds
+from mcgraph import evaluate as ev
+from mcgraph import recommend as rec
 
 
 def write_csv(path, text):
@@ -244,3 +252,219 @@ def test_csv_round_trip_preserves_dataset(tmp_path_factory, data):
 def test_sparsity_always_in_unit_interval(data):
     stats = ds.compute_stats(data)
     assert 0.0 <= stats.sparsity <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Record-at-a-time reference: the data layer as it was before the columnar
+# layout, one `RatingRecord` per rating. The columnar code must agree with it
+# exactly: records, index maps, split/subsample membership and order, stats
+# and scaled values, and the class, message and line of every error.
+
+def ref_assemble(records, dedupe=False):
+    by_pair = {}
+    for rec in records:
+        key = (rec.user_id, rec.item_id)
+        if key in by_pair and not dedupe:
+            raise ds.DatasetError(f"duplicate rating for pair {key}")
+        by_pair[key] = rec
+    if not by_pair:
+        raise ds.DatasetError("empty dataset: no rating records")
+    final = tuple(by_pair.values())
+    user_index, item_index = {}, {}
+    for rec in final:
+        user_index.setdefault(rec.user_id, len(user_index))
+        item_index.setdefault(rec.item_id, len(item_index))
+    return final, user_index, item_index
+
+
+def ref_load_ratings(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        records, ratings, line_numbers = [], [], []
+        for line_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ds.ParseError(line_number,
+                                    f"expected {len(header)} columns, got {len(row)}")
+            try:
+                values = tuple(map(float, row[2:]))
+            except ValueError as exc:
+                raise ds.ParseError(line_number, f"non-numeric rating: {exc}") from None
+            records.append(ds.RatingRecord(row[0], row[1], values[0], values[1:]))
+            ratings.append(values)
+            line_numbers.append(line_number)
+    if not records:
+        raise ds.DatasetError(f"empty dataset: {path} has a header but no records")
+    matrix = np.array(ratings)
+    bad = ~(np.isfinite(matrix) & (matrix >= 0.0))
+    if bad.any():
+        first, column = np.argwhere(bad)[0]
+        raise ds.ParseError(line_numbers[first],
+                            f"rating {ratings[first][column]!r} in column "
+                            f"{header[2 + column]} must be finite and nonnegative")
+    return ref_assemble(records, dedupe=True)
+
+
+def ref_split(records, test_fraction, seed):
+    n = len(records)
+    n_test = int(test_fraction * n)
+    if n_test == 0 or n_test == n:
+        raise ds.DatasetError(f"{n} records cannot support a {test_fraction} test split")
+    order = np.random.default_rng(seed).permutation(n)
+    test_positions = set(order[:n_test].tolist())
+    train_recs = [records[i] for i in range(n) if i not in test_positions]
+    train_users = {rec.user_id for rec in train_recs}
+    train_items = {rec.item_id for rec in train_recs}
+    test_recs = []
+    for i in sorted(test_positions):
+        rec = records[i]
+        if rec.user_id not in train_users or rec.item_id not in train_items:
+            train_recs.append(rec)
+            train_users.add(rec.user_id)
+            train_items.add(rec.item_id)
+        else:
+            test_recs.append(rec)
+    if not test_recs:
+        raise ds.DatasetError("every candidate test record was cold; cannot split")
+    return ref_assemble(train_recs), ref_assemble(test_recs)
+
+
+def ref_subsample(records, ts_percent, seed):
+    n = len(records)
+    chosen = np.random.default_rng(seed).permutation(n)[:(ts_percent * n) // 100]
+    return ref_assemble(records[i] for i in sorted(chosen.tolist()))
+
+
+def ref_variance(records):
+    return float(np.array([v for rec in records for v in rec.criteria]).var())
+
+
+def ref_normalize(records, lo, hi):
+    def convert(rec, value):
+        if not lo <= value <= hi:
+            raise ds.RangeError(f"rating {value} for pair ({rec.user_id}, {rec.item_id}) "
+                                f"outside source range [{lo}, {hi}]")
+        return 1.0 + 4.0 * (value - lo) / (hi - lo)
+    return tuple(ds.RatingRecord(rec.user_id, rec.item_id, convert(rec, rec.overall),
+                                 tuple(convert(rec, v) if v else 0.0 for v in rec.criteria))
+                 for rec in records)
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, (class, message, line)) if `fn` raised."""
+    try:
+        return fn(*args), None
+    except ds.DatasetError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line_number", None))
+
+
+def same_dataset(data, expected):
+    records, user_index, item_index = expected
+    return (data.records == records and data.user_index == user_index
+            and data.item_index == item_index
+            and (data.num_users, data.num_items) == (len(user_index), len(item_index)))
+
+
+DEFECTS = {"ragged": lambda row, k: row[:-1],
+           "non-numeric": lambda row, k: row[:k] + ["x1"] + row[k + 1:],
+           "non-finite": lambda row, k: row[:k] + [["nan", "inf", "-inf"][k % 3]] + row[k + 1:],
+           "negative": lambda row, k: row[:k] + ["-1.5"] + row[k + 1:]}
+
+
+@st.composite
+def rating_csvs(draw):
+    """CSV text with repeated pairs whose values change, blank lines, quoted ids
+    holding commas and quotes, unrated zeros, 1-4 criteria, and possibly one
+    defect class in one or two rows."""
+    n_criteria = draw(st.integers(1, 4))
+    ids = st.text(alphabet='ab,"1 ', min_size=1, max_size=3)
+    users = draw(st.lists(ids, min_size=2, max_size=8, unique=True))
+    items = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.integers(0, 10).map(float))
+    rows = [[u, i, *map(repr, values)] for u, i, values in draw(st.lists(
+        st.tuples(st.sampled_from(users), st.sampled_from(items),
+                  st.lists(value, min_size=n_criteria + 1, max_size=n_criteria + 1)),
+        min_size=12, max_size=80))]
+    defect = draw(st.sampled_from([None] * 4 + list(DEFECTS)))
+    if defect is not None:
+        for row in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2)):
+            rows[row] = DEFECTS[defect](rows[row], draw(st.integers(2, n_criteria + 2)))
+    for position in draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        rows.insert(position, [])
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(ds._expected_header(n_criteria))
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@given(rating_csvs(), st.sampled_from([(0.0, 5.0), (0.0, 10.0), (1.0, 10.0)]),
+       st.sampled_from([1, 3, 7, ds._CHUNK_ROWS]))
+@settings(max_examples=150, deadline=None)
+def test_columnar_layer_matches_record_reference(tmp_path_factory, text, source,
+                                                 chunk_rows):
+    path = tmp_path_factory.mktemp("oracle") / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ds, "_CHUNK_ROWS", chunk_rows):  # chunk borders anywhere
+        data, error = outcome(ds.load_ratings, path)
+    expected, expected_error = outcome(ref_load_ratings, path)
+    assert error == expected_error
+    if error is not None:
+        return
+    assert same_dataset(data, expected)
+    records = expected[0]
+
+    assert ds.compute_stats(data).variance_criteria_ratings == ref_variance(records)
+    scaled, error = outcome(ds.normalize_scale, data, source)
+    scaled_expected, expected_error = outcome(ref_normalize, records, *source)
+    assert error == expected_error
+    if error is None:
+        assert scaled.records == scaled_expected
+
+    for seed in range(4):
+        split, error = outcome(ds.split_train_test, data, 0.3, seed)
+        split_expected, expected_error = outcome(ref_split, records, 0.3, seed)
+        assert error == expected_error
+        if error is not None:
+            continue
+        for part, part_expected in zip(split, split_expected):
+            assert same_dataset(part, part_expected)
+        for ts in (40, 60, 80):
+            sub, error = outcome(ds.subsample_train, split[0], ts, seed)
+            sub_expected, expected_error = outcome(ref_subsample, split_expected[0][0],
+                                                   ts, seed)
+            assert error == expected_error
+            if error is None:
+                assert same_dataset(sub, sub_expected)
+
+
+def test_pipeline_builds_no_records(tmp_path, monkeypatch):
+    """Loading, preparing, views, baselines, fit/predict and the ingest and
+    stats commands all read the columns; none builds a `RatingRecord`."""
+    path = tmp_path / "ratings.csv"
+    path.write_text("user_id,item_id,overall,c1,c2\n"
+                    + "".join(f"u{k % 6},i{k % 7},{1 + k % 5},{1 + k % 4},{k % 3}\n"
+                              for k in range(42)),
+                    encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a RatingRecord was built")
+    monkeypatch.setattr(ds.RatingDataset, "records", property(refuse), raising=False)
+    monkeypatch.setattr(ds.RatingRecord, "__init__", refuse)
+
+    ds.load_ratings(path)
+    quick = dict(n_runs=1, epochs=2, predictor=rec.PredictorConfig(epochs=2))
+    for cfg in (ev.ExperimentConfig(dataset_path=str(path), **quick),
+                ev.ExperimentConfig(**quick)):
+        train, test = ev.prepared_data(cfg)
+        graph.build_views(train)
+        ev.fit(cfg, train, seed=0).predict(test)
+        for name in ("user_knn", "multi_user_knn", "mlr"):
+            ev.baseline_report(cfg, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["ingest", "--data", str(path), "--scale", "1:5",
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert cli.main(["stats", "--data", str(path)]) == cli.EXIT_OK
+        assert cli.main(["stats"]) == cli.EXIT_OK

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,22 @@ class TestRunExperiment:
         assert [r.seed for r in results] == [5, 6, 7]
         assert [r.run_index for r in results] == [0, 1, 2]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_data_is_prepared_once_per_experiment(self, monkeypatch, jobs):
+        cfg = fast_config(seed_base=3, n_runs=3)
+        expected = [replace(ev.run_single(cfg, i), wall_clock=0.0) for i in range(3)]
+        real, parent, callers = ev.prepared_data, os.getpid(), []
+
+        def counting(config):
+            callers.append(os.getpid())  # a forked worker appends to its own copy
+            if os.getpid() != parent:
+                raise AssertionError("a worker prepared the data again")
+            return real(config)
+        monkeypatch.setattr(ev, "prepared_data", counting)
+        results = ev.experiment_runs(cfg, jobs=jobs)
+        assert callers == [parent]
+        assert [replace(r, wall_clock=0.0) for r in results] == expected
+
     def test_deterministic_across_calls(self):
         a = ev.run_experiment(fast_config())
         b = ev.run_experiment(fast_config())
@@ -237,29 +254,29 @@ class TestRunExperiment:
 
     def test_failed_runs_excluded_but_counted(self, monkeypatch):
         cfg = fast_config(n_runs=3)
-        real = ev.run_single
+        real = ev._run_prepared
 
-        def flaky(config, run_index):
-            result = real(config, run_index)
+        def flaky(config, data, run_index):
+            result = real(config, data, run_index)
             if run_index == 1:
                 nan = float("nan")
                 return ev.RunResult(run_index, result.seed, nan, nan,
                                     0.0, nan, nan, failed=True)
             return result
 
-        monkeypatch.setattr(ev, "run_single", flaky)
+        monkeypatch.setattr(ev, "_run_prepared", flaky)
         report = ev.run_experiment(cfg)
         assert report.failed_runs == 1
         assert report.run_indices == (0, 2)
         assert all(math.isfinite(m) for m in report.mae_runs)
 
     def test_all_failed_raises(self, monkeypatch):
-        def broken(config, run_index):
+        def broken(config, data, run_index):
             nan = float("nan")
             return ev.RunResult(run_index, run_index, nan, nan, 0.0,
                                 nan, nan, failed=True)
 
-        monkeypatch.setattr(ev, "run_single", broken)
+        monkeypatch.setattr(ev, "_run_prepared", broken)
         with pytest.raises(RuntimeError, match="aborted"):
             ev.run_experiment(fast_config())
 

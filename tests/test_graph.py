@@ -159,7 +159,8 @@ class TestBuildViews:
 
     def test_empty_dataset_rejected(self):
         data = small_dataset()
-        empty = type(data)(data.num_users, data.num_items, data.num_criteria,
-                           (), data.user_index, data.item_index)
+        none = np.zeros(0, dtype=np.intp)
+        empty = type(data)(data.user_ids, data.item_ids, none, none, np.zeros(0),
+                           np.zeros((0, data.num_criteria)))
         with pytest.raises(DatasetError, match="empty dataset"):
             graph.build_views(empty)

@@ -161,7 +161,9 @@ class TestRatingHead:
     def test_empty_training_set_rejected(self):
         fused = make_fused(2, 2, 4)
         data = from_records([RatingRecord("u0", "i0", 3.0, (3.0,))])
-        empty = type(data)(2, 2, 1, (), data.user_index, data.item_index)
+        none = np.zeros(0, dtype=np.intp)
+        empty = type(data)(data.user_ids, data.item_ids, none, none, np.zeros(0),
+                           np.zeros((0, 1)))
         with pytest.raises(ValueError, match="empty"):
             rec.train_predictor(fused, empty)
 
@@ -250,7 +252,7 @@ def random_dataset(seed, n_users=8, n_items=10, density=0.6, criteria=3):
 
 def sparse_ratings(data, criterion=None):
     """The library's rating matrix; criterion=None selects overall."""
-    users, items, values = rec._record_indices(data)
+    users, items, values = data.users, data.items, data.overall
     if criterion is not None:
         values = np.array([r.criteria[criterion] for r in data.records])
         rated = values != 0.0
