@@ -18,8 +18,10 @@ operators (`S @ values`). The encoder therefore adds two tape nodes
 whatever the number of views and heads; encoding one view is the
 one-block case.
 
-Parameters live in a flat name -> array dict so the optimizer, the
-regularizer and the gradient checker can treat them uniformly.
+Parameters are addressed by name (`head_key`, `gate_key`, "x") in a
+name -> array dict. During training each entry is a reshaped view into one
+contiguous parameter vector, in `init_params`' key order, so the optimizer
+and the regularizer see a single vector while the encoder reads names.
 """
 
 from __future__ import annotations

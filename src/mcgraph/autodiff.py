@@ -13,6 +13,10 @@ The row gather's backward and the segment sum scatter through
 order exactly like numpy's unbuffered `ufunc.at` scatter, at a fraction of
 its cost. The fused encoder op sums over edges with cached CSR operators
 instead, which add in the same order.
+
+A leaf's `.grad` may be preset before the backward pass, for instance to a
+view of a flat gradient buffer that holds every parameter: gradients are
+then added into that array in place, and no leaf allocates its own.
 """
 
 from __future__ import annotations
@@ -76,9 +80,15 @@ def _wrap(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad in place, allocating it on the first visit.
+
+    The first visit stores 0.0 + g, which is bit for bit what adding g to a
+    zero array gives (-0.0 included) without the separate zero fill.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.value))
+    else:
+        t.grad += g
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
@@ -131,8 +141,10 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Accumulate gradients of the scalar `root` into every node's `.grad`.
 
-    Gradients sum over all paths; leaves not reachable from the root keep
-    `grad=None` (read them back with `grad_of`, which substitutes zeros).
+    Gradients sum over all paths into each node's `.grad`, added in place
+    when it was preset; leaves not reachable from the root keep what they
+    had, `grad=None` unless preset (read them back with `grad_of`, which
+    substitutes zeros).
     Higher-order differentiation is out of contract: a second backward
     through the same root is an error.
     """

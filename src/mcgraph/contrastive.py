@@ -19,16 +19,21 @@ one segment sum. A loss thus adds the same number of tape nodes whatever the
 number of views, positives or negatives; `lcl_tensor` and `hgcl_tensor`
 stack a list of per-view tensors first.
 
-Only the contrastive terms live on the autodiff tape. The L2 term is a float
-(`_l2`) and its gradient, 2·lambda·theta, is added to the tape's gradients
-before clipping. Without contrastive training (the no-CL ablation, or a
+Only the contrastive terms live on the autodiff tape. `train` keeps every
+parameter in one contiguous vector theta, in `init_params`' key order, and
+the name -> array dict it hands the encoder and returns holds reshaped views
+into theta. The gradient and Adam's two moments are vectors of the same
+layout: each leaf tensor's gradient is preset to its view of the gradient
+buffer, so the tape adds into it in place. The L2 term (`_l2`), its gradient
+2·lambda·theta, the global-norm clip and the Adam step are then one vector
+operation each. Without contrastive training (the no-CL ablation, or a
 single view) no loss term reads the embeddings, so `train` skips the encoder
 pass and descends on weight decay alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -66,6 +71,8 @@ class LossReport:
     l_hgcl: float
     l2_term: float
     l_total: float
+    grad_norm: float = 0.0   # global gradient norm before clipping
+    clipped: bool = False    # whether the clip rescaled the gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +329,24 @@ def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
                              permutations, cfg).value)
 
 
-def _l2(params: Mapping[str, np.ndarray]) -> float:
-    """Sum of squares of every parameter, in key order."""
-    l2 = 0.0
-    for arr in params.values():
-        l2 += float((arr * arr).sum())
-    return l2
+def _l2(theta: np.ndarray) -> float:
+    """Sum of squares of a flat parameter vector."""
+    return float((theta * theta).sum())
+
+
+def flatten(params: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Every array of `params`, raveled and joined in key order."""
+    return np.concatenate([np.ravel(a) for a in params.values()])
+
+
+def unflatten(flat: np.ndarray, like: Mapping[str, np.ndarray]
+              ) -> dict[str, np.ndarray]:
+    """`like`'s keys and shapes as consecutive reshaped views into `flat`."""
+    out, start = {}, 0
+    for key, arr in like.items():
+        out[key] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return out
 
 
 def _weighted(lcl, hgcl, l2, cfg: LossConfig):
@@ -338,46 +357,47 @@ def _weighted(lcl, hgcl, l2, cfg: LossConfig):
 def total_loss(l_lcl: float, l_hgcl: float, params: Mapping[str, np.ndarray],
                cfg: LossConfig, epoch: int = 0) -> LossReport:
     """Weighted combination; the report identity holds exactly as computed."""
-    l2 = _l2(params)
+    l2 = _l2(flatten(params))
     total = _weighted(l_lcl, l_hgcl, l2, cfg)
     return LossReport(epoch=epoch, l_lcl=l_lcl, l_hgcl=l_hgcl,
                       l2_term=l2, l_total=total)
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# optimizer (flat vectors)
 
 @dataclass
 class AdamState:
-    first: dict[str, np.ndarray] = field(default_factory=dict)
-    second: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moments, laid out like the parameter vector; both
+    start as zeros on the first step."""
+    first: np.ndarray | None = None
+    second: np.ndarray | None = None
     step: int = 0
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most max_norm;
+    returns the norm before scaling."""
+    total = float(np.sqrt((grads * grads).sum()))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
-def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                state: AdamState, learning_rate: float,
-                beta1: float = 0.9, beta2: float = 0.999,
+def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
+                learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
+    """One Adam step (Kingma & Ba 2014) on the parameter vector, in place."""
+    if state.first is None:
+        state.first, state.second = np.zeros_like(grads), np.zeros_like(grads)
     state.step += 1
     t = state.step
-    for key, grad in grads.items():
-        m = state.first.setdefault(key, np.zeros_like(grad))
-        v = state.second.setdefault(key, np.zeros_like(grad))
-        m += (1.0 - beta1) * (grad - m)
-        v += (1.0 - beta2) * (grad * grad - v)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.first, state.second
+    m += (1.0 - beta1) * (grads - m)
+    v += (1.0 - beta2) * (grads * grads - v)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +438,18 @@ class TrainConfig:
 def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
           epochs: int | None = None
           ) -> tuple[dict[str, np.ndarray], list[LossReport]]:
-    """Optimize encoder parameters on the views; deterministic per seed."""
+    """Optimize encoder parameters on the views; deterministic per seed.
+
+    The returned dict holds `init_params`' keys in their order, each a view
+    into one flat parameter vector.
+    """
     epochs = cfg.epochs if epochs is None else epochs
     num_nodes = views[0].num_nodes
-    params = att.init_params(num_nodes, len(views), cfg.encoder, seed)
+    initial = att.init_params(num_nodes, len(views), cfg.encoder, seed)
+    theta = flatten(initial)
+    params = unflatten(theta, initial)
+    grad = np.zeros_like(theta)
+    leaf_grads = unflatten(grad, initial)
     state = AdamState()
     trace: list[LossReport] = []
     plan: ContrastPlan | None = None
@@ -431,9 +459,13 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
 
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            l2 = _l2(params)
+            l2 = _l2(theta)
             if use_cl:
+                # the tape adds every leaf's gradient into its view of `grad`
+                grad.fill(0.0)
                 tensors = {key: ad.Tensor(value) for key, value in params.items()}
+                for key, tensor in tensors.items():
+                    tensor.grad = leaf_grads[key]
                 stack = att.encode_stack(blocks, tensors, cfg.encoder,
                                          cfg.use_global_attention)
                 if plan is None or epoch % cfg.refresh_period == 0:
@@ -445,24 +477,25 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
                 l_lcl, l_hgcl = float(lcl.value), float(hgcl.value)
             else:
                 l_lcl = l_hgcl = 0.0
-            report = LossReport(epoch=epoch + 1, l_lcl=l_lcl, l_hgcl=l_hgcl,
-                                l2_term=l2,
-                                l_total=_weighted(l_lcl, l_hgcl, l2, cfg.loss))
-            if not np.isfinite(report.l_total):
+            l_total = _weighted(l_lcl, l_hgcl, l2, cfg.loss)
+            if not np.isfinite(l_total):
                 raise NonFiniteLossError(epoch + 1, trace[-1] if trace else None)
-            trace.append(report)
 
             if use_cl:
                 ad.backward(_weighted(lcl, hgcl, 0.0, cfg.loss))
-                grads = {key: ad.grad_of(tensor) + decay * params[key]
-                         for key, tensor in tensors.items()}
+                grad += decay * theta
             else:
-                grads = {key: decay * value for key, value in params.items()}
+                np.multiply(theta, decay, out=grad)
+        norm = clip_gradients(grad, cfg.clip_norm)
+        report = LossReport(epoch=epoch + 1, l_lcl=l_lcl, l_hgcl=l_hgcl,
+                            l2_term=l2, l_total=l_total, grad_norm=norm,
+                            clipped=norm > cfg.clip_norm)
         # a NaN norm skips clipping (NaN > max_norm is False); stop before
         # Adam writes it into the parameters
-        if not np.isfinite(clip_gradients(grads, cfg.clip_norm)):
-            raise NonFiniteLossError(epoch + 1, trace[-1])
-        adam_update(params, grads, state, cfg.learning_rate)
+        if not np.isfinite(norm):
+            raise NonFiniteLossError(epoch + 1, report)
+        trace.append(report)
+        adam_update(theta, grad, state, cfg.learning_rate)
     return params, trace
 
 

@@ -315,6 +315,21 @@ class TestTrain:
         assert sidecar["epochs"] == 3
         capsys.readouterr()
 
+    def test_checkpoint_members_keep_their_names_and_shapes(
+            self, tmp_path, fast_cfg, capsys):
+        # the planted data's 80 nodes under the default encoder widths
+        per_layer = (("h1/w", (4, 8)), ("h1/a", (8,)), ("h2/w", (4, 8)),
+                     ("h2/a", (8,)), ("wg", (8,)))
+        expected = [("x", (80, 8))] + [
+            (f"view{v}/l{layer}/{name}", shape)
+            for v in (1, 2, 3) for layer in (1, 2) for name, shape in per_layer]
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--seed", "7",
+                         "--out", str(out)]) == cli.EXIT_OK
+        with np.load(out / "checkpoint.npz") as stored:
+            assert [(k, stored[k].shape) for k in stored.files] == expected
+        capsys.readouterr()
+
     def test_repeat_run_byte_identical(self, tmp_path, fast_cfg, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         cli.main(["train", "--config", fast_cfg, "--seed", "7", "--out", str(a)])

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 from mcgraph import attention as att
 from mcgraph import autodiff as ad
 from mcgraph import contrastive as cl
+from mcgraph import evaluate as ev
 from mcgraph.dataset import DatasetError
+from mcgraph.graph import build_views
 from tests.test_attention import view_from_incidence
 
 
@@ -272,6 +274,19 @@ class TestTrainConfigValidation:
             cl.TrainConfig(**{name: value})
 
 
+def capture_leaves(monkeypatch):
+    """Record the parameter leaves `train` hands the encoder, one dict per
+    epoch."""
+    leaves = []
+    encode = att.encode_stack
+
+    def capturing(graph, tensors, *args, **kwargs):
+        leaves.append(tensors)
+        return encode(graph, tensors, *args, **kwargs)
+    monkeypatch.setattr(att, "encode_stack", capturing)
+    return leaves
+
+
 def two_view_setup(seed=0):
     rng = np.random.default_rng(seed)
     views = []
@@ -459,10 +474,23 @@ class TestTrain:
 
     def test_nan_gradient_aborts_before_the_update(self, monkeypatch):
         views = two_view_setup()
-        monkeypatch.setattr(ad, "grad_of",
-                            lambda leaf: np.full_like(leaf.value, np.nan))
+        cfg = self.tiny_config()
+        leaves = capture_leaves(monkeypatch)
+        backward = ad.backward
+
+        def poisoned(root):
+            backward(root)
+            leaves[-1]["x"].grad[0, 0] = np.nan
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("Adam ran on a non-finite gradient")
+        monkeypatch.setattr(ad, "backward", poisoned)
+        monkeypatch.setattr(cl, "adam_update", no_step)
         with pytest.raises(cl.NonFiniteLossError, match="epoch 1"):
-            cl.train(views, self.tiny_config(), seed=0, epochs=1)
+            cl.train(views, cfg, seed=0, epochs=1)
+        initial = att.init_params(8, 2, cfg.encoder, seed=0)
+        for key, tensor in leaves[-1].items():
+            assert np.array_equal(tensor.value, initial[key])
 
     def test_contrastive_disabled_reports_zero_losses(self):
         views = two_view_setup()
@@ -480,6 +508,50 @@ class TestTrain:
         report = cl.total_loss(trace[0].l_lcl, trace[0].l_hgcl, initial, cfg.loss)
         assert trace[0].l2_term == report.l2_term
         assert trace[0].l_total == report.l_total
+
+    def test_returns_init_params_layout_as_views_of_one_vector(self):
+        views = two_view_setup()
+        cfg = self.tiny_config()
+        params, _ = cl.train(views, cfg, seed=1, epochs=2)
+        initial = att.init_params(8, 2, cfg.encoder, seed=1)
+        assert list(params) == list(initial)
+        assert [p.shape for p in params.values()] == \
+            [p.shape for p in initial.values()]
+        theta = params["x"].base
+        assert theta.shape == (sum(p.size for p in initial.values()),)
+        assert all(p.base is theta for p in params.values())
+        assert np.array_equal(theta, cl.flatten(params))
+
+    def test_leaf_gradients_are_views_of_one_buffer(self, monkeypatch):
+        views = two_view_setup()
+        leaves = capture_leaves(monkeypatch)
+        backward = ad.backward
+        buffers = []
+
+        def checking(root):
+            backward(root)
+            tensors = leaves[-1]
+            buffer = tensors["x"].grad.base
+            assert buffer.shape == (sum(t.value.size for t in tensors.values()),)
+            assert not np.shares_memory(buffer, tensors["x"].value)
+            for tensor in tensors.values():
+                assert tensor.grad.shape == tensor.value.shape
+                assert np.shares_memory(tensor.grad, buffer)
+            buffers.append(buffer)
+        monkeypatch.setattr(ad, "backward", checking)
+        cl.train(views, self.tiny_config(), seed=0, epochs=3)
+        assert len(buffers) == 3
+        assert all(b is buffers[0] for b in buffers)
+
+    def test_clipped_exactly_when_norm_exceeds_clip_on_planted(self):
+        cfg = ev.ExperimentConfig()
+        train_data, _ = ev.prepared_data(cfg)
+        train_cfg = cfg.train_config().variant("full")
+        _, trace = cl.train(build_views(train_data), train_cfg, seed=4)
+        assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in trace)
+        assert [r.clipped for r in trace] == \
+            [r.grad_norm > train_cfg.clip_norm for r in trace]
+        assert any(r.clipped for r in trace)
 
     @pytest.mark.parametrize("num_views, use_contrastive", [(2, False), (1, True)],
                              ids=["no_cl", "single_view"])
@@ -525,24 +597,88 @@ class TestTrain:
 
 class TestOptimizer:
     def test_adam_moves_toward_quadratic_minimum(self):
-        params = {"x": np.array([5.0])}
+        theta = np.array([5.0])
         state = cl.AdamState()
         for _ in range(800):
-            grads = {"x": 2.0 * params["x"]}
-            cl.adam_update(params, grads, state, learning_rate=0.05)
-        assert abs(params["x"][0]) < 1e-2
+            cl.adam_update(theta, 2.0 * theta, state, learning_rate=0.05)
+        assert abs(theta[0]) < 1e-2
 
     def test_clip_rescales_global_norm(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        grads = np.array([3.0, 0.0, 4.0])
         norm = cl.clip_gradients(grads, max_norm=1.0)
         assert_allclose(norm, 5.0)
-        total = np.sqrt(sum((g ** 2).sum() for g in grads.values()))
-        assert_allclose(total, 1.0)
+        assert_allclose(np.linalg.norm(grads), 1.0)
 
     def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3])}
+        grads = np.array([0.3])
         cl.clip_gradients(grads, max_norm=5.0)
-        assert_allclose(grads["a"], [0.3])
+        assert_allclose(grads, [0.3])
+
+
+# Per-key reference optimizer: the dict-of-arrays form the flat vector ops
+# replace, kept as the oracle they must reproduce.
+
+def ref_clip_gradients(grads, max_norm):
+    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
+
+
+def ref_adam_update(params, grads, state, learning_rate,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    state["step"] += 1
+    t = state["step"]
+    for key, grad in grads.items():
+        m = state["first"].setdefault(key, np.zeros_like(grad))
+        v = state["second"].setdefault(key, np.zeros_like(grad))
+        m += (1.0 - beta1) * (grad - m)
+        v += (1.0 - beta2) * (grad * grad - v)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+param_shapes = st.dictionaries(
+    st.text(alphabet="abwx/12", min_size=1, max_size=5),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=param_shapes, seed=st.integers(0, 2**32 - 1),
+       learning_rate=st.floats(1e-4, 0.1))
+def test_flat_adam_is_bit_identical_to_per_key_reference(shapes, seed,
+                                                         learning_rate):
+    rng = np.random.default_rng(seed)
+    params = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+    theta = cl.flatten(params)
+    state, ref_state = cl.AdamState(), {"first": {}, "second": {}, "step": 0}
+    for _ in range(20):
+        grads = {key: rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                 for key, p in params.items()}
+        cl.adam_update(theta, cl.flatten(grads), state, learning_rate)
+        ref_adam_update(params, grads, ref_state, learning_rate)
+        assert np.array_equal(theta, cl.flatten(params))
+    assert np.array_equal(state.first, cl.flatten(ref_state["first"]))
+    assert np.array_equal(state.second, cl.flatten(ref_state["second"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=param_shapes, seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.1, 2.0))
+def test_flat_clip_matches_per_key_reference(shapes, seed, fraction):
+    rng = np.random.default_rng(seed)
+    grads = {key: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+             for key, shape in shapes.items()}
+    flat = cl.flatten(grads)
+    max_norm = fraction * float(np.linalg.norm(flat)) or 1.0
+    norm = cl.clip_gradients(flat, max_norm)
+    ref_norm = ref_clip_gradients(grads, max_norm)
+    assert_allclose(norm, ref_norm, rtol=1e-14)
+    assert_allclose(flat, cl.flatten(grads), rtol=1e-14)
 
 
 def test_loss_trace_csv_format(tmp_path):
