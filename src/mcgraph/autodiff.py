@@ -3,16 +3,16 @@
 Eager, define-by-run: every op computes its value immediately and records
 how to push gradients back to its parents. The primitive set is the minimum
 needed by the contrastive losses and the gradient checker: add, elementwise
-mul/div, concat, reshape, exp, log, sqrt, sum/mean, row gather and segment
-sum. The attention encoder builds each of its two layers, for all views at
-once, as one fused op of its own (see `attention.py`). Everything is
+mul/div (broadcasting), concat, reshape, exp, log, sqrt, sum/mean and row
+gather. The attention encoder builds each of its two layers, for all views
+at once, as one fused op of its own (see `attention.py`). Everything is
 float64.
 
-The row gather's backward and the segment sum scatter through
-`_scatter_add`: one `np.bincount` per trailing column. It adds in index
-order exactly like numpy's unbuffered `ufunc.at` scatter, at a fraction of
-its cost. The fused encoder op sums over edges with cached CSR operators
-instead, which add in the same order.
+The row gather's backward scatters through `_scatter_add`: one
+`np.bincount` per trailing column. It adds in index order exactly like
+numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The fused
+encoder op sums over edges with cached CSR operators instead, which add in
+the same order.
 
 A leaf's `.grad` may be preset before the backward pass, for instance to a
 view of a flat gradient buffer that holds every parameter: gradients are
@@ -247,11 +247,9 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     value = a.value.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.value.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.value.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.value.shape))
     return Tensor(value, "sum", (a,), back)
 
 
@@ -284,18 +282,6 @@ def tsqrt(a: Tensor) -> Tensor:
     return Tensor(value, "sqrt", (a,), back)
 
 
-def segment_sum(values: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows (or scalars) of `values` into per-segment buckets."""
-    seg = np.asarray(segments, dtype=np.intp)
-    if seg.shape[0] != values.value.shape[0]:
-        raise ShapeError(f"segment_sum: segments {seg.shape} vs values {values.shape}")
-    out = _scatter_add(seg, values.value, num_segments)
-
-    def back(g):
-        _accumulate(values, g[seg])
-    return Tensor(out, "segment_sum", (values,), back)
-
-
 # ---------------------------------------------------------------------------
 # composites used throughout the model code
 
@@ -310,15 +296,16 @@ def sum_of_squares(tensors: Iterable[Tensor]) -> Tensor:
 
 
 def row_norms(a: Tensor) -> Tensor:
-    """Euclidean norm of each row of a 2-D tensor."""
-    return tsqrt(tsum(mul(a, a), axis=1))
+    """Euclidean norm over the last axis."""
+    return tsqrt(tsum(mul(a, a), axis=-1))
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity between two equal-shape 2-D tensors."""
-    if a.value.shape != b.value.shape:
+    """Cosine similarity over the last axis; the leading axes broadcast, so
+    a (T, 1, d) tensor against a (T, m, d) one gives (T, m)."""
+    if a.value.shape[-1] != b.value.shape[-1]:
         raise ShapeError(f"cosine_rows: {a.shape} vs {b.shape}")
-    dots = tsum(mul(a, b), axis=1)
+    dots = tsum(mul(a, b), axis=-1)
     return div(dots, mul(row_norms(a), row_norms(b)))
 
 

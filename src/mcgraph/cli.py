@@ -52,26 +52,16 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
-def _config_file_keys(text: str) -> set[str]:
-    keys = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#") and "=" in line:
-            keys.add(line.partition("=")[0].strip())
-    return keys
-
-
 def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
     """Defaults, then the config file, then flags; env seed is the weakest."""
     cfg = ev.ExperimentConfig()
-    file_keys: set[str] = set()
+    file_values: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ValueError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-        cfg = ev.parse_config(text, cfg)
-        file_keys = _config_file_keys(text)
+        file_values = ev.config_values(path.read_text(encoding="utf-8"))
+        cfg = ev.apply_config_values(cfg, file_values)
     overrides: dict[str, object] = {}
     if args.data:
         overrides["dataset_path"] = args.data
@@ -87,7 +77,7 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
         cfg = ev.apply_config_values(cfg, overrides)
     if args.seed is not None:
         cfg = replace(cfg, seed_base=args.seed)
-    elif "seed_base" not in file_keys:
+    elif "seed_base" not in file_values:
         env_seed = os.environ.get("MCGRAPH_SEED")
         if env_seed is not None:
             try:

@@ -13,11 +13,14 @@ differentiable graph and is refreshed on a fixed epoch period, so between
 refreshes the loss is a fixed differentiable function of the parameters.
 
 The encoder returns all views as one stacked (V*n, d) tensor, and each loss
-reads that stack directly: one batched InfoNCE over every ordered view pair
-at once, whose rows are gathered by index arrays and whose denominators are
-one segment sum. A loss thus adds the same number of tape nodes whatever the
-number of views, positives or negatives; `lcl_tensor` and `hgcl_tensor`
-stack a list of per-view tensors first.
+reads that stack directly: one batched InfoNCE (van den Oord et al. 2018)
+over every ordered view pair at once. Its T terms form a dense (T, 1+K)
+block of indices into a source matrix, the positive in column 0 and the K
+negatives after it. Each term's anchor row is gathered once and broadcast
+against its 1+K candidate rows, and each row of the cosine block has one
+softmax. A loss thus adds the same number of tape nodes whatever the number
+of views, positives or negatives; `lcl_tensor` and `hgcl_tensor` stack a
+list of per-view tensors first.
 
 Only the contrastive terms live on the autodiff tape. `train` keeps every
 parameter in one contiguous vector theta, in `init_params`' key order, and
@@ -122,11 +125,9 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
                      where=norms > 0)
 
 
-def neighborhood_similarities(view: CriterionView,
-                              embeddings: np.ndarray) -> np.ndarray:
-    """Mean cosine similarity of each node to its neighbors; -inf if isolated."""
+def _neighbor_means(view: CriterionView, unit: np.ndarray) -> np.ndarray:
+    """`neighborhood_similarities` of embeddings whose unit rows are `unit`."""
     centers, neighbors = view.neighbor_arrays()
-    unit = _unit_rows(embeddings)
     edge_sims = np.einsum("ij,ij->i", unit[centers], unit[neighbors])
     totals = np.bincount(centers, weights=edge_sims, minlength=view.num_nodes)
     counts = np.bincount(centers, minlength=view.num_nodes)
@@ -136,9 +137,13 @@ def neighborhood_similarities(view: CriterionView,
     return out
 
 
-def select_anchor(view: CriterionView, embeddings: np.ndarray) -> int:
-    """Node with the highest neighborhood similarity; ties pick the lowest index."""
-    sims = neighborhood_similarities(view, embeddings)
+def neighborhood_similarities(view: CriterionView,
+                              embeddings: np.ndarray) -> np.ndarray:
+    """Mean cosine similarity of each node to its neighbors; -inf if isolated."""
+    return _neighbor_means(view, _unit_rows(embeddings))
+
+
+def _best_node(view: CriterionView, sims: np.ndarray) -> int:
     if np.all(np.isneginf(sims)):
         raise IsolatedViewError(
             f"view {view.criterion_index}: every node is isolated, no anchor "
@@ -146,12 +151,17 @@ def select_anchor(view: CriterionView, embeddings: np.ndarray) -> int:
     return int(np.argmax(sims))
 
 
+def select_anchor(view: CriterionView, embeddings: np.ndarray) -> int:
+    """Node with the highest neighborhood similarity; ties pick the lowest index."""
+    return _best_node(view, neighborhood_similarities(view, embeddings))
+
+
 def build_anchor_set(view: CriterionView, embeddings: np.ndarray,
                      cfg: LossConfig) -> AnchorSet:
-    sims = neighborhood_similarities(view, embeddings)
-    anchor = select_anchor(view, embeddings)
-    eligible = ~np.isneginf(sims)
     unit = _unit_rows(embeddings)
+    sims = _neighbor_means(view, unit)
+    anchor = _best_node(view, sims)
+    eligible = ~np.isneginf(sims)
     to_anchor = unit @ unit[anchor]
 
     positive_mask = eligible & (to_anchor >= cfg.pos_threshold)
@@ -222,13 +232,17 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 # losses (tensor level)
 
-def _info_nce(anchors: ad.Tensor, partners: ad.Tensor, segments: np.ndarray,
-              num_terms: int, cfg: LossConfig) -> ad.Tensor:
-    """Summed InfoNCE terms: row t < num_terms of (anchors, partners) is term
-    t's positive; every later row r is a negative of term segments[r]."""
-    scaled = ad.cosine_rows(anchors, partners) * (1.0 / cfg.temperature)
-    denom = ad.segment_sum(ad.texp(scaled), segments, num_terms)
-    return ad.tsum(ad.tlog(denom) - ad.take_rows(scaled, np.arange(num_terms)))
+def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
+              cfg: LossConfig) -> ad.Tensor:
+    """Summed InfoNCE terms over a dense (T, 1+K) score block: term t scores
+    row anchors[t] of `source` against the rows candidates[t, :], the
+    positive first and then the K negatives."""
+    left = ad.take_rows(source, anchors[:, None])
+    right = ad.take_rows(source, candidates)
+    scaled = ad.cosine_rows(left, right) * (1.0 / cfg.temperature)
+    positive = np.eye(1, candidates.shape[1])
+    return (ad.tsum(ad.tlog(ad.tsum(ad.texp(scaled), axis=1)))
+            - ad.tsum(scaled * positive))
 
 
 def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
@@ -237,6 +251,7 @@ def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
 
     A pair without negatives keeps its terms in the count; each is exactly
     -log(1) = 0. Node i of view v is row v*n + i of the (V*n, d) `stack`.
+    All active pairs share one K, as `sample_pair_negatives` draws them.
     """
     n = stack.shape[0] // num_views
     term_count = sum(ps.positives.size for ps in samples)
@@ -245,17 +260,10 @@ def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
     if not active:
         return ad.Tensor(0.0)
     anchors = np.concatenate([ps.view_a * n + ps.positives for ps in active])
-    partners = [ps.view_b * n + ps.positives for ps in active]
-    negatives = [ps.view_b * n + ps.negatives.ravel() for ps in active]
-    terms = np.arange(anchors.size)
-    per_term = np.concatenate([np.full(ps.positives.size, ps.negatives.shape[1])
-                               for ps in active])
-    segments = np.concatenate([terms, np.repeat(terms, per_term)])
-
-    # a negative's anchor row is its term's anchor row
-    left = ad.take_rows(stack, anchors[segments])
-    right = ad.take_rows(stack, np.concatenate(partners + negatives))
-    return _info_nce(left, right, segments, anchors.size, cfg) * (1.0 / term_count)
+    candidates = np.concatenate(
+        [ps.view_b * n + np.column_stack([ps.positives, ps.negatives])
+         for ps in active])
+    return _info_nce(stack, anchors, candidates, cfg) * (1.0 / term_count)
 
 
 def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
@@ -264,7 +272,9 @@ def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
 
     Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
-    pair's (K, n, d) block has the same K. E_v is block v of `stack`.
+    pair's (K, n, d) block has the same K. E_v is block v of `stack`. The
+    scored rows are the V view means followed by the P*K corrupted means,
+    pair p's k-th at row V + p*K + k.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
@@ -281,12 +291,10 @@ def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
 
     means = ad.tmean(ad.reshape(stack, (num_views, n, d)), axis=1)
     corrupted = ad.tmean(ad.take_rows(ad.reshape(stack, (-1,)), flat_idx), axis=2)
-    owners = np.repeat(np.arange(num_pairs), k)
-    left = ad.take_rows(means, np.concatenate([view_a, view_a[owners]]))
-    right = ad.concat([ad.take_rows(means, view_b),
-                       ad.reshape(corrupted, (num_pairs * k, d))], axis=0)
-    segments = np.concatenate([np.arange(num_pairs), owners])
-    return _info_nce(left, right, segments, num_pairs, cfg) * (1.0 / num_pairs)
+    source = ad.concat([means, ad.reshape(corrupted, (num_pairs * k, d))], axis=0)
+    negatives = num_views + np.arange(num_pairs * k).reshape(num_pairs, k)
+    candidates = np.column_stack([view_b, negatives])
+    return _info_nce(source, view_a, candidates, cfg) * (1.0 / num_pairs)
 
 
 def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],

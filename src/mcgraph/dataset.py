@@ -269,7 +269,7 @@ def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseE
     return None
 
 
-def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> RatingDataset:
+def load_ratings(path: str | Path) -> RatingDataset:
     """Read a ratings CSV. A duplicate (user, item) row's values replace the
     earlier ones at the pair's first position."""
     path = Path(path)
@@ -286,9 +286,6 @@ def load_ratings(path: str | Path, schema: Sequence[str] | None = None) -> Ratin
         if num_criteria < 1 or header != _expected_header(num_criteria):
             raise ParseError(1, f"bad header {header!r}, "
                                 "expected user_id,item_id,overall,c1,...,cC")
-        if schema is not None and list(schema) != header:
-            raise ParseError(1, f"header {header!r} does not match requested schema "
-                                f"{list(schema)!r}")
         width, first_line = len(header), 2
         while True:
             chunk: list[list[str]] = []

@@ -159,8 +159,9 @@ def apply_config_values(cfg: ExperimentConfig,
     return cfg
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Flat `key = value` lines; blank lines and # comments allowed."""
+def config_values(text: str) -> dict[str, str]:
+    """Flat `key = value` lines as a key -> value text dict; blank lines and
+    # comments allowed."""
     values = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -170,12 +171,13 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             raise ValueError(f"line {number}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+    return values
+
+
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """`base` (default: the defaults) overridden by the `config_values` of text."""
     return apply_config_values(base if base is not None else ExperimentConfig(),
-                               values)
-
-
-def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), base)
+                               config_values(text))
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +281,20 @@ class RunResult:
 
 
 def load_dataset(cfg: ExperimentConfig) -> RatingDataset:
-    """The ratings file at `dataset_path`, or the planted dataset if it is empty."""
+    """The ratings file at `dataset_path`, or the planted dataset if it is
+    empty, cut to the first `criteria_count` criteria when that is set."""
     if cfg.dataset_path:
-        return load_ratings(cfg.dataset_path)
-    return make_planted_dataset(seed=cfg.split_seed)
+        data = load_ratings(cfg.dataset_path)
+    else:
+        data = make_planted_dataset(seed=cfg.split_seed)
+    if cfg.criteria_count:
+        data = restrict_criteria(data, cfg.criteria_count)
+    return data
 
 
 def prepared_data(cfg: ExperimentConfig) -> tuple[RatingDataset, RatingDataset]:
     """The fixed train/test pair every run of an experiment shares."""
     data = load_dataset(cfg)
-    if cfg.criteria_count:
-        data = restrict_criteria(data, cfg.criteria_count)
     train_data, test_data = split_train_test(data, cfg.test_fraction,
                                              cfg.split_seed)
     train_data = subsample_train(train_data, cfg.ts_percent, cfg.split_seed)
@@ -504,14 +509,10 @@ def sweep_sensitivity(cfg: ExperimentConfig,
     return points
 
 
-def _effective_criteria(cfg: ExperimentConfig) -> int:
-    return cfg.criteria_count or load_dataset(cfg).num_criteria
-
-
 def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],
                         jobs: int = 1) -> list[MetricReport]:
     """One report per fused width; the per-view width is dim / criteria count."""
-    num_criteria = _effective_criteria(cfg)
+    num_criteria = load_dataset(cfg).num_criteria
     heads = cfg.encoder.num_heads
     reports = []
     for dim in dims:
@@ -526,7 +527,7 @@ def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],
 def sweep_criteria_count(cfg: ExperimentConfig, counts: Sequence[int],
                          jobs: int = 1) -> list[MetricReport]:
     """Same seeds for every count; criteria are kept in dataset order."""
-    limit = _effective_criteria(replace(cfg, criteria_count=0))
+    limit = load_dataset(replace(cfg, criteria_count=0)).num_criteria
     for count in counts:
         if not 1 <= count <= limit:
             raise ValueError(f"criteria count {count} outside 1..{limit}")

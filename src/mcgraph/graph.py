@@ -116,10 +116,7 @@ def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
 def extend_adjacency(incidence) -> sp.csr_matrix:
     """Embed an N x M incidence into the symmetric block matrix [[0, B], [B^T, 0]]."""
     b = sp.csr_matrix(incidence)
-    n, m = b.shape
     out = sp.bmat([[None, b], [b.T, None]], format="csr")
-    if out is None:  # scipy returns None-free bmat only for nonempty blocks
-        out = sp.csr_matrix((n + m, n + m))
     out.sort_indices()
     return out
 

@@ -43,20 +43,6 @@ class FusedEmbedding:
     num_users: int
     view_dim: int
 
-    @property
-    def num_items(self) -> int:
-        return self.matrix.shape[0] - self.num_users
-
-    def user_row(self, user: int) -> np.ndarray:
-        if not 0 <= user < self.num_users:
-            raise IndexError(f"unknown user index {user}")
-        return self.matrix[user]
-
-    def item_row(self, item: int) -> np.ndarray:
-        if not 0 <= item < self.num_items:
-            raise IndexError(f"unknown item index {item}")
-        return self.matrix[self.num_users + item]
-
 
 def fuse(embeddings: Sequence[np.ndarray], num_users: int) -> FusedEmbedding:
     """Concatenate per-view embeddings row-wise, in criterion order."""
@@ -142,13 +128,6 @@ def train_predictor(fused: FusedEmbedding, train: RatingDataset,
     return RatingPredictor(weights=w, bias=b, epsilon=cfg.epsilon,
                            regularization=cfg.regularization,
                            feature_mean=mean, feature_scale=scale)
-
-
-def predict_rating(predictor: RatingPredictor, fused: FusedEmbedding,
-                   user: int, item: int) -> float:
-    features = np.concatenate([fused.user_row(user), fused.item_row(item)])
-    raw = float(predictor.raw(features[None, :])[0])
-    return float(np.clip(raw, RATING_MIN, RATING_MAX))
 
 
 def predict_many(predictor: RatingPredictor, fused: FusedEmbedding,

@@ -30,14 +30,6 @@ class TestForward:
         t = ad.Tensor([[1, 2], [3, 4]])
         assert t.value.dtype == np.float64
 
-    def test_segment_sum_matches_bincount(self):
-        rng = np.random.default_rng(42)
-        vals = rng.normal(size=(7, 3))
-        seg = np.array([0, 2, 0, 1, 2, 2, 0])
-        out = ad.segment_sum(ad.Tensor(vals), seg, 3).value
-        for s in range(3):
-            assert_allclose(out[s], vals[seg == s].sum(axis=0), rtol=1e-12)
-
     def test_shape_errors_name_the_operation(self):
         a = ad.Tensor(np.ones((2, 3)))
         b = ad.Tensor(np.ones((4, 5)))
@@ -47,8 +39,10 @@ class TestForward:
             ad.mul(a, b)
         with pytest.raises(ad.ShapeError, match="concat"):
             ad.concat([a, b], axis=0)
-        with pytest.raises(ad.ShapeError, match="segment_sum"):
-            ad.segment_sum(a, np.array([0, 1, 1]), 2)
+        with pytest.raises(ad.ShapeError, match="div"):
+            ad.div(a, b)
+        with pytest.raises(ad.ShapeError, match="cosine_rows"):
+            ad.cosine_rows(a, b)
 
 
 class TestScatterAdd:
@@ -117,12 +111,13 @@ class TestBackward:
             "w1": rng.normal(size=(1, 4)),
             "w2": rng.normal(size=(4,)),
         }
-        seg = np.array([0, 1, 0, 1, 1])
+        # two groups of rows, row 3 in the second one twice
+        groups = np.array([[0, 2, 4], [1, 3, 3]])
 
         def build(t):
             h1 = ad.texp(ad.mul(t["x"], t["w1"]))
             unit = ad.div(h1, ad.tsqrt(ad.tsum(ad.mul(h1, h1), axis=1, keepdims=True)))
-            h2 = ad.segment_sum(unit, seg, 2)
+            h2 = ad.tsum(ad.take_rows(unit, groups), axis=1)
             p = ad.tlog(ad.tsum(ad.texp(ad.mul(h2, t["w2"])), axis=1))
             return ad.add(ad.tsum(ad.mul(p, p)), ad.tmean(ad.mul(h2, h2)))
 
@@ -231,18 +226,26 @@ class TestGradientsAgainstFiniteDifferences:
             return ad.tsum(ad.mul(ad.reshape(joined, (10,)), ad.Tensor(np.arange(10.0))))
         self.check(build, params)
 
-    def test_segment_sum_gradient(self):
-        rng = np.random.default_rng(9)
-        params = {"v": rng.normal(size=(5, 2))}
-        seg = np.array([1, 0, 1, 1, 0])
-        coeff = ad.Tensor(rng.normal(size=(2, 2)))
-        self.check(lambda t: ad.tsum(ad.mul(
-            ad.segment_sum(t["v"], seg, 2), coeff)), params)
-
     def test_cosine_similarity_gradient(self):
         rng = np.random.default_rng(12)
         params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(4, 3))}
         self.check(lambda t: ad.tsum(ad.cosine_rows(t["a"], t["b"])), params)
+        # one anchor row per term against that term's three candidate rows
+        params = {"a": rng.normal(size=(4, 1, 3)), "b": rng.normal(size=(4, 3, 3))}
+        weights = ad.Tensor(rng.normal(size=(4, 3)))
+        self.check(lambda t: ad.tsum(ad.mul(ad.cosine_rows(t["a"], t["b"]),
+                                            weights)), params)
+
+    def test_cosine_rows_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(4, 1, 3)), rng.normal(size=(4, 5, 3))
+        out = ad.cosine_rows(ad.Tensor(a), ad.Tensor(b)).value
+        assert out.shape == (4, 5)
+        for t in range(4):
+            for k in range(5):
+                expected = a[t, 0] @ b[t, k] / (np.linalg.norm(a[t, 0])
+                                                 * np.linalg.norm(b[t, k]))
+                assert_allclose(out[t, k], expected, rtol=1e-12)
 
 class TestFiniteDiffCheck:
     def test_quadratic_loss_passes_tightly(self):

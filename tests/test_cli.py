@@ -243,6 +243,16 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["avg_reviews_per_user"] > 0
 
+    def test_criteria_flag_restricts_the_stats(self, capsys):
+        assert cli.main(["stats", "--criteria", "1"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["num_criteria"] == 1
+        assert payload["config"]["criteria_count"] == 1
+
+    def test_out_of_range_criteria_count_is_usage(self, capsys):
+        assert cli.main(["stats", "--criteria", "4"]) == cli.EXIT_USAGE
+        assert "criteria count 4 outside 1..3" in capsys.readouterr().err
+
 
 class TestIngest:
     def test_writes_canonical_csv_and_sidecar(self, tmp_path, ratings_csv, capsys):

@@ -103,6 +103,35 @@ class TestAnchorSet:
         assert 1 not in anchors.negative_pool
         assert 1 not in anchors.eligible
 
+    @staticmethod
+    def reference_anchor_set(view, e, cfg):
+        """The anchor set from the public similarity and anchor functions."""
+        sims = cl.neighborhood_similarities(view, e)
+        anchor = cl.select_anchor(view, e)
+        eligible = ~np.isneginf(sims)
+        norms = np.linalg.norm(e, axis=1, keepdims=True)
+        unit = np.divide(e, norms, out=np.zeros_like(e), where=norms > 0)
+        to_anchor = unit @ unit[anchor]
+        positive = eligible & (to_anchor >= cfg.pos_threshold)
+        positive[anchor] = True
+        pool = eligible & (to_anchor < cfg.neg_threshold) & ~positive
+        return anchor, [np.flatnonzero(positive), np.flatnonzero(pool),
+                        np.flatnonzero(eligible)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_on_planted_views(self, seed):
+        cfg = ev.ExperimentConfig()
+        views = build_views(ev.prepared_data(cfg)[0])
+        params = att.init_params(views[0].num_nodes, len(views), cfg.encoder, seed)
+        for view, emb in zip(views, att.encode_views(views, params, cfg.encoder)):
+            anchors = cl.build_anchor_set(view, emb.matrix, cfg.loss)
+            anchor, arrays = self.reference_anchor_set(view, emb.matrix, cfg.loss)
+            assert anchors.anchor == anchor
+            got = [anchors.positives, anchors.negative_pool, anchors.eligible]
+            for ours, ref in zip(got, arrays):
+                assert np.array_equal(ours, ref)
+            assert anchors.positives.size > 1 and anchors.negative_pool.size
+
 
 class TestLocalLoss:
     def test_equal_similarities_give_ln_two(self):
@@ -387,6 +416,14 @@ class TestBatchedLosses:
                   cl.hgcl_tensor(embs, perms, cfg))
         return [sum(node.op != "leaf" for node in ad.topo_order(loss))
                 for loss in losses]
+
+    def test_each_anchor_row_is_gathered_once(self):
+        embs, samples, _ = three_view_plan(np.random.default_rng(2), k_neg=4)
+        loss = cl.lcl_tensor([ad.Tensor(e) for e in embs], samples, cl.LossConfig())
+        terms = sum(ps.positives.size for ps in samples if ps.negatives is not None)
+        gathers = sorted(node.shape for node in ad.topo_order(loss)
+                         if node.op == "take_rows")
+        assert gathers == [(terms, 1, 3), (terms, 5, 3)]
 
     def test_tape_size_independent_of_views_and_negatives(self):
         base = self.tape_sizes(2, 2)

@@ -77,11 +77,6 @@ class TestLoad:
         with pytest.raises(ds.ParseError, match="header"):
             ds.load_ratings(write_csv(tmp_path / "r.csv", "user,item,rating\nu,i,3\n"))
 
-    def test_schema_mismatch_is_parse_error(self, tmp_path):
-        path = write_csv(tmp_path / "r.csv", SMALL)
-        with pytest.raises(ds.ParseError, match="schema"):
-            ds.load_ratings(path, schema=["user_id", "item_id", "overall", "c1"])
-
 
 class TestNormalizeScale:
     def make(self, values):

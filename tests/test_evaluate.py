@@ -99,11 +99,6 @@ class TestConfigRoundTrip:
         assert cfg.epochs == 12
         assert cfg.loss.alpha == 0.75
 
-    def test_load_config_reads_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed_base = 11\n", encoding="utf-8")
-        assert ev.load_config(path).seed_base == 11
-
     def test_config_as_dict_covers_every_key(self):
         keys = [key for key, _, _, _ in ev._CONFIG_KEYS]
         assert list(ev.config_as_dict(ev.ExperimentConfig())) == keys
@@ -303,10 +298,13 @@ class TestFit:
         train_data, test_data = ev.prepared_data(cfg)
         model = ev.fit(cfg, train_data, seed=0)
         predicted = model.predict(test_data)
+        fused = model.fused
         for pos, r in enumerate(test_data.records):
-            expected = rec.predict_rating(model.predictor, model.fused,
-                                          train_data.user_index[r.user_id],
-                                          train_data.item_index[r.item_id])
+            features = np.concatenate([
+                fused.matrix[train_data.user_index[r.user_id]],
+                fused.matrix[fused.num_users + train_data.item_index[r.item_id]]])
+            raw = float(model.predictor.raw(features[None, :])[0])
+            expected = min(max(raw, rec.RATING_MIN), rec.RATING_MAX)
             assert abs(predicted[pos] - expected) <= 1e-12
 
     def test_unseen_pairs_get_train_mean(self):

