@@ -2,10 +2,12 @@
 
 Eager, define-by-run: every op computes its value immediately and records
 how to push gradients back to its parents. The primitive set is the minimum
-needed by the contrastive losses and the gradient checker: add, elementwise
-mul/div (broadcasting), concat, reshape, exp, log, sqrt, sum/mean and row
-gather. The attention encoder builds each of its two layers, for all views
-at once, as one fused op of its own (see `attention.py`). Everything is
+needed by the contrastive losses and the gradient checker: add and
+elementwise mul (broadcasting), concat, reshape, sum/mean and row gather.
+Neither add nor mul computes a gradient for a constant operand. The
+attention encoder builds each of its two layers, for all views at once, as
+one fused op of its own (see `attention.py`), and each contrastive loss
+scores its InfoNCE block as one op (see `contrastive.py`). Everything is
 float64.
 
 The row gather's backward scatters through `_scatter_add`: one
@@ -66,13 +68,8 @@ class Tensor:
     # Arithmetic sugar so loss code reads like the math.
     def __add__(self, other): return add(self, _wrap(other))
     def __radd__(self, other): return add(_wrap(other), self)
-    def __sub__(self, other): return add(self, neg(_wrap(other)))
-    def __rsub__(self, other): return add(_wrap(other), neg(self))
     def __mul__(self, other): return mul(self, _wrap(other))
     def __rmul__(self, other): return mul(_wrap(other), self)
-    def __truediv__(self, other): return div(self, _wrap(other))
-    def __rtruediv__(self, other): return div(_wrap(other), self)
-    def __neg__(self): return neg(self)
 
 
 def _wrap(x) -> Tensor:
@@ -174,15 +171,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        if a.op != "const":
+            _accumulate(a, _unbroadcast(g, a.value.shape))
+        if b.op != "const":
+            _accumulate(b, _unbroadcast(g, b.value.shape))
     return Tensor(value, "add", (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(a, -g)
-    return Tensor(-a.value, "neg", (a,), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -192,21 +185,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.op != "const":
+            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.op != "const":
+            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
     return Tensor(value, "mul", (a, b), back)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        value = a.value / b.value
-    except ValueError as exc:
-        raise ShapeError(f"div: {a.shape} vs {b.shape}") from exc
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g / b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-    return Tensor(value, "div", (a, b), back)
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -258,30 +241,6 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     return tsum(a, axis=axis) * (1.0 / count)
 
 
-def texp(a: Tensor) -> Tensor:
-    value = np.exp(a.value)
-
-    def back(g):
-        _accumulate(a, g * value)
-    return Tensor(value, "exp", (a,), back)
-
-
-def tlog(a: Tensor) -> Tensor:
-    value = np.log(a.value)
-
-    def back(g):
-        _accumulate(a, g / a.value)
-    return Tensor(value, "log", (a,), back)
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    value = np.sqrt(a.value)
-
-    def back(g):
-        _accumulate(a, g * 0.5 / value)
-    return Tensor(value, "sqrt", (a,), back)
-
-
 # ---------------------------------------------------------------------------
 # composites used throughout the model code
 
@@ -293,20 +252,6 @@ def sum_of_squares(tensors: Iterable[Tensor]) -> Tensor:
     if total is None:
         raise ValueError("sum_of_squares: no tensors given")
     return total
-
-
-def row_norms(a: Tensor) -> Tensor:
-    """Euclidean norm over the last axis."""
-    return tsqrt(tsum(mul(a, a), axis=-1))
-
-
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity over the last axis; the leading axes broadcast, so
-    a (T, 1, d) tensor against a (T, m, d) one gives (T, m)."""
-    if a.value.shape[-1] != b.value.shape[-1]:
-        raise ShapeError(f"cosine_rows: {a.shape} vs {b.shape}")
-    dots = tsum(mul(a, b), axis=-1)
-    return div(dots, mul(row_norms(a), row_norms(b)))
 
 
 # ---------------------------------------------------------------------------

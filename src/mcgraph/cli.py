@@ -28,7 +28,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-TS_CHOICES = (40, 60, 80, 100)
 SWEEP_KINDS = ("sensitivity", "dims", "ts", "criteria")
 
 
@@ -232,7 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"dim {dim}: mae {report.mae_mean:.4f}")
     elif args.kind == "ts":
         reports = []
-        for ts in TS_CHOICES:
+        for ts in ds.TS_PERCENTS:
             report = ev.run_experiment(replace(cfg, ts_percent=ts),
                                        jobs=args.jobs)
             reports.append(report)
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, help="number of seeded runs")
         if variant:
             p.add_argument("--variant", choices=ev.VARIANTS)
-        p.add_argument("--ts", type=int, choices=TS_CHOICES,
+        p.add_argument("--ts", type=int, choices=ds.TS_PERCENTS,
                        help="training segment percentage")
         p.add_argument("--criteria", type=int, help="keep first K criteria")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")

@@ -16,11 +16,13 @@ The encoder returns all views as one stacked (V*n, d) tensor, and each loss
 reads that stack directly: one batched InfoNCE (van den Oord et al. 2018)
 over every ordered view pair at once. Its T terms form a dense (T, 1+K)
 block of indices into a source matrix, the positive in column 0 and the K
-negatives after it. Each term's anchor row is gathered once and broadcast
-against its 1+K candidate rows, and each row of the cosine block has one
-softmax. A loss thus adds the same number of tape nodes whatever the number
-of views, positives or negatives; `lcl_tensor` and `hgcl_tensor` stack a
-list of per-view tensors first.
+negatives after it. The whole block is one tape node (`info_nce`) with a
+closed-form backward: each term's anchor row is gathered once and broadcast
+against its 1+K candidate rows, each row of the cosine block has one
+softmax, and the backward scatters the gradient into the anchor and
+candidate rows of the source in one pass. A loss thus adds the same number
+of tape nodes whatever the number of views, positives or negatives;
+`lcl_tensor` and `hgcl_tensor` stack a list of per-view tensors first.
 
 Only the contrastive terms live on the autodiff tape. `train` keeps every
 parameter in one contiguous vector theta, in `init_params`' key order, and
@@ -234,15 +236,45 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
 
 def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
               cfg: LossConfig) -> ad.Tensor:
-    """Summed InfoNCE terms over a dense (T, 1+K) score block: term t scores
-    row anchors[t] of `source` against the rows candidates[t, :], the
-    positive first and then the K negatives."""
-    left = ad.take_rows(source, anchors[:, None])
-    right = ad.take_rows(source, candidates)
-    scaled = ad.cosine_rows(left, right) * (1.0 / cfg.temperature)
+    """Summed InfoNCE terms over a dense (T, 1+K) score block, as one tape
+    node: term t scores row anchors[t] of `source` against the rows
+    candidates[t, :], the positive first and then the K negatives.
+
+    The score s_tk is cos(left_t, right_tk) / temperature, and term t is
+    log sum_k exp(s_tk) - s_t0. The gradient of the scores is
+    g * (softmax - onehot) / temperature; through the cosine quotient it
+    reaches the anchor and the candidate rows, and one scatter adds both
+    into the source rows.
+    """
+    left = source.value[anchors[:, None]]            # (T, 1, d)
+    right = source.value[candidates]                 # (T, 1+K, d)
+    norm_left = np.sqrt((left * left).sum(-1))       # (T, 1)
+    norm_right = np.sqrt((right * right).sum(-1))    # (T, 1+K)
+    denom = norm_left * norm_right
+    cos = (left * right).sum(-1) / denom
+    inv_temp = 1.0 / cfg.temperature
+    scaled = cos * inv_temp
+    exp = np.exp(scaled)
+    totals = exp.sum(1)
     positive = np.eye(1, candidates.shape[1])
-    return (ad.tsum(ad.tlog(ad.tsum(ad.texp(scaled), axis=1)))
-            - ad.tsum(scaled * positive))
+    value = np.log(totals).sum() - (scaled * positive).sum()
+
+    def back(g):
+        d_cos = g * inv_temp * (exp / totals[:, None] - positive)
+        # cos = l.r / (|l| |r|): d l = d_cos (r / (|l| |r|) - cos l / |l|^2),
+        # summed over the 1+K candidates; d r likewise with l and r swapped
+        d_dots = (d_cos / denom)[..., None]
+        radial = d_cos * cos
+        d_left = ((d_dots * right).sum(1, keepdims=True)
+                  - (radial.sum(1, keepdims=True)
+                     / (norm_left * norm_left))[..., None] * left)
+        d_right = (d_dots * left
+                   - (radial / (norm_right * norm_right))[..., None] * right)
+        rows = np.concatenate([anchors[:, None], candidates], axis=1)
+        ad._accumulate(source, ad._scatter_add(
+            rows, np.concatenate([d_left, d_right], axis=1),
+            source.value.shape[0]))
+    return ad.Tensor(value, "info_nce", (source,), back)
 
 
 def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],

@@ -414,10 +414,14 @@ def split_train_test(dataset: RatingDataset, test_fraction: float,
     return subset(dataset, train_rows), subset(dataset, candidates[~cold])
 
 
+# training-segment percentages: `subsample_train` and the CLI's --ts accept these
+TS_PERCENTS = (40, 60, 80, 100)
+
+
 def subsample_train(train: RatingDataset, ts_percent: int, seed: int) -> RatingDataset:
     """Keep a uniform floor(ts_percent·|train|/100) subset of the training records."""
-    if ts_percent not in (40, 60, 80, 100):
-        raise ValueError(f"ts_percent must be one of 40, 60, 80, 100, got {ts_percent}")
+    if ts_percent not in TS_PERCENTS:
+        raise ValueError(f"ts_percent must be one of {TS_PERCENTS}, got {ts_percent}")
     if ts_percent == 100:
         return train
     n = len(train)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -90,36 +90,24 @@ class ExperimentConfig:
         return base.variant(self.variant)
 
 
-# key, owning section, attribute, value type; section "" means top level
-_CONFIG_KEYS: tuple[tuple[str, str, str, type], ...] = (
-    ("dataset_path", "", "dataset_path", str),
-    ("seed_base", "", "seed_base", int),
-    ("n_runs", "", "n_runs", int),
-    ("ts_percent", "", "ts_percent", int),
-    ("variant", "", "variant", str),
-    ("criteria_count", "", "criteria_count", int),
-    ("test_fraction", "", "test_fraction", float),
-    ("split_seed", "", "split_seed", int),
-    ("learning_rate", "", "learning_rate", float),
-    ("epochs", "", "epochs", int),
-    ("refresh_period", "", "refresh_period", int),
-    ("clip_norm", "", "clip_norm", float),
-    ("temperature", "loss", "temperature", float),
-    ("alpha", "loss", "alpha", float),
-    ("beta", "loss", "beta", float),
-    ("l2_weight", "loss", "l2_weight", float),
-    ("num_negatives", "loss", "num_negatives", int),
-    ("pos_threshold", "loss", "pos_threshold", float),
-    ("neg_threshold", "loss", "neg_threshold", float),
-    ("num_heads", "encoder", "num_heads", int),
-    ("feature_dim", "encoder", "feature_dim", int),
-    ("head_dim", "encoder", "head_dim", int),
-    ("svr_epsilon", "predictor", "epsilon", float),
-    ("svr_regularization", "predictor", "regularization", float),
-    ("svr_learning_rate", "predictor", "learning_rate", float),
-    ("svr_epochs", "predictor", "epochs", int),
-    ("svr_batch_size", "predictor", "batch_size", int),
-)
+def _config_keys() -> tuple[tuple[str, str, str, type], ...]:
+    """(key, owning section, attribute, value type) for every flat config key,
+    in field order. Section "" means top level; a field whose default is a
+    dataclass is a section whose fields are keys of their own, prefixed
+    `svr_` for the predictor. Each type is that of the default value."""
+    keys = []
+    for top in fields(ExperimentConfig):
+        if not is_dataclass(top.default):
+            keys.append((top.name, "", top.name, type(top.default)))
+            continue
+        prefix = "svr_" if top.name == "predictor" else ""
+        keys.extend((prefix + f.name, top.name, f.name,
+                     type(getattr(top.default, f.name)))
+                    for f in fields(top.default))
+    return tuple(keys)
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
@@ -142,21 +130,17 @@ def apply_config_values(cfg: ExperimentConfig,
                         values: Mapping[str, object]) -> ExperimentConfig:
     """Override fields by flat key; unknown keys are rejected."""
     by_key = {key: (section, attr, kind) for key, section, attr, kind in _CONFIG_KEYS}
-    sections: dict[str, dict] = {"": {}, "loss": {}, "encoder": {}, "predictor": {}}
+    sections: dict[str, dict] = {section: {} for _, section, _, _ in _CONFIG_KEYS}
     for key, value in values.items():
         if key not in by_key:
             raise ValueError(f"unknown config key {key!r}")
         section, attr, kind = by_key[key]
         sections[section][attr] = kind(value)
-    if sections["loss"]:
-        cfg = replace(cfg, loss=replace(cfg.loss, **sections["loss"]))
-    if sections["encoder"]:
-        cfg = replace(cfg, encoder=replace(cfg.encoder, **sections["encoder"]))
-    if sections["predictor"]:
-        cfg = replace(cfg, predictor=replace(cfg.predictor, **sections["predictor"]))
-    if sections[""]:
-        cfg = replace(cfg, **sections[""])
-    return cfg
+    top = sections.pop("")
+    for section, attrs in sections.items():
+        if attrs:
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **attrs)})
+    return replace(cfg, **top) if top else cfg
 
 
 def config_values(text: str) -> dict[str, str]:
@@ -425,6 +409,8 @@ def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """
     if cfg.n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     run = partial(_run_prepared, cfg, prepared_data(cfg))
     indices = range(cfg.n_runs)
     if jobs > 1:

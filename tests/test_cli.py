@@ -154,6 +154,11 @@ class TestExitCodes:
         assert cli.main(["evaluate", "--ts", "55"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_usage(self, capsys, jobs):
+        assert cli.main(["evaluate", "--jobs", jobs]) == cli.EXIT_USAGE
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
     def test_numeric_abort_from_all_failed_runs(self, tmp_path, fast_cfg,
                                                 monkeypatch, capsys):
         def broken(cfg, data, run_index):

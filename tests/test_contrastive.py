@@ -420,10 +420,29 @@ class TestBatchedLosses:
     def test_each_anchor_row_is_gathered_once(self):
         embs, samples, _ = three_view_plan(np.random.default_rng(2), k_neg=4)
         loss = cl.lcl_tensor([ad.Tensor(e) for e in embs], samples, cl.LossConfig())
-        terms = sum(ps.positives.size for ps in samples if ps.negatives is not None)
-        gathers = sorted(node.shape for node in ad.topo_order(loss)
-                         if node.op == "take_rows")
-        assert gathers == [(terms, 1, 3), (terms, 5, 3)]
+        ops = [node.op for node in ad.topo_order(loss)]
+        assert ops.count("info_nce") == 1
+        assert "take_rows" not in ops
+
+    def test_info_nce_with_shared_and_repeated_rows(self):
+        # row 2 anchors term 1 and is a candidate of terms 0 and 2; term 0
+        # draws negative 3 twice and term 2 draws negative 0 twice
+        rng = np.random.default_rng(8)
+        source = rng.normal(size=(5, 3))
+        anchors = np.array([0, 2, 4])
+        candidates = np.array([[2, 3, 3], [1, 0, 4], [3, 0, 0]])
+        cfg = cl.LossConfig(temperature=0.6)
+
+        def loss_fn(t):
+            return cl._info_nce(t["source"], anchors, candidates, cfg)
+
+        report = ad.finite_diff_check(loss_fn, {"source": source})
+        assert report.passed, f"worst relative error {report.worst}"
+        expected = sum(_info_nce_oracle(source[a], source[row[0]],
+                                        source[row[1:]], 0.6)
+                       for a, row in zip(anchors, candidates))
+        assert_allclose(loss_fn({"source": ad.Tensor(source)}).value, expected,
+                        rtol=1e-12, atol=1e-12)
 
     def test_tape_size_independent_of_views_and_negatives(self):
         base = self.tape_sizes(2, 2)
@@ -449,6 +468,44 @@ def test_full_objective_passes_gradient_check():
 
     report = ad.finite_diff_check(loss_fn, params, step=1e-5, tolerance=1e-4)
     assert report.passed, f"failing blocks: {report.failing()}"
+
+
+def planted_epoch(monkeypatch):
+    """Backward root and flat parameter gradient of the first epoch of a
+    planted full-variant training run."""
+    cfg = ev.ExperimentConfig()
+    views = build_views(ev.prepared_data(cfg)[0])
+    roots, grads = [], []
+    with monkeypatch.context() as patch:
+        leaves = capture_leaves(patch)
+        backward = ad.backward
+
+        def capturing(root):
+            backward(root)
+            roots.append(root)
+            grads.append(cl.flatten({k: t.grad for k, t in leaves[-1].items()}))
+        patch.setattr(ad, "backward", capturing)
+        cl.train(views, cfg.train_config(), seed=0, epochs=1)
+    return roots[0], grads[0]
+
+
+class TestPlantedEpochTape:
+    def test_one_info_nce_node_per_loss(self, monkeypatch):
+        nodes = ad.topo_order(planted_epoch(monkeypatch)[0])
+        assert [node.op for node in nodes].count("info_nce") == 2
+        assert len(nodes) <= 57
+
+    def test_constants_get_no_gradient(self, monkeypatch):
+        root, grads = planted_epoch(monkeypatch)
+        consts = [node for node in ad.topo_order(root) if node.op == "const"]
+        assert consts and all(node.grad is None for node in consts)
+        # the same objective with every constant made a leaf, which does get
+        # a gradient: the parameter gradients must not change by one bit
+        monkeypatch.setattr(ad, "_wrap", lambda x: x if isinstance(x, ad.Tensor)
+                            else ad.Tensor(x))
+        leaf_root, leaf_grads = planted_epoch(monkeypatch)
+        assert not any(node.op == "const" for node in ad.topo_order(leaf_root))
+        assert np.array_equal(grads, leaf_grads)
 
 
 class TestTrain:
