@@ -2,7 +2,9 @@
 
 The exported file round-trips through the loader and can be fed back to the
 CLI via --data, which is handy for poking at the benchmark with external
-tools or for pinning one concrete draw of the generator.
+tools or for pinning one concrete draw of the generator. The default --seed
+is `ExperimentConfig().split_seed`, the draw that runs without --data use,
+so by default the exported file is that benchmark's dataset.
 """
 
 import argparse
@@ -17,7 +19,8 @@ from mcgraph import evaluate as ev
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int,
+                        default=ev.ExperimentConfig().split_seed)
     parser.add_argument("--users", type=int, default=50)
     parser.add_argument("--items", type=int, default=30)
     parser.add_argument("--criteria", type=int, default=3)

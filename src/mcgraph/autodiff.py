@@ -3,14 +3,14 @@
 Eager, define-by-run: every op computes its value immediately and records
 how to push gradients back to its parents. The primitive set is the minimum
 needed by the contrastive losses and the gradient checker: add and
-elementwise mul (broadcasting), concat, reshape, sum/mean and row gather.
-Neither add nor mul computes a gradient for a constant operand. The
-attention encoder builds each of its two layers, for all views at once, as
-one fused op of its own (see `attention.py`), and each contrastive loss
-scores its InfoNCE block as one op (see `contrastive.py`). Everything is
-float64.
+elementwise mul (broadcasting), concat, sum, and `sparse_mean`, the means
+that a fixed 0/1 sparse operator picks. Neither add nor mul computes a
+gradient for a constant operand. The attention encoder builds each of its
+two layers, for all views at once, as one fused op of its own (see
+`attention.py`), and each contrastive loss scores its InfoNCE block as one
+op (see `contrastive.py`). Everything is float64.
 
-The row gather's backward scatters through `_scatter_add`: one
+The InfoNCE op's backward scatters through `_scatter_add`: one
 `np.bincount` per trailing column. It adds in index order exactly like
 numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The fused
 encoder op sums over edges with cached CSR operators instead, which add in
@@ -192,15 +192,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(value, "mul", (a, b), back)
 
 
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather a[idx] along the first axis (idx of any shape); the backward
-    scatter-adds into the source rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-    value = a.value[idx]
+def sparse_mean(a: Tensor, operator, count: int, shape: tuple[int, ...]) -> Tensor:
+    """(operator @ raveled a) * (1/count), reshaped to `shape`: each row of
+    the 0/1 sparse `operator` picks `count` entries of `a`. Summing before
+    scaling matches `tsum` then `* (1/count)` bit for bit."""
+    scale = 1.0 / count
+    value = (operator @ a.value.reshape(-1) * scale).reshape(shape)
 
     def back(g):
-        _accumulate(a, _scatter_add(idx, g, a.value.shape[0]))
-    return Tensor(value, "take_rows", (a,), back)
+        _accumulate(a, (operator.T @ (g.reshape(-1) * scale)).reshape(a.value.shape))
+    return Tensor(value, "sparse_mean", (a,), back)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -218,14 +219,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(value, "concat", tuple(parts), back)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    value = a.value.reshape(shape)
-
-    def back(g):
-        _accumulate(a, g.reshape(a.value.shape))
-    return Tensor(value, "reshape", (a,), back)
-
-
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     value = a.value.sum(axis=axis, keepdims=keepdims)
 
@@ -234,11 +227,6 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.value.shape))
     return Tensor(value, "sum", (a,), back)
-
-
-def tmean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return tsum(a, axis=axis) * (1.0 / count)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ negatives after it. The whole block is one tape node (`info_nce`) with a
 closed-form backward: each term's anchor row is gathered once and broadcast
 against its 1+K candidate rows, each row of the cosine block has one
 softmax, and the backward scatters the gradient into the anchor and
-candidate rows of the source in one pass. A loss thus adds the same number
+candidate rows of the source in one pass. The global loss takes its view
+and corrupted means from the stack as one `sparse_mean` node, a fixed 0/1
+CSR operator built from the permutations. A loss thus adds the same number
 of tape nodes whatever the number of views, positives or negatives;
 `lcl_tensor` and `hgcl_tensor` stack a list of per-view tensors first.
 
@@ -43,6 +45,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import attention as att
 from . import autodiff as ad
@@ -298,6 +301,25 @@ def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
     return _info_nce(stack, anchors, candidates, cfg) * (1.0 / term_count)
 
 
+def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.csr_matrix:
+    """HGCL's scored rows times n, as a 0/1 CSR operator on the raveled
+    stack: row (r, j) picks E_s[i, perm[i, j]] for i = 0..n-1. The V view
+    means are s = v with the identity perm, then pair p = (a, b)'s K
+    corrupted means are s = a with perm = permutations[(a, b)][k]."""
+    identity = np.broadcast_to(np.arange(d), (1, n, d))
+    blocks = [(v, identity) for v in range(num_views)] + [
+        (a, permutations[(a, b)]) for a, b in _ordered_pairs(num_views)]
+    nnz = sum(perm.size for _, perm in blocks)
+    dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indices, first = np.empty(nnz, dtype=dtype), 0
+    for view, perm in blocks:  # filled in place, one (K, d, n) block at a time
+        np.add(perm.transpose(0, 2, 1), view * n * d + np.arange(n) * d,
+               out=indices[first:first + perm.size].reshape(-1, d, n))
+        first += perm.size
+    return sp.csr_matrix((np.ones(nnz), indices, np.arange(0, nnz + 1, n, dtype=dtype)),
+                         shape=(nnz // n, num_views * n * d))
+
+
 def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
                cfg: LossConfig) -> ad.Tensor:
     """Mean InfoNCE term over ordered view pairs of column-mean embeddings.
@@ -306,27 +328,18 @@ def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
     pair's (K, n, d) block has the same K. E_v is block v of `stack`. The
     scored rows are the V view means followed by the P*K corrupted means,
-    pair p's k-th at row V + p*K + k.
+    pair p's k-th at row V + p*K + k, all one `sparse_mean` node.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
         return ad.Tensor(0.0)
     n, d = stack.shape[0] // num_views, stack.shape[1]
-    num_pairs, k = len(pairs), permutations[pairs[0]].shape[0]
+    source = ad.sparse_mean(stack, _mean_operator(num_views, n, d, permutations),
+                            n, (-1, d))
     view_a, view_b = np.array(pairs).T
-    # flat index of E_a[i, perm[k, i, j]] in the stack, filled in place: the
-    # (P, K, n, d) index is the largest array of the loss
-    flat_idx = np.empty((num_pairs, k, n, d), dtype=np.intp)
-    for p, (a, b) in enumerate(pairs):
-        np.add(permutations[(a, b)], a * n * d + np.arange(n)[:, None] * d,
-               out=flat_idx[p])
-
-    means = ad.tmean(ad.reshape(stack, (num_views, n, d)), axis=1)
-    corrupted = ad.tmean(ad.take_rows(ad.reshape(stack, (-1,)), flat_idx), axis=2)
-    source = ad.concat([means, ad.reshape(corrupted, (num_pairs * k, d))], axis=0)
-    negatives = num_views + np.arange(num_pairs * k).reshape(num_pairs, k)
+    negatives = np.arange(num_views, source.shape[0]).reshape(len(pairs), -1)
     candidates = np.column_stack([view_b, negatives])
-    return _info_nce(source, view_a, candidates, cfg) * (1.0 / num_pairs)
+    return _info_nce(source, view_a, candidates, cfg) * (1.0 / len(pairs))
 
 
 def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],

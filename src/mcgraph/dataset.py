@@ -271,8 +271,15 @@ def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseE
 
 def load_ratings(path: str | Path) -> RatingDataset:
     """Read a ratings CSV. A duplicate (user, item) row's values replace the
-    earlier ones at the pair's first position."""
-    path = Path(path)
+    earlier ones at the pair's first position; a directory or non-UTF-8
+    file is a `DatasetError`."""
+    try:
+        return _read_ratings(Path(path))
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {path} as UTF-8 text: {exc}") from None
+
+
+def _read_ratings(path: Path) -> RatingDataset:
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, values, lines = [], [], [], []

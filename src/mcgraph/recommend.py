@@ -65,6 +65,16 @@ class PredictorConfig:
     epochs: int = 200
     batch_size: int = 32
 
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("epsilon", 0),
+                          ("regularization", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"predictor {name} must be at least {low}, "
+                                 f"got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"predictor learning_rate must be positive, "
+                             f"got {self.learning_rate}")
+
 
 @dataclass(frozen=True, eq=False)
 class RatingPredictor:

@@ -2,11 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import autodiff as ad
+
+
+def picker(groups, num_columns) -> sp.csr_matrix:
+    """0/1 CSR operator whose row r picks the entries groups[r], in order;
+    an entry picked twice is summed twice."""
+    groups = np.asarray(groups)
+    rows, count = groups.shape
+    return sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
+                          np.arange(0, groups.size + 1, count)),
+                         shape=(rows, num_columns))
 
 
 def central_diff(loss_of, block: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -67,7 +78,7 @@ class TestScatterAdd:
         self.check(rng.integers(0, 5, size=30), rng.normal(size=(30, 2, 4)), 5)
 
     def test_multi_dimensional_index_into_flat_source(self):
-        # HGCL's (P, K, n, d) gather from the flattened stack of views
+        # an index of several dims into a flat source
         rng = np.random.default_rng(4)
         index = rng.integers(0, 3 * 5 * 4, size=(6, 2, 5, 4))
         self.check(index, rng.normal(size=index.shape), 3 * 5 * 4)
@@ -107,16 +118,19 @@ class TestBackward:
             "w1": rng.normal(size=(1, 4)),
             "w2": rng.normal(size=(4,)),
         }
-        # two groups of rows, row 3 in the second one twice
+        # column means of two groups of rows, row 3 in the second one twice
         groups = np.array([[0, 2, 4], [1, 3, 3]])
+        means = picker((groups[:, None, :] * 4 + np.arange(4)[:, None])
+                       .reshape(8, 3), 20)
 
         def build(t):
             h1 = ad.mul(t["x"], t["w1"])
             sq = ad.mul(h1, ad.tsum(ad.mul(h1, h1), axis=1, keepdims=True))
-            h2 = ad.tsum(ad.take_rows(sq, groups), axis=1)
-            flat = ad.reshape(ad.concat([h2, ad.mul(h2, h2)], axis=0), (16,))
-            p = ad.tsum(ad.mul(ad.reshape(flat, (4, 4)), t["w2"]), axis=1)
-            return ad.add(ad.tsum(ad.mul(p, p)), ad.tmean(ad.mul(h2, h2)))
+            h2 = ad.sparse_mean(sq, means, 3, (2, 4))
+            p = ad.tsum(ad.mul(ad.concat([h2, ad.mul(h2, h2)], axis=0), t["w2"]),
+                        axis=1)
+            return ad.add(ad.tsum(ad.mul(p, p)),
+                          ad.mul(ad.tsum(ad.mul(h2, h2)), ad.Tensor(0.125)))
 
         leaves = {k: ad.Tensor(v) for k, v in params.items()}
         ad.backward(build(leaves))
@@ -138,10 +152,21 @@ class TestBackward:
         ad.backward(ad.tsum(x))
         assert_allclose(ad.grad_of(unused), np.zeros((2, 2)))
 
-    def test_take_rows_accumulates_repeated_indices(self):
+    def test_sparse_mean_accumulates_repeated_entries(self):
         x = ad.Tensor(np.arange(6.0).reshape(3, 2))
-        ad.backward(ad.tsum(ad.take_rows(x, np.array([0, 0, 2]))))
-        assert_allclose(ad.grad_of(x), [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        mean = ad.sparse_mean(x, picker([[0, 0, 4], [1, 5, 5]], 6), 3, (2,))
+        assert_allclose(mean.value, [4.0 / 3.0, 11.0 / 3.0])
+        ad.backward(ad.tsum(mean))
+        assert_allclose(ad.grad_of(x), np.array([[2, 1], [0, 0], [1, 2]]) / 3.0)
+
+    def test_sparse_mean_sums_then_scales_like_tsum(self):
+        # (sum of the picked entries) * (1/count), in the order tsum adds them
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 7, 5))
+        columns = np.arange(3 * 7 * 5).reshape(3, 7, 5).transpose(0, 2, 1)
+        mean = ad.sparse_mean(ad.Tensor(x), picker(columns.reshape(15, 7), 105),
+                              7, (3, 5))
+        assert np.array_equal(mean.value, x.sum(axis=1) * (1.0 / 7))
 
     def test_constant_operands_get_no_gradient(self):
         x = ad.Tensor(np.arange(3.0))
@@ -187,11 +212,13 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(6, 4))
         w0 = rng.normal(size=(4,))
+        # entry e paired with a random one; some entries are drawn repeatedly
+        pairs = picker(np.column_stack([np.arange(24), rng.integers(0, 24, 24)]), 24)
 
         def run():
             x, w = ad.Tensor(x0), ad.Tensor(w0)
             xw = ad.mul(x, w)
-            loss = ad.tmean(ad.mul(xw, ad.take_rows(xw, np.array([5, 0, 0, 2, 1, 3]))))
+            loss = ad.tsum(ad.mul(xw, ad.sparse_mean(xw, pairs, 2, (6, 4))))
             ad.backward(loss)
             return float(loss.value), ad.grad_of(w).copy()
 
@@ -211,13 +238,16 @@ class TestGradientsAgainstFiniteDifferences:
                 {k: ad.Tensor(v) for k, v in params.items()}).value), block)
             assert_allclose(ad.grad_of(leaves[name]), fd, rtol=rtol, atol=1e-8)
 
-    def test_concat_and_reshape(self):
+    def test_concat_and_sparse_mean(self):
         rng = np.random.default_rng(6)
         params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))}
+        # row r averages entries r and (3r + 1) mod 10 of the joined (2, 5)
+        pairs = picker([[r, (3 * r + 1) % 10] for r in range(10)], 10)
 
         def build(t):
             joined = ad.concat([t["a"], t["b"]], axis=1)
-            return ad.tsum(ad.mul(ad.reshape(joined, (10,)), ad.Tensor(np.arange(10.0))))
+            mean = ad.sparse_mean(joined, pairs, 2, (10,))
+            return ad.tsum(ad.mul(ad.mul(mean, mean), ad.Tensor(np.arange(10.0))))
         self.check(build, params)
 
 
@@ -256,8 +286,8 @@ class TestFiniteDiffCheck:
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12))
 @settings(max_examples=50, deadline=None)
-def test_take_rows_gradient_counts_row_uses(indices):
-    x = ad.Tensor(np.zeros((5, 2)))
-    ad.backward(ad.tsum(ad.take_rows(x, np.array(indices))))
-    counts = np.bincount(indices, minlength=5).astype(float)
-    assert_allclose(ad.grad_of(x), np.repeat(counts[:, None], 2, axis=1))
+def test_sparse_mean_gradient_counts_entry_uses(indices):
+    x = ad.Tensor(np.zeros((5,)))
+    ad.backward(ad.tsum(ad.sparse_mean(x, picker([indices], 5), len(indices), (1,))))
+    counts = np.bincount(indices, minlength=5) / len(indices)
+    assert_allclose(ad.grad_of(x), counts)

@@ -49,6 +49,21 @@ class TestExitCodes:
         assert cli.main(["stats", "--data", "/no/such/file.csv"]) == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_directory_as_data_is_data_error(self, tmp_path, capsys):
+        assert cli.main(["stats", "--data", str(tmp_path)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"data error: cannot read {tmp_path} as UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("user_id,item_id,overall,c1\nu1,caf\xe9,4,4\n"
+                        .encode("latin-1"))
+        assert cli.main(["stats", "--data", str(bad)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: cannot read {bad} as UTF-8 text" in err
+        assert "codec can't decode" in err
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,overall,c1\nu1,i1,not_a_number,3\n",
@@ -135,6 +150,24 @@ class TestExitCodes:
                          str(tmp_path / "out")]) == cli.EXIT_USAGE
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("usage error:") and field in last
+
+    @pytest.mark.parametrize("line, field", [
+        ("svr_epochs = -3", "epochs"),
+        ("svr_batch_size = 0", "batch_size"),
+        ("svr_learning_rate = -5", "learning_rate"),
+        ("svr_epsilon = -0.5", "epsilon"),
+        ("svr_regularization = -1", "regularization"),
+    ])
+    def test_invalid_predictor_value_is_usage_naming_field(self, tmp_path, capsys,
+                                                           line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["predict", "--config", str(cfg), "--out",
+                         str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"usage error: predictor {field} must be")
+        assert not out.exists()
 
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -360,6 +360,32 @@ def hgcl_oracle(embs, perms, t):
     return sum(terms) / len(terms)
 
 
+def hgcl_composite(stack, num_views, perms, cfg):
+    """HGCL as the tape composite that `sparse_mean` replaced, in numpy: the
+    view means, and the corrupted means gathered through a (P, K, n, d) flat
+    index, each a sum over rows scaled by 1/n, stacked and scored by
+    `_info_nce`. Returns the loss and its gradient in the stack."""
+    pairs = list(permutations(range(num_views), 2))
+    n, d = stack.shape[0] // num_views, stack.shape[1]
+    k = perms[pairs[0]].shape[0]
+    flat_idx = np.stack([perms[(a, b)] + a * n * d + np.arange(n)[:, None] * d
+                         for a, b in pairs])
+    means = stack.reshape(num_views, n, d).sum(axis=1) * (1.0 / n)
+    corrupted = stack.reshape(-1)[flat_idx].sum(axis=2) * (1.0 / n)
+    source = ad.Tensor(np.concatenate([means, corrupted.reshape(-1, d)]))
+    view_a, view_b = np.array(pairs).T
+    negatives = num_views + np.arange(len(pairs) * k).reshape(len(pairs), k)
+    loss = (cl._info_nce(source, view_a, np.column_stack([view_b, negatives]), cfg)
+            * (1.0 / len(pairs)))
+    ad.backward(loss)
+    g = source.grad * (1.0 / n)
+    grad = np.repeat(g[:num_views], n, axis=0)
+    np.add.at(grad.reshape(-1), flat_idx,
+              np.broadcast_to(g[num_views:].reshape(len(pairs), k, 1, d),
+                              flat_idx.shape))
+    return float(loss.value), grad
+
+
 def three_view_plan(rng, n=5, d=3, k_neg=3, k_perm=2):
     """Hand-built plan: one pair lacks negatives, one lacks positives, and
     neither K matches LossConfig().num_negatives."""
@@ -422,7 +448,7 @@ class TestBatchedLosses:
         loss = cl.lcl_tensor([ad.Tensor(e) for e in embs], samples, cl.LossConfig())
         ops = [node.op for node in ad.topo_order(loss)]
         assert ops.count("info_nce") == 1
-        assert "take_rows" not in ops
+        assert set(ops) == {"leaf", "concat", "info_nce", "const", "mul"}
 
     def test_info_nce_with_shared_and_repeated_rows(self):
         # row 2 anchors term 1 and is a candidate of terms 0 and 2; term 0
@@ -443,6 +469,53 @@ class TestBatchedLosses:
                        for a, row in zip(anchors, candidates))
         assert_allclose(loss_fn({"source": ad.Tensor(source)}).value, expected,
                         rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("num_views, n, d, k",
+                             [(2, 6, 3, 2), (3, 40, 8, 5), (4, 9, 5, 3)])
+    def test_hgcl_matches_the_composite_it_replaced(self, num_views, n, d, k):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(num_views * n, d))
+        cfg = cl.LossConfig(temperature=0.6, num_negatives=k)
+        perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
+        expected, expected_grad = hgcl_composite(stack, num_views, perms, cfg)
+        leaf = ad.Tensor(stack)
+        loss = cl.hgcl_stack(leaf, num_views, perms, cfg)
+        ad.backward(loss)
+        assert_allclose(loss.value, expected, rtol=1e-12, atol=0)
+        assert_allclose(leaf.grad, expected_grad, rtol=1e-12,
+                        atol=1e-12 * np.abs(expected_grad).max())
+        ops = [node.op for node in ad.topo_order(loss)]
+        assert ops.count("sparse_mean") == 1 and len(ops) == 5
+
+    def test_mean_operator_layout(self):
+        num_views, n, d = 3, 7, 4
+        cfg = cl.LossConfig(num_negatives=2)
+        perms = cl.sample_permutations(num_views, (n, d), cfg,
+                                       np.random.default_rng(3))
+        op = cl._mean_operator(num_views, n, d, perms)
+        assert op.shape == ((num_views + 6 * 2) * d, num_views * n * d)
+        assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
+        assert np.array_equal(np.diff(op.indptr), np.full(op.shape[0], n))
+        assert np.array_equal(op.data, np.ones(op.nnz))
+        # row (v, j) holds column j of view v's rows; row (p, k, j) holds
+        # E_a[i, perm[k, i, j]], pair p = 1 being (a, b) = (0, 2)
+        rows = op.indices.reshape(-1, d, n)
+        assert np.array_equal(rows[1, 2], n * d + np.arange(n) * d + 2)
+        first = num_views + 1 * 2
+        assert np.array_equal(rows[first + 1, 3],
+                              np.arange(n) * d + perms[(0, 2)][1, :, 3])
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one_leaf", "two_leaves"])
+    def test_hgcl_gradient_check_with_two_identical_views(self, shared):
+        rng = np.random.default_rng(12)
+        e = rng.normal(size=(5, 3))
+        cfg = cl.LossConfig(num_negatives=3)
+        perms = cl.sample_permutations(2, e.shape, cfg, rng)
+        names = ["e", "e"] if shared else ["e0", "e1"]
+        report = ad.finite_diff_check(
+            lambda t: cl.hgcl_tensor([t[name] for name in names], perms, cfg),
+            {name: e.copy() for name in names})
+        assert report.passed, f"worst relative error {report.worst}"
 
     def test_tape_size_independent_of_views_and_negatives(self):
         base = self.tape_sizes(2, 2)
@@ -492,8 +565,9 @@ def planted_epoch(monkeypatch):
 class TestPlantedEpochTape:
     def test_one_info_nce_node_per_loss(self, monkeypatch):
         nodes = ad.topo_order(planted_epoch(monkeypatch)[0])
-        assert [node.op for node in nodes].count("info_nce") == 2
-        assert len(nodes) <= 57
+        ops = [node.op for node in nodes]
+        assert ops.count("info_nce") == 2 and ops.count("sparse_mean") == 1
+        assert len(nodes) <= 47
 
     def test_constants_get_no_gradient(self, monkeypatch):
         root, grads = planted_epoch(monkeypatch)

@@ -158,6 +158,23 @@ class TestRatingHead:
         assert np.array_equal(got.weights, w)
         assert got.bias == b
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("epochs", 0, "at least 1"), ("epochs", -3, "at least 1"),
+        ("batch_size", 0, "at least 1"),
+        ("learning_rate", 0.0, "positive"), ("learning_rate", -5.0, "positive"),
+        ("learning_rate", float("nan"), "positive"),
+        ("epsilon", -0.1, "at least 0"), ("regularization", -1.0, "at least 0"),
+        ("regularization", float("nan"), "at least 0"),
+    ])
+    def test_invalid_config_rejected_naming_field(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"predictor {field} must be {rule}"):
+            rec.PredictorConfig(**{field: value})
+
+    def test_boundary_config_accepted(self):
+        cfg = rec.PredictorConfig(epochs=1, batch_size=1, epsilon=0.0,
+                                  regularization=0.0, learning_rate=1e-12)
+        assert cfg.epochs == 1 and cfg.epsilon == 0.0
+
     def test_empty_training_set_rejected(self):
         fused = make_fused(2, 2, 4)
         data = from_records([RatingRecord("u0", "i0", 3.0, (3.0,))])
