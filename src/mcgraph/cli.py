@@ -1,14 +1,15 @@
 """Command-line front end wiring config files and flags to the pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
-Diagnostics go to stderr; results go to files or stdout. Every artifact
-embeds the effective config (file values overridden by flags) and the seed.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort (a
+NaN or infinity in a result about to be written counts as one). A closed
+stdout ends the command quietly with 0. Diagnostics go to stderr; results go
+to files or stdout. Every artifact embeds the effective config (file values
+overridden by flags) and the seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -33,8 +34,7 @@ SWEEP_KINDS = ("sensitivity", "dims", "ts", "criteria")
 
 def _write_json(payload: dict, path: Path) -> None:
     # a NaN or infinity raises here, before the file is opened
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(ev.json_text(payload) + "\n", encoding="utf-8")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -126,7 +126,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = ds.compute_stats(ev.load_dataset(cfg))
     payload = stats.as_dict()
     payload["config"] = ev.config_as_dict(cfg)
-    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+    print(ev.json_text(payload))
     return EXIT_OK
 
 
@@ -318,16 +318,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader went away (`mcgraph stats | head -3`): end quietly, with
+        # stdout on os.devnull so the interpreter's exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ds.DatasetError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except RuntimeError as exc:  # before ValueError: a non-finite output is both
+        print(f"numeric abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def entrypoint() -> None:

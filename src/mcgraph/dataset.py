@@ -271,8 +271,8 @@ def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseE
 
 def load_ratings(path: str | Path) -> RatingDataset:
     """Read a ratings CSV. A duplicate (user, item) row's values replace the
-    earlier ones at the pair's first position; a directory or non-UTF-8
-    file is a `DatasetError`."""
+    earlier ones at the pair's first position; a leading byte-order mark is
+    skipped; a directory or non-UTF-8 file is a `DatasetError`."""
     try:
         return _read_ratings(Path(path))
     except (IsADirectoryError, UnicodeDecodeError) as exc:
@@ -283,7 +283,9 @@ def _read_ratings(path: Path) -> RatingDataset:
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, values, lines = [], [], [], []
-    with path.open(newline="", encoding="utf-8") as fh:
+    # "utf-8-sig" drops the byte-order mark that spreadsheets write in
+    # "CSV UTF-8" files, which would otherwise open the user_id header
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

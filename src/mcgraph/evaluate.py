@@ -108,6 +108,11 @@ def _config_keys() -> tuple[tuple[str, str, str, type], ...]:
 
 
 _CONFIG_KEYS = _config_keys()
+# keys of earlier versions whose setting no longer exists, and why
+_REMOVED_KEYS = {
+    key: "the rating head is fitted by Newton steps, which take no "
+         "learning rate or batch size"
+    for key in ("svr_learning_rate", "svr_batch_size")}
 
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
@@ -128,10 +133,12 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 def apply_config_values(cfg: ExperimentConfig,
                         values: Mapping[str, object]) -> ExperimentConfig:
-    """Override fields by flat key; unknown keys are rejected."""
+    """Override fields by flat key; unknown and removed keys are rejected."""
     by_key = {key: (section, attr, kind) for key, section, attr, kind in _CONFIG_KEYS}
     sections: dict[str, dict] = {section: {} for _, section, _, _ in _CONFIG_KEYS}
     for key, value in values.items():
+        if key in _REMOVED_KEYS:
+            raise ValueError(f"config key {key!r} was removed: {_REMOVED_KEYS[key]}")
         if key not in by_key:
             raise ValueError(f"unknown config key {key!r}")
         section, attr, kind = by_key[key]
@@ -524,9 +531,21 @@ def sweep_criteria_count(cfg: ExperimentConfig, counts: Sequence[int],
 # ---------------------------------------------------------------------------
 # report files
 
+class NonFiniteOutputError(RuntimeError, ValueError):
+    """A NaN or infinity in a result about to be written: a numeric abort."""
+
+
+def json_text(payload: dict) -> str:
+    """`payload` as sorted, indented JSON; a NaN or infinity raises
+    NonFiniteOutputError before anything is written."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"cannot write a non-finite result: {exc}") from None
+
+
 def write_report_json(report: MetricReport, path: str | Path) -> None:
-    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(report.as_dict()) + "\n", encoding="utf-8")
 
 
 def write_report_csv(reports: Sequence[MetricReport], path: str | Path) -> None:

@@ -2,9 +2,13 @@
 
 Per-view embeddings concatenate into one fused matrix; a rating for
 (user, item) comes from a linear margin-insensitive regressor over the
-stacked pair features [F_user || F_item], trained by seeded minibatch
-subgradient descent. UserKNN, its multi-criteria variant, and multiple
-linear regression serve as reference predictors.
+stacked pair features [F_user || F_item]. The regressor is fitted by a
+damped Newton method on the epsilon-insensitive loss with its hinge
+smoothed over a band of width HUBER beyond the tube, as in Chapelle 2007
+("Training a support vector machine in the primal"): each step is one
+(p+1)-square solve on the rows inside that band, so the fit is
+deterministic and needs no step-size schedule. UserKNN, its multi-criteria
+variant, and multiple linear regression serve as reference predictors.
 
 The KNN baselines never build a dense (users x items) or (users x users)
 array. Ratings live in one sparse CSR per criterion; user-user Pearson comes
@@ -35,6 +39,18 @@ RATING_MAX = 5.0
 # cancel (+1, -1, 0) leave a rounding-noise mean of about 1e-12, and no score
 # on the planted or the 50k-rating sets lies in (1e-9, 1e-6]
 SIMILARITY_FLOOR = 1e-9
+# the rating head's hinge is quadratic over this band beyond the epsilon-tube
+# and linear past it, which makes the objective twice differentiable almost
+# everywhere and its Newton steps well defined
+HUBER = 0.1
+# Newton stops once the gradient norm is within this many units per row
+GRADIENT_TOLERANCE = 1e-9
+# added to the Hessian diagonal, per row: keeps the solve well posed when no
+# row lies in the band or when the weights are not regularised
+HESSIAN_FLOOR = 1e-8
+# Armijo sufficient-decrease fraction and the backtracking cap per step
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,19 +77,13 @@ def fuse(embeddings: Sequence[np.ndarray], num_users: int) -> FusedEmbedding:
 class PredictorConfig:
     epsilon: float = 0.1
     regularization: float = 1.0
-    learning_rate: float = 0.01
-    epochs: int = 200
-    batch_size: int = 32
+    epochs: int = 200  # cap on Newton steps; a fit takes far fewer
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("batch_size", 1), ("epsilon", 0),
-                          ("regularization", 0)):
+        for name, low in (("epochs", 1), ("epsilon", 0), ("regularization", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"predictor {name} must be at least {low}, "
                                  f"got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"predictor learning_rate must be positive, "
-                             f"got {self.learning_rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,45 +106,107 @@ def pair_features(fused: FusedEmbedding, users: np.ndarray,
                            fused.matrix[fused.num_users + items]], axis=1)
 
 
+def _excess(residual: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance beyond the tube, and that distance capped at HUBER."""
+    excess = np.maximum(np.abs(residual) - epsilon, 0.0)
+    return excess, np.minimum(excess, HUBER)
+
+
+def _objective(residual: np.ndarray, w: np.ndarray, epsilon: float,
+               regularization: float) -> float:
+    """sum_i h(|residual_i| - epsilon) + regularization/2 * ||w||^2, where h
+    is 0 up to 0, a^2 / (2 HUBER) over (0, HUBER) and a - HUBER/2 beyond."""
+    excess, capped = _excess(residual, epsilon)
+    return float(capped @ (excess - 0.5 * capped)) / HUBER \
+        + 0.5 * regularization * float(w @ w)
+
+
+def _gradient(x: np.ndarray, residual: np.ndarray, w: np.ndarray,
+              epsilon: float, regularization: float) -> np.ndarray:
+    """`_objective`'s gradient in (w, b), the bias last."""
+    slope = np.sign(residual) * _excess(residual, epsilon)[1] / HUBER
+    return np.append(slope @ x + regularization * w, slope.sum())
+
+
+def newton_fit(x: np.ndarray, targets: np.ndarray, epsilon: float,
+               regularization: float,
+               max_steps: int) -> tuple[np.ndarray, float, list[float]]:
+    """Minimise `_objective` of x.w + b - targets over (w, b) by damped
+    Newton steps.
+
+    Starts from w = 0, b = mean(targets). Each step solves the bordered
+    system [[X_bᵀX_b / HUBER + ridge, X_bᵀ1 / HUBER], [1ᵀX_b / HUBER,
+    n_b / HUBER]] with X_b the rows inside the band, formed from X_bᵀX_b and
+    column sums, so no copy of x gains a bias column. An Armijo backtracking
+    search damps the step. Stops when the gradient norm is within
+    GRADIENT_TOLERANCE per row, when the objective stops decreasing, or after
+    max_steps steps. Returns w, b and the objective at every iterate.
+    """
+    n, width = x.shape
+    w, b = np.zeros(width), float(targets.mean())
+    residual = b - targets
+    objective = _objective(residual, w, epsilon, regularization)
+    history = [objective]
+    for _ in range(max_steps):
+        gradient = _gradient(x, residual, w, epsilon, regularization)
+        if np.linalg.norm(gradient) <= GRADIENT_TOLERANCE * n:
+            break
+        excess, _ = _excess(residual, epsilon)
+        band = x[(excess > 0.0) & (excess < HUBER)]
+        hessian = np.empty((width + 1, width + 1))
+        hessian[:width, :width] = band.T @ band
+        hessian[width, :width] = hessian[:width, width] = band.sum(axis=0)
+        hessian[width, width] = len(band)
+        hessian /= HUBER
+        hessian[np.diag_indices(width)] += regularization
+        hessian[np.diag_indices(width + 1)] += HESSIAN_FLOOR * n
+        direction = -np.linalg.solve(hessian, gradient)
+        slope = float(gradient @ direction)
+        if not slope < 0.0:
+            break
+        moved = x @ direction[:width] + direction[width]
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial_w = w + step * direction[:width]
+            trial = _objective(residual + step * moved, trial_w, epsilon,
+                               regularization)
+            if trial <= objective + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        if not trial < objective:
+            break
+        w, b = trial_w, b + step * float(direction[width])
+        residual = residual + step * moved
+        objective = trial
+        history.append(objective)
+    return w, b, history
+
+
 def train_predictor(fused: FusedEmbedding, train: RatingDataset,
                     cfg: PredictorConfig = PredictorConfig(),
                     seed: int = 0) -> RatingPredictor:
     """Fit the margin-insensitive linear head on [F_user || F_item] features.
 
-    Objective: mean_i max(0, |w.x_i + b - y_i| - epsilon)
-               + regularization/(2n) * ||w||^2,
-    minimized by minibatch subgradient descent with a decaying step size.
-    Weights start at zero and the bias at the target mean, so a constant
-    target column is fit exactly without any descent steps firing.
+    Features are standardised per column, then `newton_fit` minimises
+    sum_i h(|w.x_i + b - y_i| - epsilon) + regularization/2 * ||w||^2 with
+    the hinge h smoothed over HUBER, for at most cfg.epochs Newton steps.
+    The bias is not regularised. Weights start at zero and the bias at the
+    target mean, so a constant target is fit exactly with zero weights. The
+    fit draws nothing at random: `seed` is accepted for callers that pass
+    one and does not change the result.
     """
     if len(train) == 0:
         raise ValueError("cannot train the rating head on an empty dataset")
-    targets = train.overall
-    features = pair_features(fused, train.users, train.items)
-    n, width = features.shape
-
-    mean = features.mean(axis=0)
-    scale = features.std(axis=0)
+    x = pair_features(fused, train.users, train.items)
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    x = (features - mean) / scale
-
-    w = np.zeros(width)
-    b = float(targets.mean())
-    rng = np.random.default_rng(seed)
-    decay = cfg.regularization / n
-    for epoch in range(cfg.epochs):
-        step = cfg.learning_rate / (1.0 + 0.01 * epoch)
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            xb, yb = x[batch], targets[batch]
-            residual = xb @ w + b - yb
-            active = np.abs(residual) > cfg.epsilon
-            signs = np.sign(residual) * active
-            grad_w = (signs @ xb) / len(batch) + decay * w
-            grad_b = signs.sum() / len(batch)  # signs.mean() without its overhead
-            w -= step * grad_w
-            b -= step * grad_b
+    x -= mean  # in place: the head's largest array is not copied twice
+    x /= scale
+    w, b, _ = newton_fit(x, train.overall, cfg.epsilon, cfg.regularization,
+                         cfg.epochs)
     return RatingPredictor(weights=w, bias=b, epsilon=cfg.epsilon,
                            regularization=cfg.regularization,
                            feature_mean=mean, feature_scale=scale)

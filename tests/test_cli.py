@@ -1,6 +1,11 @@
 """Command-line surface: exit codes, precedence, artifacts, determinism."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -131,8 +136,55 @@ class TestExitCodes:
     def test_non_finite_stats_print_nothing(self, monkeypatch, capsys):
         stats = ds.DatasetStats(1.0, 1.0, 0.5, 3, float("nan"))
         monkeypatch.setattr(ds, "compute_stats", lambda data: stats)
-        assert cli.main(["stats"]) != cli.EXIT_OK
-        assert capsys.readouterr().out == ""
+        assert cli.main(["stats"]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric abort: cannot write a non-finite")
+
+    def test_non_finite_artifact_is_numeric_abort(self, tmp_path, ratings_csv,
+                                                  monkeypatch, capsys):
+        stats = ds.DatasetStats(1.0, float("nan"), 0.5, 3, 1.0)
+        monkeypatch.setattr(ds, "compute_stats", lambda data: stats)
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--data", ratings_csv, "--out", str(out)]) \
+            == cli.EXIT_NUMERIC
+        assert "numeric abort: cannot write a non-finite result" \
+            in capsys.readouterr().err
+        assert not (out / "ingest.json").exists()
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            assert cli.main(["stats"]) == cli.EXIT_OK
+            # the descriptor now writes to os.devnull, so a later flush cannot fail
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_stats_into_a_closed_pipe_exits_zero_without_traceback(self):
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.Popen([sys.executable, "-m", "mcgraph", "stats"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        proc.stdout.close()  # as `| head -3` does once it has its lines
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_OK
+        assert err == b""
 
     @pytest.mark.parametrize("line, field", [
         ("clip_norm = -1", "clip_norm"),
@@ -153,8 +205,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line, field", [
         ("svr_epochs = -3", "epochs"),
-        ("svr_batch_size = 0", "batch_size"),
-        ("svr_learning_rate = -5", "learning_rate"),
         ("svr_epsilon = -0.5", "epsilon"),
         ("svr_regularization = -1", "regularization"),
     ])
@@ -167,6 +217,18 @@ class TestExitCodes:
                          str(out)]) == cli.EXIT_USAGE
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"usage error: predictor {field} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["svr_batch_size", "svr_learning_rate"])
+    def test_removed_predictor_key_is_usage_naming_removal(self, tmp_path,
+                                                           capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(FAST_CFG + f"{key} = 32\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["predict", "--config", str(cfg), "--out",
+                         str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"usage error: config key {key!r} was removed")
         assert not out.exists()
 
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
@@ -275,6 +337,13 @@ class TestStats:
         assert 0 < payload["sparsity"] < 1
         assert payload["num_criteria"] == 3
         assert payload["config"]["dataset_path"] == ""
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbfuser_id,item_id,overall,c1\n"
+                        b"u1,i1,4,4\nu2,i1,3,2\n")
+        assert cli.main(["stats", "--data", str(bom)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["avg_reviews_per_item"] == 2.0
 
     def test_csv_stats(self, ratings_csv, capsys):
         assert cli.main(["stats", "--data", ratings_csv]) == cli.EXIT_OK

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from mcgraph import evaluate as ev
 from mcgraph import recommend as rec
@@ -42,6 +43,22 @@ def make_fused(num_users, num_items, width, seed=0):
     rng = np.random.default_rng(seed)
     return rec.FusedEmbedding(rng.normal(size=(num_users + num_items, width)),
                               num_users=num_users, view_dim=width)
+
+
+def smoothed_objective(theta, x, y, epsilon, regularization):
+    """The head's objective and gradient at theta = (w, b), written out
+    piecewise: 0 inside the tube, quadratic over the HUBER band, linear past it."""
+    w, b = theta[:-1], theta[-1]
+    residual = x @ w + b - y
+    excess = np.abs(residual) - epsilon
+    band = (excess > 0) & (excess < rec.HUBER)
+    beyond = excess >= rec.HUBER
+    loss = np.where(band, excess ** 2 / (2 * rec.HUBER),
+                    np.where(beyond, excess - rec.HUBER / 2, 0.0))
+    slope = np.sign(residual) * np.where(band, excess / rec.HUBER,
+                                         beyond.astype(float))
+    value = loss.sum() + 0.5 * regularization * w @ w
+    return value, np.append(x.T @ slope + regularization * w, slope.sum())
 
 
 def constant_predictor(width, bias):
@@ -122,47 +139,87 @@ class TestRatingHead:
                                          rng.uniform(1, 5, len(pairs)).tolist())
         p1 = rec.train_predictor(fused, data, seed=4)
         p2 = rec.train_predictor(fused, data, seed=4)
-        assert np.array_equal(p1.weights, p2.weights)
-        assert p1.bias == p2.bias
+        other = rec.train_predictor(fused, data, seed=5)  # the fit draws nothing
+        for p in (p2, other):
+            assert np.array_equal(p1.weights, p.weights)
+            assert p1.bias == p.bias
 
-    def test_matches_reference_minibatch_loop_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        fused = make_fused(30, 20, 6, seed=11)
+    def random_head_problem(self, seed=12):
+        """Standardised features and targets of ~240 random ratings, as
+        train_predictor builds them."""
+        rng = np.random.default_rng(seed)
+        fused = make_fused(30, 20, 6, seed=seed - 1)
         pairs = [(u, v) for u in range(30) for v in range(20)
                  if rng.uniform() < 0.4]
         data = self.dataset_from_targets(fused, pairs,
                                          rng.uniform(1, 5, len(pairs)).tolist())
-        cfg = rec.PredictorConfig(epochs=5, batch_size=7)
-        got = rec.train_predictor(fused, data, cfg, seed=3)
-
-        # the plain loop: signs.mean() and the decay divided in every batch
-        users = np.array([data.user_index[r.user_id] for r in data.records])
-        items = np.array([data.item_index[r.item_id] for r in data.records])
-        targets = np.array([r.overall for r in data.records])
-        features = rec.pair_features(fused, users, items)
-        n = len(targets)
+        features = rec.pair_features(fused, data.users, data.items)
         scale = features.std(axis=0)
         x = (features - features.mean(axis=0)) / np.where(scale > 0, scale, 1.0)
-        w, b = np.zeros(x.shape[1]), float(targets.mean())
-        order_rng = np.random.default_rng(3)
-        for epoch in range(cfg.epochs):
-            step = cfg.learning_rate / (1.0 + 0.01 * epoch)
-            order = order_rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                residual = x[batch] @ w + b - targets[batch]
-                signs = np.sign(residual) * (np.abs(residual) > cfg.epsilon)
-                w -= step * ((signs @ x[batch]) / len(batch)
-                             + (cfg.regularization / n) * w)
-                b -= step * signs.mean()
-        assert np.array_equal(got.weights, w)
-        assert got.bias == b
+        return fused, data, x, data.overall
+
+    @pytest.mark.parametrize("epsilon, regularization",
+                             [(0.1, 1.0), (0.3, 0.01), (0.0, 0.0)])
+    def test_reaches_smoothed_objective_optimum(self, epsilon, regularization):
+        fused, data, x, y = self.random_head_problem()
+        cfg = rec.PredictorConfig(epsilon=epsilon, regularization=regularization)
+        got = rec.train_predictor(fused, data, cfg)
+        newton = np.append(got.weights, got.bias)
+
+        def objective(theta):
+            return smoothed_objective(theta, x, y, epsilon, regularization)
+
+        tolerance = 1e-6
+        solver = minimize(objective, np.zeros(x.shape[1] + 1), jac=True,
+                          method="L-BFGS-B",
+                          options={"gtol": tolerance, "ftol": 1e-15,
+                                   "maxiter": 20000})
+        value, gradient = objective(newton)
+        assert value <= solver.fun * (1 + 1e-8)
+        assert np.linalg.norm(gradient) <= tolerance
+
+    @pytest.mark.parametrize("epsilon, regularization",
+                             [(0.1, 1.0), (0.0, 0.0)])
+    def test_objective_never_increases(self, epsilon, regularization):
+        _, _, x, y = self.random_head_problem(seed=21)
+        w, b, history = rec.newton_fit(x, y, epsilon, regularization, max_steps=200)
+        assert len(history) >= 3
+        assert np.all(np.diff(history) <= 0.0)
+        start = smoothed_objective(np.append(np.zeros(x.shape[1]), y.mean()),
+                                   x, y, epsilon, regularization)[0]
+        end = smoothed_objective(np.append(w, b), x, y, epsilon, regularization)[0]
+        assert_allclose([history[0], history[-1]], [start, end], rtol=1e-12)
+
+    def test_step_cap_binds(self):
+        _, _, x, y = self.random_head_problem()
+        w, b, history = rec.newton_fit(x, y, 0.1, 1.0, max_steps=1)
+        assert len(history) == 2
+        assert history[1] < history[0]
+
+    @pytest.mark.parametrize("epsilon, regularization, columns", [
+        (0.0, 1.0, "distinct"), (0.1, 0.0, "distinct"),
+        (0.1, 1.0, "duplicate"), (0.1, 1.0, "constant"),
+        (0.0, 0.0, "duplicate"), (0.0, 0.0, "constant"),
+    ])
+    def test_degenerate_inputs_give_finite_fits(self, epsilon, regularization,
+                                                 columns):
+        fused, data, _, _ = self.random_head_problem(seed=33)
+        if columns == "duplicate":
+            fused.matrix[:, 1] = fused.matrix[:, 0]
+            fused.matrix[:, 3] = fused.matrix[:, 0]
+        elif columns == "constant":
+            fused.matrix[:, 2] = 0.7
+        cfg = rec.PredictorConfig(epsilon=epsilon, regularization=regularization)
+        predictor = rec.train_predictor(fused, data, cfg)
+        assert np.all(np.isfinite(predictor.weights))
+        assert np.isfinite(predictor.bias)
+        predicted = rec.predict_many(predictor, fused, data.users, data.items)
+        assert np.all(np.isfinite(predicted))
+        assert np.abs(predicted - data.overall).mean() \
+            < np.abs(data.overall - data.overall.mean()).mean()
 
     @pytest.mark.parametrize("field, value, rule", [
         ("epochs", 0, "at least 1"), ("epochs", -3, "at least 1"),
-        ("batch_size", 0, "at least 1"),
-        ("learning_rate", 0.0, "positive"), ("learning_rate", -5.0, "positive"),
-        ("learning_rate", float("nan"), "positive"),
         ("epsilon", -0.1, "at least 0"), ("regularization", -1.0, "at least 0"),
         ("regularization", float("nan"), "at least 0"),
     ])
@@ -170,9 +227,13 @@ class TestRatingHead:
         with pytest.raises(ValueError, match=f"predictor {field} must be {rule}"):
             rec.PredictorConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["learning_rate", "batch_size"])
+    def test_removed_fields_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            rec.PredictorConfig(**{field: 1})
+
     def test_boundary_config_accepted(self):
-        cfg = rec.PredictorConfig(epochs=1, batch_size=1, epsilon=0.0,
-                                  regularization=0.0, learning_rate=1e-12)
+        cfg = rec.PredictorConfig(epochs=1, epsilon=0.0, regularization=0.0)
         assert cfg.epochs == 1 and cfg.epsilon == 0.0
 
     def test_empty_training_set_rejected(self):
