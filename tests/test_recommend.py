@@ -227,10 +227,14 @@ class TestRatingHead:
         with pytest.raises(ValueError, match=f"predictor {field} must be {rule}"):
             rec.PredictorConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["learning_rate", "batch_size"])
-    def test_removed_fields_rejected(self, field):
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -5.0),
+        ("learning_rate", float("nan")),
+        pytest.param("batch_size", 0, id="batch_size"),
+    ])
+    def test_removed_fields_rejected(self, field, value):
         with pytest.raises(TypeError, match=field):
-            rec.PredictorConfig(**{field: 1})
+            rec.PredictorConfig(**{field: value})
 
     def test_boundary_config_accepted(self):
         cfg = rec.PredictorConfig(epochs=1, epsilon=0.0, regularization=0.0)
