@@ -181,7 +181,7 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
         out = (act_v * factor[:, :, None]).reshape(num_views * n, width)
 
     def back(g):
-        d_act = g
+        d_act, d_wg = g, ()
         if gates:
             g_v = g.reshape(num_views, n, width)
             d_probs = (g_v * act_v).sum(axis=2) * float(n)
@@ -190,8 +190,6 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
             d_act = (g_v * factor[:, :, None]
                      + d_pre[:, :, None] * wg[:, None, :]).reshape(-1, width)
             d_wg = np.einsum("vn,vnd->vd", d_pre, act_v)
-            for v, gate in enumerate(gates):
-                ad._accumulate(gate, d_wg[v])
         d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
         g_edges = np.take(d_local.reshape(-1, num_heads, head_dim), centers, axis=0)
         d_coeffs = np.einsum("ehd,ehd->eh", g_edges,
@@ -216,12 +214,8 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
             h_blocks = h_in.value.reshape(num_views, n, -1)
             d_w = d_proj.transpose(0, 2, 1) @ h_blocks
             d_h = (d_proj @ w).reshape(num_views * n, -1)
-        ad._accumulate(h_in, d_h)
-        d_w = d_w.reshape(num_views * num_heads, head_dim, -1)
-        d_a = d_a.reshape(num_views * num_heads, -1)
-        for j, (weight, attn) in enumerate(zip(weights, attns)):
-            ad._accumulate(weight, d_w[j])
-            ad._accumulate(attn, d_a[j])
+        return (d_h, *d_w.reshape(num_views * num_heads, head_dim, -1),
+                *d_a.reshape(num_views * num_heads, -1), *d_wg)
 
     parents = (h_in, *weights, *attns, *gates)
     return ad.Tensor(out, "dual_attention", parents, back), coeffs, factor

@@ -1,24 +1,22 @@
 """Reverse-mode differentiation over real matrices.
 
 Eager, define-by-run: every op computes its value immediately and records
-how to push gradients back to its parents. The primitive set is the minimum
-needed by the contrastive losses and the gradient checker: add and
-elementwise mul (broadcasting), concat, sum, and `sparse_mean`, the means
-that a fixed 0/1 sparse operator picks. Neither add nor mul computes a
-gradient for a constant operand. The attention encoder builds each of its
-two layers, for all views at once, as one fused op of its own (see
-`attention.py`), and each contrastive loss scores its InfoNCE block as one
-op (see `contrastive.py`). Everything is float64.
+a backward function of the gradient `g` of its output that returns one
+gradient per parent, in parent order, or `None` for a parent it does not
+reach. `backward` alone adds those into the parents' `.grad`, and it skips
+constant parents (`op == "const"`). The primitive set is the minimum needed
+by the contrastive losses and the gradient checker: add and elementwise mul
+(broadcasting), concat, sum, and `sparse_mean`, the means that a fixed 0/1
+sparse operator picks. The attention encoder builds each of its two layers,
+for all views at once, as one fused op of its own (see `attention.py`), and
+each contrastive loss scores its InfoNCE block as one op (see
+`contrastive.py`). Everything is float64.
 
 The InfoNCE op's backward scatters through `_scatter_add`: one
 `np.bincount` per trailing column. It adds in index order exactly like
 numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The fused
 encoder op sums over edges with cached CSR operators instead, which add in
 the same order.
-
-A leaf's `.grad` may be preset before the backward pass, for instance to a
-view of a flat gradient buffer that holds every parameter: gradients are
-then added into that array in place, and no leaf allocates its own.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class Tensor:
 
     def __init__(self, value, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
-                 backward: Callable[[np.ndarray], None] | None = None):
+                 backward: Callable[[np.ndarray], Sequence] | None = None):
         self.value = _as_array(value)
         self.grad: np.ndarray | None = None
         self.op = op
@@ -59,17 +57,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
     # Arithmetic sugar so loss code reads like the math.
     def __add__(self, other): return add(self, _wrap(other))
-    def __radd__(self, other): return add(_wrap(other), self)
     def __mul__(self, other): return mul(self, _wrap(other))
-    def __rmul__(self, other): return mul(_wrap(other), self)
 
 
 def _wrap(x) -> Tensor:
@@ -138,10 +131,9 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Accumulate gradients of the scalar `root` into every node's `.grad`.
 
-    Gradients sum over all paths into each node's `.grad`, added in place
-    when it was preset; leaves not reachable from the root keep what they
-    had, `grad=None` unless preset (read them back with `grad_of`, which
-    substitutes zeros).
+    Gradients sum over all paths into each node's `.grad`; constant nodes and
+    leaves the root does not reach keep `grad=None` (read leaves back with
+    `grad_of`, which substitutes zeros).
     Higher-order differentiation is out of contract: a second backward
     through the same root is an error.
     """
@@ -153,7 +145,9 @@ def backward(root: Tensor) -> None:
     for node in reversed(topo_order(root)):
         if node.grad is None or node._backward is None:
             continue
-        node._backward(node.grad)
+        for parent, grad in zip(node._parents, node._backward(node.grad)):
+            if grad is not None and parent.op != "const":
+                _accumulate(parent, grad)
 
 
 def grad_of(leaf: Tensor) -> np.ndarray:
@@ -171,10 +165,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
 
     def back(g):
-        if a.op != "const":
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.op != "const":
-            _accumulate(b, _unbroadcast(g, b.value.shape))
+        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
     return Tensor(value, "add", (a, b), back)
 
 
@@ -185,10 +176,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
 
     def back(g):
-        if a.op != "const":
-            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.op != "const":
-            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        return (_unbroadcast(g * b.value, a.value.shape),
+                _unbroadcast(g * a.value, b.value.shape))
     return Tensor(value, "mul", (a, b), back)
 
 
@@ -200,7 +189,7 @@ def sparse_mean(a: Tensor, operator, count: int, shape: tuple[int, ...]) -> Tens
     value = (operator @ a.value.reshape(-1) * scale).reshape(shape)
 
     def back(g):
-        _accumulate(a, (operator.T @ (g.reshape(-1) * scale)).reshape(a.value.shape))
+        return (operator.T @ (g.reshape(-1) * scale)).reshape(a.value.shape),
     return Tensor(value, "sparse_mean", (a,), back)
 
 
@@ -214,18 +203,17 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     bounds = np.cumsum(sizes)[:-1]
 
     def back(g):
-        for part, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            _accumulate(part, piece)
+        return np.split(g, bounds, axis=axis)
     return Tensor(value, "concat", tuple(parts), back)
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     value = a.value.sum(axis=axis, keepdims=keepdims)
+    kept = (np.shape(value) if axis is None or keepdims
+            else np.expand_dims(value, axis).shape)
 
     def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.value.shape))
+        return np.broadcast_to(np.reshape(g, kept), a.value.shape),
     return Tensor(value, "sum", (a,), back)
 
 

@@ -30,8 +30,8 @@ Only the contrastive terms live on the autodiff tape. `train` keeps every
 parameter in one contiguous vector theta, in `init_params`' key order, and
 the name -> array dict it hands the encoder and returns holds reshaped views
 into theta. The gradient and Adam's two moments are vectors of the same
-layout: each leaf tensor's gradient is preset to its view of the gradient
-buffer, so the tape adds into it in place. The L2 term (`_l2`), its gradient
+layout: after the backward pass the leaf gradients are joined into the
+gradient buffer in that order. The L2 term (`_l2`), its gradient
 2·lambda·theta, the global-norm clip and the Adam step are then one vector
 operation each. Without contrastive training (the no-CL ablation, or a
 single view) no loss term reads the embeddings, so `train` skips the encoder
@@ -64,8 +64,11 @@ class LossConfig:
     neg_threshold: float = 0.3
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("alpha", "beta", "l2_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.num_negatives < 1:
             raise ValueError(f"need at least one negative, got {self.num_negatives}")
         if self.neg_threshold > self.pos_threshold:
@@ -274,9 +277,8 @@ def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
         d_right = (d_dots * left
                    - (radial / (norm_right * norm_right))[..., None] * right)
         rows = np.concatenate([anchors[:, None], candidates], axis=1)
-        ad._accumulate(source, ad._scatter_add(
-            rows, np.concatenate([d_left, d_right], axis=1),
-            source.value.shape[0]))
+        return ad._scatter_add(rows, np.concatenate([d_left, d_right], axis=1),
+                               source.value.shape[0]),
     return ad.Tensor(value, "info_nce", (source,), back)
 
 
@@ -468,13 +470,13 @@ class TrainConfig:
     use_contrastive: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.refresh_period < 1:
             raise ValueError(f"refresh_period must be at least 1, got {self.refresh_period}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 
     def variant(self, name: str) -> "TrainConfig":
@@ -501,8 +503,7 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
     initial = att.init_params(num_nodes, len(views), cfg.encoder, seed)
     theta = flatten(initial)
     params = unflatten(theta, initial)
-    grad = np.zeros_like(theta)
-    leaf_grads = unflatten(grad, initial)
+    grad = np.empty_like(theta)
     state = AdamState()
     trace: list[LossReport] = []
     plan: ContrastPlan | None = None
@@ -514,11 +515,7 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             l2 = _l2(theta)
             if use_cl:
-                # the tape adds every leaf's gradient into its view of `grad`
-                grad.fill(0.0)
                 tensors = {key: ad.Tensor(value) for key, value in params.items()}
-                for key, tensor in tensors.items():
-                    tensor.grad = leaf_grads[key]
                 stack = att.encode_stack(blocks, tensors, cfg.encoder,
                                          cfg.use_global_attention)
                 if plan is None or epoch % cfg.refresh_period == 0:
@@ -536,6 +533,8 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
 
             if use_cl:
                 ad.backward(_weighted(lcl, hgcl, 0.0, cfg.loss))
+                np.concatenate([ad.grad_of(t).ravel() for t in tensors.values()],
+                               out=grad)
                 grad += decay * theta
             else:
                 np.multiply(theta, decay, out=grad)

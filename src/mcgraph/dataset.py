@@ -355,8 +355,8 @@ def normalize_scale(dataset: RatingDataset,
     A criterion value of 0 marks "not rated" and stays 0.
     """
     lo, hi = source_range
-    if not hi > lo:
-        raise ValueError(f"source range must satisfy hi > lo, got [{lo}, {hi}]")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise ValueError(f"source range must be finite with hi > lo, got [{lo}, {hi}]")
     values = np.column_stack([dataset.overall, dataset.criteria])
     rated = np.column_stack([np.ones(len(dataset), dtype=bool), dataset.criteria != 0.0])
     outside = rated & ~((lo <= values) & (values <= hi))

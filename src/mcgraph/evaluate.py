@@ -133,7 +133,8 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 def apply_config_values(cfg: ExperimentConfig,
                         values: Mapping[str, object]) -> ExperimentConfig:
-    """Override fields by flat key; unknown and removed keys are rejected."""
+    """Override fields by flat key; unknown and removed keys and non-finite
+    float values are rejected."""
     by_key = {key: (section, attr, kind) for key, section, attr, kind in _CONFIG_KEYS}
     sections: dict[str, dict] = {section: {} for _, section, _, _ in _CONFIG_KEYS}
     for key, value in values.items():
@@ -142,7 +143,10 @@ def apply_config_values(cfg: ExperimentConfig,
         if key not in by_key:
             raise ValueError(f"unknown config key {key!r}")
         section, attr, kind = by_key[key]
-        sections[section][attr] = kind(value)
+        value = kind(value)
+        if kind is float and not np.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value}")
+        sections[section][attr] = value
     top = sections.pop("")
     for section, attrs in sections.items():
         if attrs:

@@ -175,6 +175,22 @@ class TestBackward:
         assert scale.grad is None and shift.grad is None
         assert_allclose(ad.grad_of(x), np.full(3, 2.0))
 
+    def test_parent_given_none_keeps_no_gradient(self):
+        # an op whose backward reaches only its first parent
+        a, b = ad.Tensor(np.arange(3.0)), ad.Tensor(np.ones(3))
+        first = ad.Tensor(a.value.copy(), "first", (a, b), lambda g: (g, None))
+        ad.backward(ad.tsum(first))
+        assert b.grad is None
+        assert_allclose(a.grad, np.ones(3))
+
+    def test_constant_parent_gets_no_gradient_its_op_returns(self):
+        x, scale = ad.Tensor(np.arange(3.0)), ad.Tensor(2.0, op="const")
+        scaled = ad.Tensor(x.value * 2.0, "scaled", (x, scale),
+                           lambda g: (2.0 * g, (g * x.value).sum()))
+        ad.backward(ad.tsum(scaled))
+        assert scale.grad is None
+        assert_allclose(x.grad, np.full(3, 2.0))
+
     def test_broadcast_add_sums_gradient(self):
         a = ad.Tensor(np.zeros((3, 4)))
         b = ad.Tensor(np.zeros(4))
@@ -268,9 +284,7 @@ class TestFiniteDiffCheck:
         def wrong_double(a):
             # claims d(2x)/dx = 5: the check must flag it
             def back(g):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.value)
-                a.grad += 5.0 * g
+                return (5.0 * g,)
             return ad.Tensor(2.0 * a.value, "wrong_double", (a,), back)
 
         params = {"ok": np.array([1.0, 2.0]), "bad": np.array([0.5, 1.5])}

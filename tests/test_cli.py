@@ -193,15 +193,22 @@ class TestExitCodes:
         ("learning_rate = 0", "learning_rate"),
         ("num_heads = 0", "num_heads"),
         ("head_dim = 0", "head_dim"),
+        ("alpha = -1.0", "alpha"),
+        ("beta = -1.0", "beta"),
+        ("l2_weight = -0.5", "l2_weight"),
+        ("clip_norm = nan", "clip_norm"),
+        ("svr_regularization = inf", "svr_regularization"),
     ])
     def test_invalid_training_value_is_usage_naming_field(self, tmp_path, capsys,
                                                           line, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FAST_CFG + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out",
-                         str(tmp_path / "out")]) == cli.EXIT_USAGE
+                         str(out)]) == cli.EXIT_USAGE
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("usage error:") and field in last
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, field", [
         ("svr_epochs = -3", "epochs"),
@@ -404,6 +411,17 @@ class TestIngest:
         assert cli.main(["ingest", "--data", ratings_csv,
                          "--scale", "wide"]) == cli.EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", ["-inf:5", "0:inf"],
+                             ids=["infinite_lo", "infinite_hi"])
+    def test_non_finite_scale_is_usage_before_any_file(self, ratings_csv,
+                                                       tmp_path, capsys, scale):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["ingest", "--data", ratings_csv, f"--scale={scale}",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_out_of_range_rating_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "wide.csv"

@@ -293,11 +293,19 @@ class TestLossConfigValidation:
         with pytest.raises(ValueError):
             cl.LossConfig(pos_threshold=0.2, neg_threshold=0.4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("temperature", float("nan")), ("alpha", -1.0), ("beta", -1.0),
+        ("l2_weight", -0.5)])
+    def test_bad_value_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            cl.LossConfig(**{name: value})
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("name, value", [
-        ("learning_rate", 0.0), ("learning_rate", -0.1), ("epochs", 0),
-        ("refresh_period", 0), ("clip_norm", 0.0), ("clip_norm", -1.0)])
+        ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("learning_rate", float("nan")), ("epochs", 0), ("refresh_period", 0),
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan"))])
     def test_bad_value_rejected_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             cl.TrainConfig(**{name: value})
@@ -689,27 +697,6 @@ class TestTrain:
         assert theta.shape == (sum(p.size for p in initial.values()),)
         assert all(p.base is theta for p in params.values())
         assert np.array_equal(theta, cl.flatten(params))
-
-    def test_leaf_gradients_are_views_of_one_buffer(self, monkeypatch):
-        views = two_view_setup()
-        leaves = capture_leaves(monkeypatch)
-        backward = ad.backward
-        buffers = []
-
-        def checking(root):
-            backward(root)
-            tensors = leaves[-1]
-            buffer = tensors["x"].grad.base
-            assert buffer.shape == (sum(t.value.size for t in tensors.values()),)
-            assert not np.shares_memory(buffer, tensors["x"].value)
-            for tensor in tensors.values():
-                assert tensor.grad.shape == tensor.value.shape
-                assert np.shares_memory(tensor.grad, buffer)
-            buffers.append(buffer)
-        monkeypatch.setattr(ad, "backward", checking)
-        cl.train(views, self.tiny_config(), seed=0, epochs=3)
-        assert len(buffers) == 3
-        assert all(b is buffers[0] for b in buffers)
 
     def test_clipped_exactly_when_norm_exceeds_clip_on_planted(self):
         cfg = ev.ExperimentConfig()

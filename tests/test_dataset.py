@@ -98,6 +98,12 @@ class TestNormalizeScale:
         assert out.records[0].overall == 3.0
         assert out.records[0].criteria == (3.0,)
 
+    @pytest.mark.parametrize("source", [(-np.inf, 5.0), (0.0, np.inf),
+                                        (np.nan, 5.0), (5.0, 1.0)])
+    def test_non_finite_or_empty_range_rejected(self, source):
+        with pytest.raises(ValueError, match="source range"):
+            ds.normalize_scale(self.make([3.0]), source)
+
     def test_out_of_range_names_the_record(self):
         with pytest.raises(ds.RangeError, match="u0"):
             ds.normalize_scale(self.make([14.0]), (1.0, 13.0))

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,22 @@ class TestConfigRoundTrip:
     def test_config_as_dict_covers_every_key(self):
         keys = [key for key, _, _, _ in ev._CONFIG_KEYS]
         assert list(ev.config_as_dict(ev.ExperimentConfig())) == keys
+
+    @pytest.mark.parametrize("key, value", [
+        ("clip_norm", "nan"), ("svr_regularization", "inf"),
+        ("test_fraction", "-inf")])
+    def test_non_finite_float_rejected_naming_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}.*must be finite"):
+            ev.apply_config_values(ev.ExperimentConfig(), {key: value})
+
+    def test_readme_lists_every_config_key(self):
+        # the README section from "Config keys" to the next heading
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        section = readme.split("\nConfig keys", 1)[1].split("\n#", 1)[0]
+        listed = set(re.findall(r"`([a-z_0-9]+)`", section))
+        keys = {key for key, _, _, _ in ev._CONFIG_KEYS} | set(ev._REMOVED_KEYS)
+        assert listed == keys
 
 
 class TestPlantedDataset:
