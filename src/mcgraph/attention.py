@@ -12,11 +12,14 @@ All views are encoded together as one block-diagonal graph of V*n nodes
 one tape op with a hand-derived backward: the first layer projects the
 shared X by every view's heads in one matmul, the second projects each
 view's block by its own heads in one batched matmul. One softmax runs over
-the (edges, heads) scores of all views, the first layer's ELU and the
-global gate run inside the op, and sums over edges are cached CSR segment
-operators (`S @ values`). The encoder therefore adds two tape nodes
-whatever the number of views and heads; encoding one view is the
-one-block case.
+the (edges, heads) scores of all views, and the first layer's ELU and the
+global gate run inside the op. Sums of per-edge scores are cached CSR
+segment operators (`S @ values`). The α-weighted sum of neighbour
+projections is one sparse-dense product (g-SpMM, as in DGL and PyG) with
+the graph's cached head-stacked operator (`BlockGraph.edge_product`), whose
+nonzeros are the (E, H) coefficients, so no per-edge message array is
+built; the backward multiplies by the transpose. The encoder therefore adds two tape nodes whatever the
+number of views and heads; encoding one view is the one-block case.
 
 Parameters are addressed by name (`head_key`, `gate_key`, "x") in a
 name -> array dict. During training each entry is a reshaped view into one
@@ -117,6 +120,16 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _head_scores(blocks: np.ndarray, attn: np.ndarray) -> np.ndarray:
+    """(V*n, H) dot products attn[v, k] . blocks[v, i, k], one einsum per
+    view over a contiguous (H, F') slice; one einsum over all V runs
+    several times slower."""
+    out = np.empty(blocks.shape[:3])
+    for block, view_attn, view_out in zip(blocks, attn, out):
+        np.einsum("nhd,hd->nh", block, np.ascontiguousarray(view_attn), out=view_out)
+    return out.reshape(-1, blocks.shape[2])
+
+
 # ---------------------------------------------------------------------------
 # tensor-level forward pass (used directly by training)
 
@@ -135,8 +148,11 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
 
     Edge e = (centers[e], neighbors[e]) scores head k as
     LeakyReLU(a_k[:F'] . P_k[center] + a_k[F':] . P_k[neighbor]) with
-    P_k = h W_k^T; the softmax runs per center and head. The gate scales
-    each view's rows by n * softmax(ReLU(h wg)) over that view's nodes.
+    P_k = h W_k^T; the softmax runs per center and head. Head k of node c
+    is then sum_e coeffs[e, k] P_k[neighbors[e]] over c's edges, for all
+    heads one sparse product (`graph.edge_product`); its transpose gives
+    the backward's message term of d P. The gate scales each view's rows
+    by n * softmax(ReLU(h wg)) over that view's nodes.
     """
     num_views, n = graph.num_views, graph.num_nodes
     num_heads = len(weights) // num_views
@@ -152,8 +168,7 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
         proj = h_in.value.reshape(num_views, n, -1) @ w.transpose(0, 2, 1)
     proj = np.ascontiguousarray(proj).reshape(num_views * n, num_heads, head_dim)
     blocks = proj.reshape(num_views, n, num_heads, head_dim)
-    s_src = np.einsum("vnhd,vhd->vnh", blocks, a[:, :, 0]).reshape(-1, num_heads)
-    s_dst = np.einsum("vnhd,vhd->vnh", blocks, a[:, :, 1]).reshape(-1, num_heads)
+    s_src, s_dst = (_head_scores(blocks, a[:, :, side]) for side in (0, 1))
     # np.take: row gathers run several times faster than fancy indexing
     raw = np.take(s_src, centers, axis=0) + np.take(s_dst, neighbors, axis=0)
     slope = np.where(raw > 0.0, 1.0, LEAKY_SLOPE)
@@ -163,11 +178,7 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
         np.maximum.reduceat(scores, graph.run_starts, axis=0)
         if centers.size else scores, graph.run_lengths, axis=0))
     coeffs = e / np.take(graph.center_sum @ e, centers, axis=0)
-    # (E, H, F') rows are the largest arrays here: one at a time, none kept
-    messages = np.take(proj, neighbors, axis=0)
-    messages *= coeffs[:, :, None]
-    local = graph.center_sum @ messages.reshape(-1, width)
-    del messages
+    local = graph.edge_product(coeffs, proj)
     act = np.where(local > 0.0, local, np.expm1(local)) if first else local
     factor = None
     out = act
@@ -191,15 +202,14 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
                      + d_pre[:, :, None] * wg[:, None, :]).reshape(-1, width)
             d_wg = np.einsum("vn,vnd->vd", d_pre, act_v)
         d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
-        g_edges = np.take(d_local.reshape(-1, num_heads, head_dim), centers, axis=0)
-        d_coeffs = np.einsum("ehd,ehd->eh", g_edges,
+        d_rows = d_local.reshape(-1, num_heads, head_dim)
+        d_coeffs = np.einsum("ehd,ehd->eh", np.take(d_rows, centers, axis=0),
                              np.take(proj, neighbors, axis=0))
         weighted = graph.center_sum @ (coeffs * d_coeffs)
         d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0)) * slope
         d_src = (graph.center_sum @ d_raw).reshape(num_views, n, num_heads)
         d_dst = (graph.neighbor_sum @ d_raw).reshape(num_views, n, num_heads)
-        g_edges *= coeffs[:, :, None]
-        d_proj = (graph.neighbor_sum @ g_edges.reshape(-1, width)).reshape(
+        d_proj = graph.edge_product(coeffs, d_rows, transpose=True).reshape(
             num_views, n, num_heads, head_dim)
         d_proj += (d_src[..., None] * a[:, None, :, 0]
                    + d_dst[..., None] * a[:, None, :, 1])

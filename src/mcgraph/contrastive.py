@@ -22,9 +22,10 @@ against its 1+K candidate rows, each row of the cosine block has one
 softmax, and the backward scatters the gradient into the anchor and
 candidate rows of the source in one pass. The global loss takes its view
 and corrupted means from the stack as one `sparse_mean` node, a fixed 0/1
-CSR operator built from the permutations. A loss thus adds the same number
-of tape nodes whatever the number of views, positives or negatives;
-`lcl_tensor` and `hgcl_tensor` stack a list of per-view tensors first.
+CSR operator built from the permutations once per plan and carried by it.
+A loss thus adds the same number of tape nodes whatever the number of
+views, positives or negatives; `lcl_tensor` and `hgcl_tensor` stack a list
+of per-view tensors first.
 
 Only the contrastive terms live on the autodiff tape. `train` keeps every
 parameter in one contiguous vector theta, in `init_params`' key order, and
@@ -71,6 +72,10 @@ class LossConfig:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.num_negatives < 1:
             raise ValueError(f"need at least one negative, got {self.num_negatives}")
+        for name in ("pos_threshold", "neg_threshold"):
+            # compared with cosine similarities; written so that NaN fails
+            if not -1.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [-1, 1], got {getattr(self, name)}")
         if self.neg_threshold > self.pos_threshold:
             raise ValueError("neg_threshold must not exceed pos_threshold")
 
@@ -108,6 +113,7 @@ class ContrastPlan:
     anchor_sets: tuple[AnchorSet, ...]
     samples: tuple[PairSample, ...]
     permutations: dict  # (view_a, view_b) -> (K, n, d) within-row column indices
+    mean_operator: sp.csr_matrix  # HGCL's `_mean_operator` of the permutations
 
 
 class IsolatedViewError(DatasetError, ValueError):
@@ -234,7 +240,8 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
                         for v, e in zip(views, embeddings))
     samples = sample_pair_negatives(anchor_sets, cfg, rng)
     perms = sample_permutations(len(views), embeddings[0].shape, cfg, rng)
-    return ContrastPlan(anchor_sets, samples, perms)
+    return ContrastPlan(anchor_sets, samples, perms,
+                        _mean_operator(len(views), *embeddings[0].shape, perms))
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +329,22 @@ def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.
                          shape=(nnz // n, num_views * n * d))
 
 
-def hgcl_stack(stack: ad.Tensor, num_views: int, permutations: Mapping,
+def hgcl_stack(stack: ad.Tensor, num_views: int, mean_operator: sp.csr_matrix,
                cfg: LossConfig) -> ad.Tensor:
     """Mean InfoNCE term over ordered view pairs of column-mean embeddings.
 
     Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
-    pair's (K, n, d) block has the same K. E_v is block v of `stack`. The
-    scored rows are the V view means followed by the P*K corrupted means,
-    pair p's k-th at row V + p*K + k, all one `sparse_mean` node.
+    pair's (K, n, d) block has the same K. E_v is block v of `stack`, and
+    `mean_operator` is `_mean_operator` of those permutations. The scored
+    rows are the V view means followed by the P*K corrupted means, pair p's
+    k-th at row V + p*K + k, all one `sparse_mean` node.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
         return ad.Tensor(0.0)
     n, d = stack.shape[0] // num_views, stack.shape[1]
-    source = ad.sparse_mean(stack, _mean_operator(num_views, n, d, permutations),
-                            n, (-1, d))
+    source = ad.sparse_mean(stack, mean_operator, n, (-1, d))
     view_a, view_b = np.array(pairs).T
     negatives = np.arange(num_views, source.shape[0]).reshape(len(pairs), -1)
     candidates = np.column_stack([view_b, negatives])
@@ -353,8 +360,8 @@ def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
 def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
                 cfg: LossConfig) -> ad.Tensor:
     """`hgcl_stack` of per-view embedding tensors."""
-    return hgcl_stack(ad.concat(embeddings, axis=0), len(embeddings),
-                      permutations, cfg)
+    operator = _mean_operator(len(embeddings), *embeddings[0].shape, permutations)
+    return hgcl_stack(ad.concat(embeddings, axis=0), len(embeddings), operator, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +530,7 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
                         views, stack.value.reshape(len(views), num_nodes, -1),
                         cfg.loss, np.random.default_rng([seed, epoch]))
                 lcl = lcl_stack(stack, len(views), plan.samples, cfg.loss)
-                hgcl = hgcl_stack(stack, len(views), plan.permutations, cfg.loss)
+                hgcl = hgcl_stack(stack, len(views), plan.mean_operator, cfg.loss)
                 l_lcl, l_hgcl = float(lcl.value), float(hgcl.value)
             else:
                 l_lcl = l_hgcl = 0.0

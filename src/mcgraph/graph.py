@@ -10,7 +10,12 @@ index arrays, computed once at construction.
 `block_graph` stacks V views into one block-diagonal graph of V*n nodes
 (`BlockGraph`), the layout the encoder runs on: the stacked edges plus
 cached CSR operators that sum edge values into their centers or
-neighbors. A view's own one-block graph is built on first use and kept.
+neighbors. For H attention heads it also keeps one head-stacked CSR whose
+nonzeros are the edges, built on first use: `BlockGraph.edge_product`
+writes per-edge, per-head weights into its shared data buffer and
+multiplies, so an α-weighted sum over every center's neighbors is one
+sparse-dense product. A view's own one-block graph is built on first use
+and kept.
 """
 
 from __future__ import annotations
@@ -73,6 +78,14 @@ class BlockGraph:
     `neighbor_sum` are (V*n, E) 0/1 CSR operators: `S @ values` adds each
     edge's row into its center's (neighbor's) row, in edge order, as
     `np.bincount` adds its weights.
+
+    `edge_product` multiplies by the head operator: for H heads, an
+    (H*V*n, H*V*n) CSR, built once per H on first use and kept, whose row
+    h*V*n + c holds center c's edges in edge order at columns
+    h*V*n + neighbor. Its transpose is a CSC over the same three buffers.
+    The nonzero values live in one data buffer that every product
+    overwrites with its own weights first, so no caller may rely on the
+    weights an earlier call left there.
     """
 
     view_indices: tuple[int, ...]  # criterion index of each block
@@ -83,10 +96,42 @@ class BlockGraph:
     neighbor_sum: sp.csr_matrix
     run_starts: np.ndarray         # first edge of each center with edges
     run_lengths: np.ndarray        # its edge count
+    _head_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_views(self) -> int:
         return len(self.view_indices)
+
+    def edge_product(self, coeffs: np.ndarray, rows: np.ndarray,
+                     transpose: bool = False) -> np.ndarray:
+        """Per-head weighted sums over edges as one sparse product.
+
+        `coeffs` is (E, H) and `rows` is (V*n, H, F). Head h of row c of the
+        (V*n, H*F) result sums coeffs[e, h] * rows[neighbors[e], h] over c's
+        edges e, in edge order; with `transpose`, head h of row j sums
+        coeffs[e, h] * rows[centers[e], h] over the edges whose neighbor is
+        j, in edge order. The rows are multiplied head-major, row h*V*n + i
+        holding rows[i, h].
+        """
+        num_heads, size = coeffs.shape[1], rows.shape[0]
+        ops = self._head_operators.get(num_heads)
+        if ops is None:
+            ops = self._head_operators[num_heads] = self._head_operator(num_heads)
+        ops[0].data.reshape(num_heads, -1)[...] = coeffs.T
+        stacked = np.ascontiguousarray(rows.transpose(1, 0, 2)).reshape(-1, rows.shape[2])
+        out = (ops[1] if transpose else ops[0]) @ stacked
+        return out.reshape(num_heads, size, -1).transpose(1, 0, 2).reshape(size, -1)
+
+    def _head_operator(self, num_heads: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The head operator and its transpose, sharing every buffer."""
+        size, edges = self.num_views * self.num_nodes, self.centers.size
+        heads = np.arange(num_heads)
+        indptr = np.append((self.center_sum.indptr[:-1] + edges * heads[:, None]).ravel(),
+                           num_heads * edges)
+        indices = (self.neighbors + size * heads[:, None]).ravel()
+        op = sp.csr_matrix((np.zeros(num_heads * edges), indices, indptr),
+                           shape=(num_heads * size, num_heads * size))
+        return op, op.T
 
 
 def block_graph(views: Sequence[CriterionView]) -> BlockGraph:

@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 
 from mcgraph import attention as att
 from mcgraph import autodiff as ad
+from mcgraph import evaluate as ev
 from mcgraph import graph
+from mcgraph.graph import build_views
 
 
 def view_from_incidence(b, criterion_index=1):
@@ -337,20 +339,25 @@ class TestBlockDiagonalEncoder:
                 assert emb.criterion_index == alone.criterion_index
                 assert_allclose(emb.matrix, alone.matrix, rtol=1e-12, atol=1e-12)
 
-    def test_passes_gradient_check_on_every_leaf(self):
-        views = self.views(3)
+    def check_stack_gradients(self, count, seed):
+        """Two-layer, two-head `encode_stack` of `count` views against
+        finite differences on every leaf."""
+        views = self.views(count)
         cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
-        params = att.init_params(views[0].num_nodes, 3, cfg, seed=5)
+        params = att.init_params(views[0].num_nodes, count, cfg, seed=seed)
         blocks = graph.block_graph(views)
-        weight = ad.Tensor(np.random.default_rng(6).normal(
-            size=(3 * views[0].num_nodes, cfg.embed_dim)))
+        weight = ad.Tensor(np.random.default_rng(seed + 1).normal(
+            size=(count * views[0].num_nodes, cfg.embed_dim)))
 
         def loss_fn(t):
             return ad.tsum(ad.mul(att.encode_stack(blocks, t, cfg), weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
-        assert len(report.blocks) == len(params) == 1 + 3 * 2 * (2 * 2 + 1)
+        assert len(report.blocks) == len(params) == 1 + count * 2 * (2 * 2 + 1)
+
+    def test_passes_gradient_check_on_every_leaf(self):
+        self.check_stack_gradients(3, seed=5)
 
     def test_tape_size_independent_of_view_count(self):
         cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
@@ -377,6 +384,58 @@ class TestBlockDiagonalEncoder:
                                   ad._scatter_add(blocks.centers, values, rows))
             assert np.array_equal(blocks.neighbor_sum @ values,
                                   ad._scatter_add(blocks.neighbors, values, rows))
+
+
+    @staticmethod
+    def planted_blocks():
+        return graph.block_graph(build_views(ev.prepared_data(ev.ExperimentConfig())[0]))
+
+    @pytest.mark.parametrize("source", ["planted", "fixture"])
+    def test_edge_product_equals_the_composite_it_replaced(self, source):
+        blocks = self.planted_blocks() if source == "planted" else \
+            graph.block_graph(self.views(3))
+        assert blocks.num_views == 3
+        rng = np.random.default_rng(8)
+        rows, edges, head_dim = 3 * blocks.num_nodes, blocks.centers.size, 3
+        for num_heads in (2, 1, 3, 2):  # one cached operator per head count
+            coeffs = rng.random((edges, num_heads))
+            x = rng.normal(size=(rows, num_heads, head_dim))
+            forward = blocks.center_sum @ (
+                coeffs[:, :, None] * x[blocks.neighbors]).reshape(edges, -1)
+            backward = blocks.neighbor_sum @ (
+                coeffs[:, :, None] * x[blocks.centers]).reshape(edges, -1)
+            assert np.array_equal(blocks.edge_product(coeffs, x), forward)
+            assert np.array_equal(blocks.edge_product(coeffs, x, transpose=True),
+                                  backward)
+
+    def test_layer_backward_ignores_weights_left_by_the_other_layer(self):
+        # both layers write their coefficients into the graph's one buffer
+        views = self.views(3)
+        blocks = graph.block_graph(views)
+        width = self.num_heads * self.head_dim
+        first, gates1 = self.leaves(3, self.fan_in, seed=30)
+        second, gates2 = self.leaves(3, width, seed=31)
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(views[0].num_nodes, self.fan_in))
+
+        def layer(h_in, heads, gates, is_first):
+            return att._dual_attention(
+                ad.Tensor(h_in), [ad.Tensor(w) for view in heads for w, _ in view],
+                [ad.Tensor(a) for view in heads for _, a in view],
+                [ad.Tensor(g) for g in gates], blocks, first=is_first)[0]
+
+        out = layer(x, first, gates1, True)
+        g = rng.normal(size=out.shape)
+        alone = out._backward(g)
+        out = layer(x, first, gates1, True)
+        layer(out.value, second, gates2, False)
+        after_second = out._backward(g)
+        assert len(after_second) == len(alone)
+        for got, want in zip(after_second, alone):
+            assert np.array_equal(got, want)
+
+    def test_two_heads_two_views_stack_passes_gradient_check(self):
+        self.check_stack_gradients(2, seed=9)
 
 
 class TestEncoderConfigValidation:

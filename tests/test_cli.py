@@ -198,6 +198,8 @@ class TestExitCodes:
         ("l2_weight = -0.5", "l2_weight"),
         ("clip_norm = nan", "clip_norm"),
         ("svr_regularization = inf", "svr_regularization"),
+        ("pos_threshold = 2", "pos_threshold"),
+        ("neg_threshold = -1.5", "neg_threshold"),
     ])
     def test_invalid_training_value_is_usage_naming_field(self, tmp_path, capsys,
                                                           line, field):

@@ -97,8 +97,8 @@ class TestAnchorSet:
         view = view_from_incidence([[1.0, 1.0], [0.0, 0.0]])  # user 1 isolated
         rng = np.random.default_rng(1)
         e = rng.normal(size=(4, 4))
-        anchors = cl.build_anchor_set(view, e, cl.LossConfig(neg_threshold=2.0,
-                                                             pos_threshold=2.0))
+        anchors = cl.build_anchor_set(view, e, cl.LossConfig(neg_threshold=1.0,
+                                                             pos_threshold=1.0))
         assert 1 not in anchors.positives
         assert 1 not in anchors.negative_pool
         assert 1 not in anchors.eligible
@@ -295,10 +295,15 @@ class TestLossConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("temperature", float("nan")), ("alpha", -1.0), ("beta", -1.0),
-        ("l2_weight", -0.5)])
+        ("l2_weight", -0.5),
+        *[(name, value) for name in ("pos_threshold", "neg_threshold")
+          for value in (1.5, -1.5, float("nan"))]])
     def test_bad_value_rejected_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             cl.LossConfig(**{name: value})
+
+    def test_thresholds_at_the_cosine_bounds_accepted(self):
+        cl.LossConfig(pos_threshold=1.0, neg_threshold=-1.0)
 
 
 class TestTrainConfigValidation:
@@ -487,7 +492,8 @@ class TestBatchedLosses:
         perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
         expected, expected_grad = hgcl_composite(stack, num_views, perms, cfg)
         leaf = ad.Tensor(stack)
-        loss = cl.hgcl_stack(leaf, num_views, perms, cfg)
+        loss = cl.hgcl_stack(leaf, num_views,
+                             cl._mean_operator(num_views, n, d, perms), cfg)
         ad.backward(loss)
         assert_allclose(loss.value, expected, rtol=1e-12, atol=0)
         assert_allclose(leaf.grad, expected_grad, rtol=1e-12,
@@ -588,6 +594,22 @@ class TestPlantedEpochTape:
         leaf_root, leaf_grads = planted_epoch(monkeypatch)
         assert not any(node.op == "const" for node in ad.topo_order(leaf_root))
         assert np.array_equal(grads, leaf_grads)
+
+
+def test_mean_operator_built_once_per_plan(monkeypatch):
+    calls = []
+    build = cl._mean_operator
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(cl, "_mean_operator", counting)
+    cfg = ev.ExperimentConfig()
+    views = build_views(ev.prepared_data(cfg)[0])
+    train_cfg = cfg.train_config()
+    assert train_cfg.refresh_period == 10
+    cl.train(views, train_cfg, seed=0, epochs=100)
+    assert len(calls) == 10
 
 
 class TestTrain:
