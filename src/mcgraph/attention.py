@@ -9,17 +9,20 @@ input matrix X is itself a learnable parameter shared by all views.
 
 All views are encoded together as one block-diagonal graph of V*n nodes
 (`graph.BlockGraph`; node i of view v is row v*n + i), and each layer is
-one tape op with a hand-derived backward: the first layer projects the
-shared X by every view's heads in one matmul, the second projects each
-view's block by its own heads in one batched matmul. One softmax runs over
-the (edges, heads) scores of all views, and the first layer's ELU and the
-global gate run inside the op. Sums of per-edge scores are cached CSR
-segment operators (`S @ values`). The α-weighted sum of neighbour
-projections is one sparse-dense product (g-SpMM, as in DGL and PyG) with
-the graph's cached head-stacked operator (`BlockGraph.edge_product`), whose
-nonzeros are the (E, H) coefficients, so no per-edge message array is
-built; the backward multiplies by the transpose. The encoder therefore adds two tape nodes whatever the
-number of views and heads; encoding one view is the one-block case.
+one kernel, `_dual_attention`, that returns its value and a `back` closure
+with a hand-derived backward: the first layer projects the shared X by
+every view's heads in one matmul, the second projects each view's block by
+its own heads in one batched matmul. One softmax runs over the (edges,
+heads) scores of all views, and the first layer's ELU and the global gate
+run inside the kernel. Sums of per-edge scores are cached CSR segment
+operators (`S @ values`). The α-weighted sum of neighbour projections is
+one sparse-dense product (g-SpMM, as in DGL and PyG) with the graph's
+cached head-stacked operator (`BlockGraph.edge_product`), whose nonzeros
+are the (E, H) coefficients, so no per-edge message array is built; the
+backward multiplies by the transpose. `encode_stack` is the two kernel
+calls whatever the number of views and heads; encoding one view is the
+one-block case. `encode_view_tensors` wraps it as one autodiff tape node
+for gradient checks.
 
 Parameters are addressed by name (`head_key`, `gate_key`, "x") in a
 name -> array dict. During training each entry is a reshaped view into one
@@ -131,20 +134,21 @@ def _head_scores(blocks: np.ndarray, attn: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor-level forward pass (used directly by training)
+# kernels (used directly by training)
 
-def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
-                    attns: Sequence[ad.Tensor], gates: Sequence[ad.Tensor],
-                    graph: BlockGraph, first: bool
-                    ) -> tuple[ad.Tensor, np.ndarray, np.ndarray | None]:
-    """One dual-attention layer of every view as one tape node.
+def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
+                    wg: np.ndarray | None, graph: BlockGraph, first: bool):
+    """One dual-attention layer of every view as one kernel.
 
-    `weights` and `attns` hold each view's heads, view-major; `gates` holds
-    one global weight per view, or nothing to leave the gate out. The first
-    layer projects the shared (n, F) input by every view's heads and applies
-    ELU after the neighbor attention; a later layer projects each view's
-    block of the (V*n, F) stack by that view's heads. Returns the (V*n, H*F')
-    stack, the (E, H) attention coefficients and the (V, n) gate factors.
+    `w_in` (V*H, F', F) and `a_in` (V*H, 2F') stack each view's heads,
+    view-major; `wg` (V, H*F') holds one global weight per view, or is None
+    to leave the gate out. The first layer projects the shared (n, F) input
+    by every view's heads and applies ELU after the neighbor attention; a
+    later layer projects each view's block of the (V*n, F) stack by that
+    view's heads. Returns the (V*n, H*F') stack, the (E, H) attention
+    coefficients, the (V, n) gate factors (None without the gate) and
+    `back`, which maps the stack's gradient to (d_h, d_w, d_a, d_wg) shaped
+    like the inputs (d_wg None without the gate).
 
     Edge e = (centers[e], neighbors[e]) scores head k as
     LeakyReLU(a_k[:F'] . P_k[center] + a_k[F':] . P_k[neighbor]) with
@@ -155,17 +159,16 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
     by n * softmax(ReLU(h wg)) over that view's nodes.
     """
     num_views, n = graph.num_views, graph.num_nodes
-    num_heads = len(weights) // num_views
-    head_dim = weights[0].value.shape[0]
+    num_heads, head_dim = w_in.shape[0] // num_views, w_in.shape[1]
     width = num_heads * head_dim
     centers, neighbors = graph.centers, graph.neighbors
-    w = np.stack([t.value for t in weights]).reshape(num_views, width, -1)
-    a = np.stack([t.value for t in attns]).reshape(num_views, num_heads, 2, head_dim)
+    w = w_in.reshape(num_views, width, -1)
+    a = a_in.reshape(num_views, num_heads, 2, head_dim)
     if first:
-        proj = (h_in.value @ w.reshape(num_views * width, -1).T).reshape(
+        proj = (h_in @ w.reshape(num_views * width, -1).T).reshape(
             n, num_views, width).transpose(1, 0, 2)
     else:
-        proj = h_in.value.reshape(num_views, n, -1) @ w.transpose(0, 2, 1)
+        proj = h_in.reshape(num_views, n, -1) @ w.transpose(0, 2, 1)
     proj = np.ascontiguousarray(proj).reshape(num_views * n, num_heads, head_dim)
     blocks = proj.reshape(num_views, n, num_heads, head_dim)
     s_src, s_dst = (_head_scores(blocks, a[:, :, side]) for side in (0, 1))
@@ -182,8 +185,7 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
     act = np.where(local > 0.0, local, np.expm1(local)) if first else local
     factor = None
     out = act
-    if gates:
-        wg = np.stack([t.value for t in gates])                   # (V, D)
+    if wg is not None:
         act_v = act.reshape(num_views, n, width)
         pre = (act_v @ wg[:, :, None])[:, :, 0]                   # (V, n)
         probs = _softmax_rows(np.maximum(pre, 0.0))
@@ -192,8 +194,8 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
         out = (act_v * factor[:, :, None]).reshape(num_views * n, width)
 
     def back(g):
-        d_act, d_wg = g, ()
-        if gates:
+        d_act, d_wg = g, None
+        if wg is not None:
             g_v = g.reshape(num_views, n, width)
             d_probs = (g_v * act_v).sum(axis=2) * float(n)
             d_pre = probs * (d_probs - (probs * d_probs).sum(axis=1, keepdims=True))
@@ -217,51 +219,63 @@ def _dual_attention(h_in: ad.Tensor, weights: Sequence[ad.Tensor],
                         np.einsum("vnh,vnhd->vhd", d_dst, blocks)], axis=2)
         d_proj = d_proj.reshape(num_views, n, width)
         if first:
-            d_w = d_proj.transpose(0, 2, 1) @ h_in.value
+            d_w = d_proj.transpose(0, 2, 1) @ h_in
             d_h = (d_proj.transpose(1, 0, 2).reshape(n, -1)
                    @ w.reshape(num_views * width, -1))
         else:
-            h_blocks = h_in.value.reshape(num_views, n, -1)
+            h_blocks = h_in.reshape(num_views, n, -1)
             d_w = d_proj.transpose(0, 2, 1) @ h_blocks
             d_h = (d_proj @ w).reshape(num_views * n, -1)
-        return (d_h, *d_w.reshape(num_views * num_heads, head_dim, -1),
-                *d_a.reshape(num_views * num_heads, -1), *d_wg)
-
-    parents = (h_in, *weights, *attns, *gates)
-    return ad.Tensor(out, "dual_attention", parents, back), coeffs, factor
+        return d_h, d_w.reshape(w_in.shape), d_a.reshape(a_in.shape), d_wg
+    return out, coeffs, factor, back
 
 
-def encode_stack(graph: BlockGraph, tensors: Mapping[str, ad.Tensor],
-                 config: EncoderConfig, use_global: bool = True) -> ad.Tensor:
-    """Differentiable two-layer encoding of every view of `graph` in two tape
-    nodes; row v*n + i is node i's embedding in view v."""
+def encode_stack(graph: BlockGraph, params: Mapping[str, np.ndarray],
+                 config: EncoderConfig, use_global: bool = True):
+    """Two-layer encoding of every view of `graph` by two kernel calls; row
+    v*n + i is node i's embedding in view v. Returns the stack, the
+    parameter keys it reads and `back`, which maps the stack's gradient to
+    one gradient per key, in `keys` order."""
     heads = range(1, config.num_heads + 1)
-    h = tensors["x"]
+    h, keys, backs = params["x"], ["x"], []
     for layer in (1, 2):
-        weights = [tensors[head_key(v, layer, k, "w")]
-                   for v in graph.view_indices for k in heads]
-        attns = [tensors[head_key(v, layer, k, "a")]
-                 for v in graph.view_indices for k in heads]
-        gates = ([tensors[gate_key(v, layer)] for v in graph.view_indices]
-                 if use_global else [])
-        h, _, _ = _dual_attention(h, weights, attns, gates, graph,
-                                  first=(layer == 1))
-    return h
+        groups = [[head_key(v, layer, k, field) for v in graph.view_indices
+                   for k in heads] for field in ("w", "a")]
+        groups.append([gate_key(v, layer) for v in graph.view_indices]
+                      if use_global else [])
+        w, a, wg = (np.stack([params[k] for k in group]) if group else None
+                    for group in groups)
+        h, _, _, back = _dual_attention(h, w, a, wg, graph, first=(layer == 1))
+        keys += [k for group in groups for k in group]
+        backs.append(back)
+
+    def back(g):
+        grads = []
+        for layer_back in reversed(backs):
+            g, *layer_grads = layer_back(g)
+            grads[:0] = [x for group in layer_grads if group is not None
+                         for x in group]
+        return [g, *grads]
+    return h, keys, back
 
 
 def encode_view_tensors(view: CriterionView, tensors: Mapping[str, ad.Tensor],
                         config: EncoderConfig, use_global: bool = True) -> ad.Tensor:
-    """Differentiable two-layer encoding of one view; rows are node embeddings."""
-    return encode_stack(view.block, tensors, config, use_global)
+    """`encode_stack` of one view as one tape node over the parameter leaves
+    it reads; rows are node embeddings."""
+    stack, keys, back = encode_stack(
+        view.block, {k: t.value for k, t in tensors.items()}, config, use_global)
+    return ad.Tensor(stack, "encoder", tuple(tensors[k] for k in keys), back)
 
 
 # ---------------------------------------------------------------------------
 # numpy-level operations (inference, inspection, tests)
 
 def _one_layer(view: CriterionView, h_in: np.ndarray, layer: LayerParams,
-               last: bool) -> tuple[ad.Tensor, np.ndarray, np.ndarray | None]:
-    return _dual_attention(ad.Tensor(h_in), [ad.Tensor(h.weight) for h in layer.heads],
-                           [ad.Tensor(h.attn) for h in layer.heads], [],
+               last: bool):
+    return _dual_attention(np.asarray(h_in, dtype=np.float64),
+                           np.stack([h.weight for h in layer.heads]),
+                           np.stack([h.attn for h in layer.heads]), None,
                            view.block, first=not last)
 
 
@@ -274,7 +288,7 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
     """
     centers, neighbors = view.neighbor_arrays()
     n = view.num_nodes
-    _, coeffs, _ = _one_layer(view, h_in, layer, last=False)
+    coeffs = _one_layer(view, h_in, layer, last=False)[1]
     out = []
     for head_coeffs in coeffs.T:
         dense = np.zeros((n, n))
@@ -286,7 +300,7 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
 def local_attention_forward(view: CriterionView, h_in: np.ndarray,
                             layer: LayerParams, last: bool = False) -> np.ndarray:
     """Multi-head attended features, ELU-activated unless this is the last layer."""
-    return _one_layer(view, h_in, layer, last)[0].value
+    return _one_layer(view, h_in, layer, last)[0]
 
 
 def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> np.ndarray:
@@ -298,8 +312,7 @@ def encode_views(views: Sequence[CriterionView], params: Mapping[str, np.ndarray
                  config: EncoderConfig, use_global: bool = True) -> list[ViewEmbedding]:
     """Encode every view in one pass over their block-diagonal graph."""
     graph = views[0].block if len(views) == 1 else block_graph(views)
-    tensors = {name: ad.Tensor(value) for name, value in params.items()}
-    stack = encode_stack(graph, tensors, config, use_global).value
+    stack = encode_stack(graph, params, config, use_global)[0]
     blocks = stack.reshape(graph.num_views, graph.num_nodes, -1)
     return [ViewEmbedding(criterion_index=v.criterion_index, matrix=block)
             for v, block in zip(views, blocks)]

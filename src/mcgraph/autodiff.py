@@ -1,22 +1,23 @@
-"""Reverse-mode differentiation over real matrices.
+"""Reverse-mode differentiation over real matrices, for gradient checks.
 
 Eager, define-by-run: every op computes its value immediately and records
 a backward function of the gradient `g` of its output that returns one
 gradient per parent, in parent order, or `None` for a parent it does not
 reach. `backward` alone adds those into the parents' `.grad`, and it skips
-constant parents (`op == "const"`). The primitive set is the minimum needed
-by the contrastive losses and the gradient checker: add and elementwise mul
-(broadcasting), concat, sum, and `sparse_mean`, the means that a fixed 0/1
-sparse operator picks. The attention encoder builds each of its two layers,
-for all views at once, as one fused op of its own (see `attention.py`), and
-each contrastive loss scores its InfoNCE block as one op (see
-`contrastive.py`). Everything is float64.
+constant parents (`op == "const"`). The primitives are add and elementwise
+mul (broadcasting) and sum. Training does not use the tape: the model's
+kernels (the encoder in `attention.py`, the losses in `contrastive.py`)
+each return a value and a `back` closure, which `contrastive.train` calls
+in a fixed order. Their tape adaptors (`attention.encode_view_tensors`,
+`contrastive.lcl_tensor` and `hgcl_tensor`) are one node each over the same
+kernels, so `finite_diff_check` checks the derivatives training uses.
+Everything is float64.
 
-The InfoNCE op's backward scatters through `_scatter_add`: one
+The InfoNCE kernel's backward scatters through `_scatter_add`: one
 `np.bincount` per trailing column. It adds in index order exactly like
-numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The fused
-encoder op sums over edges with cached CSR operators instead, which add in
-the same order.
+numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The
+encoder kernel sums over edges with cached CSR operators instead, which add
+in the same order.
 """
 
 from __future__ import annotations
@@ -67,18 +68,6 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad in place, allocating it on the first visit.
-
-    The first visit stores 0.0 + g, which is bit for bit what adding g to a
-    zero array gives (-0.0 included) without the separate zero fill.
-    """
-    if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.value))
-    else:
-        t.grad += g
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
@@ -147,7 +136,7 @@ def backward(root: Tensor) -> None:
             continue
         for parent, grad in zip(node._parents, node._backward(node.grad)):
             if grad is not None and parent.op != "const":
-                _accumulate(parent, grad)
+                parent.grad = grad + (0.0 if parent.grad is None else parent.grad)
 
 
 def grad_of(leaf: Tensor) -> np.ndarray:
@@ -179,32 +168,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g * b.value, a.value.shape),
                 _unbroadcast(g * a.value, b.value.shape))
     return Tensor(value, "mul", (a, b), back)
-
-
-def sparse_mean(a: Tensor, operator, count: int, shape: tuple[int, ...]) -> Tensor:
-    """(operator @ raveled a) * (1/count), reshaped to `shape`: each row of
-    the 0/1 sparse `operator` picks `count` entries of `a`. Summing before
-    scaling matches `tsum` then `* (1/count)` bit for bit."""
-    scale = 1.0 / count
-    value = (operator @ a.value.reshape(-1) * scale).reshape(shape)
-
-    def back(g):
-        return (operator.T @ (g.reshape(-1) * scale)).reshape(a.value.shape),
-    return Tensor(value, "sparse_mean", (a,), back)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    try:
-        value = np.concatenate([p.value for p in parts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {[p.shape for p in parts]}") from exc
-    sizes = [p.value.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return np.split(g, bounds, axis=axis)
-    return Tensor(value, "concat", tuple(parts), back)
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -12,31 +12,32 @@ Sampling (negatives, corruption permutations) happens outside the
 differentiable graph and is refreshed on a fixed epoch period, so between
 refreshes the loss is a fixed differentiable function of the parameters.
 
-The encoder returns all views as one stacked (V*n, d) tensor, and each loss
+The encoder returns all views as one stacked (V*n, d) array, and each loss
 reads that stack directly: one batched InfoNCE (van den Oord et al. 2018)
 over every ordered view pair at once. Its T terms form a dense (T, 1+K)
 block of indices into a source matrix, the positive in column 0 and the K
-negatives after it. The whole block is one tape node (`info_nce`) with a
-closed-form backward: each term's anchor row is gathered once and broadcast
-against its 1+K candidate rows, each row of the cosine block has one
-softmax, and the backward scatters the gradient into the anchor and
-candidate rows of the source in one pass. The global loss takes its view
-and corrupted means from the stack as one `sparse_mean` node, a fixed 0/1
-CSR operator built from the permutations once per plan and carried by it.
-A loss thus adds the same number of tape nodes whatever the number of
-views, positives or negatives; `lcl_tensor` and `hgcl_tensor` stack a list
-of per-view tensors first.
+negatives after it, scored by one kernel (`_info_nce`) with a closed-form
+backward: each term's anchor row is gathered once and broadcast against its
+1+K candidate rows, each row of the cosine block has one softmax, and the
+backward scatters the gradient into the anchor and candidate rows of the
+source in one pass. The global loss takes its view and corrupted means from
+the stack through a fixed 0/1 CSR operator, built from the permutations
+once per plan and carried by it. Each kernel returns its value and a `back`
+closure; `lcl_tensor` and `hgcl_tensor` wrap `lcl_stack` and `hgcl_stack`
+as one autodiff tape node over a list of per-view tensors, for gradient
+checks.
 
-Only the contrastive terms live on the autodiff tape. `train` keeps every
-parameter in one contiguous vector theta, in `init_params`' key order, and
-the name -> array dict it hands the encoder and returns holds reshaped views
-into theta. The gradient and Adam's two moments are vectors of the same
-layout: after the backward pass the leaf gradients are joined into the
-gradient buffer in that order. The L2 term (`_l2`), its gradient
-2·lambda·theta, the global-norm clip and the Adam step are then one vector
-operation each. Without contrastive training (the no-CL ablation, or a
-single view) no loss term reads the embeddings, so `train` skips the encoder
-pass and descends on weight decay alone.
+`train` runs a fixed schedule with no tape: the encoder, LCL and HGCL
+forward, then their `back`s in reverse. It keeps every parameter in one
+contiguous vector theta, in `init_params`' key order, and the name -> array
+dict it hands the encoder and returns holds reshaped views into theta. The
+gradient and Adam's two moments are vectors of the same layout: the
+gradient starts as the L2 term's 2·lambda·theta, and each parameter's
+encoder gradient is added into its view of it. The L2 term (`_l2`), the
+global-norm clip and the Adam step are one vector operation each. Without
+contrastive training (the no-CL ablation, or a single view) no loss term
+reads the embeddings, so `train` skips the encoder and descends on weight
+decay alone.
 """
 
 from __future__ import annotations
@@ -245,22 +246,22 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# losses (tensor level)
+# losses (kernels)
 
-def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
-              cfg: LossConfig) -> ad.Tensor:
-    """Summed InfoNCE terms over a dense (T, 1+K) score block, as one tape
-    node: term t scores row anchors[t] of `source` against the rows
-    candidates[t, :], the positive first and then the K negatives.
+def _info_nce(source: np.ndarray, anchors: np.ndarray, candidates: np.ndarray,
+              cfg: LossConfig, scale: float):
+    """`scale` times the summed InfoNCE terms over a dense (T, 1+K) score
+    block, and its `back`: term t scores row anchors[t] of `source` against
+    the rows candidates[t, :], the positive first and then the K negatives.
 
     The score s_tk is cos(left_t, right_tk) / temperature, and term t is
     log sum_k exp(s_tk) - s_t0. The gradient of the scores is
-    g * (softmax - onehot) / temperature; through the cosine quotient it
-    reaches the anchor and the candidate rows, and one scatter adds both
-    into the source rows.
+    g * scale * (softmax - onehot) / temperature; through the cosine
+    quotient it reaches the anchor and the candidate rows, and one scatter
+    adds both into the source rows.
     """
-    left = source.value[anchors[:, None]]            # (T, 1, d)
-    right = source.value[candidates]                 # (T, 1+K, d)
+    left = source[anchors[:, None]]                  # (T, 1, d)
+    right = source[candidates]                       # (T, 1+K, d)
     norm_left = np.sqrt((left * left).sum(-1))       # (T, 1)
     norm_right = np.sqrt((right * right).sum(-1))    # (T, 1+K)
     denom = norm_left * norm_right
@@ -270,10 +271,10 @@ def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
     exp = np.exp(scaled)
     totals = exp.sum(1)
     positive = np.eye(1, candidates.shape[1])
-    value = np.log(totals).sum() - (scaled * positive).sum()
+    value = float((np.log(totals).sum() - (scaled * positive).sum()) * scale)
 
     def back(g):
-        d_cos = g * inv_temp * (exp / totals[:, None] - positive)
+        d_cos = g * scale * inv_temp * (exp / totals[:, None] - positive)
         # cos = l.r / (|l| |r|): d l = d_cos (r / (|l| |r|) - cos l / |l|^2),
         # summed over the 1+K candidates; d r likewise with l and r swapped
         d_dots = (d_cos / denom)[..., None]
@@ -285,13 +286,14 @@ def _info_nce(source: ad.Tensor, anchors: np.ndarray, candidates: np.ndarray,
                    - (radial / (norm_right * norm_right))[..., None] * right)
         rows = np.concatenate([anchors[:, None], candidates], axis=1)
         return ad._scatter_add(rows, np.concatenate([d_left, d_right], axis=1),
-                               source.value.shape[0]),
-    return ad.Tensor(value, "info_nce", (source,), back)
+                               source.shape[0])
+    return value, back
 
 
-def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
-              cfg: LossConfig) -> ad.Tensor:
-    """Mean InfoNCE term over every (positive node, ordered view pair).
+def lcl_stack(stack: np.ndarray, num_views: int, samples: Sequence[PairSample],
+              cfg: LossConfig):
+    """Mean InfoNCE term over every (positive node, ordered view pair), and
+    its `back` to the stack's gradient.
 
     A pair without negatives keeps its terms in the count; each is exactly
     -log(1) = 0. Node i of view v is row v*n + i of the (V*n, d) `stack`.
@@ -302,12 +304,12 @@ def lcl_stack(stack: ad.Tensor, num_views: int, samples: Sequence[PairSample],
     active = [ps for ps in samples
               if ps.negatives is not None and ps.positives.size]
     if not active:
-        return ad.Tensor(0.0)
+        return 0.0, lambda g: np.zeros_like(stack)
     anchors = np.concatenate([ps.view_a * n + ps.positives for ps in active])
     candidates = np.concatenate(
         [ps.view_b * n + np.column_stack([ps.positives, ps.negatives])
          for ps in active])
-    return _info_nce(stack, anchors, candidates, cfg) * (1.0 / term_count)
+    return _info_nce(stack, anchors, candidates, cfg, 1.0 / term_count)
 
 
 def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.csr_matrix:
@@ -329,39 +331,57 @@ def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.
                          shape=(nnz // n, num_views * n * d))
 
 
-def hgcl_stack(stack: ad.Tensor, num_views: int, mean_operator: sp.csr_matrix,
-               cfg: LossConfig) -> ad.Tensor:
-    """Mean InfoNCE term over ordered view pairs of column-mean embeddings.
+def hgcl_stack(stack: np.ndarray, num_views: int, mean_operator: sp.csr_matrix,
+               cfg: LossConfig):
+    """Mean InfoNCE term over ordered view pairs of column-mean embeddings,
+    and its `back` to the stack's gradient.
 
     Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
     pair's (K, n, d) block has the same K. E_v is block v of `stack`, and
     `mean_operator` is `_mean_operator` of those permutations. The scored
     rows are the V view means followed by the P*K corrupted means, pair p's
-    k-th at row V + p*K + k, all one `sparse_mean` node.
+    k-th at row V + p*K + k: the operator's row sums of the raveled stack,
+    times 1/n, so each mean sums before it scales. The backward is the
+    transpose times 1/n.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
-        return ad.Tensor(0.0)
+        return 0.0, lambda g: np.zeros_like(stack)
     n, d = stack.shape[0] // num_views, stack.shape[1]
-    source = ad.sparse_mean(stack, mean_operator, n, (-1, d))
+    scale = 1.0 / n
+    source = (mean_operator @ stack.reshape(-1) * scale).reshape(-1, d)
     view_a, view_b = np.array(pairs).T
     negatives = np.arange(num_views, source.shape[0]).reshape(len(pairs), -1)
     candidates = np.column_stack([view_b, negatives])
-    return _info_nce(source, view_a, candidates, cfg) * (1.0 / len(pairs))
+    value, source_back = _info_nce(source, view_a, candidates, cfg,
+                                   1.0 / len(pairs))
+
+    def back(g):
+        d_source = source_back(g).reshape(-1) * scale
+        return (mean_operator.T @ d_source).reshape(stack.shape)
+    return value, back
+
+
+def _views_node(op: str, embeddings: Sequence[ad.Tensor], kernel, *args) -> ad.Tensor:
+    """`kernel` of the stacked per-view tensors as one tape node."""
+    value, back = kernel(np.concatenate([e.value for e in embeddings]),
+                         len(embeddings), *args)
+    return ad.Tensor(value, op, tuple(embeddings),
+                     lambda g: np.split(back(g), len(embeddings)))
 
 
 def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
                cfg: LossConfig) -> ad.Tensor:
-    """`lcl_stack` of per-view embedding tensors."""
-    return lcl_stack(ad.concat(embeddings, axis=0), len(embeddings), samples, cfg)
+    """`lcl_stack` of per-view embedding tensors, as one tape node."""
+    return _views_node("lcl", embeddings, lcl_stack, samples, cfg)
 
 
 def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
                 cfg: LossConfig) -> ad.Tensor:
-    """`hgcl_stack` of per-view embedding tensors."""
+    """`hgcl_stack` of per-view embedding tensors, as one tape node."""
     operator = _mean_operator(len(embeddings), *embeddings[0].shape, permutations)
-    return hgcl_stack(ad.concat(embeddings, axis=0), len(embeddings), operator, cfg)
+    return _views_node("hgcl", embeddings, hgcl_stack, operator, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +396,8 @@ def local_contrastive_loss(embeddings: Sequence[np.ndarray],
     if samples is None:
         samples = sample_pair_negatives(anchor_sets, cfg,
                                         np.random.default_rng(seed))
-    return float(lcl_tensor([ad.Tensor(e) for e in embeddings], samples, cfg).value)
+    stack = np.concatenate(embeddings, dtype=np.float64)
+    return lcl_stack(stack, len(embeddings), samples, cfg)[0]
 
 
 def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
@@ -384,11 +405,13 @@ def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
                             permutations: Mapping | None = None) -> float:
     if len(embeddings) < 2:
         raise ValueError("global contrastive loss needs at least two views")
+    shape = np.shape(embeddings[0])
     if permutations is None:
-        permutations = sample_permutations(len(embeddings), embeddings[0].shape,
-                                           cfg, np.random.default_rng(seed))
-    return float(hgcl_tensor([ad.Tensor(e) for e in embeddings],
-                             permutations, cfg).value)
+        permutations = sample_permutations(len(embeddings), shape, cfg,
+                                           np.random.default_rng(seed))
+    operator = _mean_operator(len(embeddings), *shape, permutations)
+    stack = np.concatenate(embeddings, dtype=np.float64)
+    return hgcl_stack(stack, len(embeddings), operator, cfg)[0]
 
 
 def _l2(theta: np.ndarray) -> float:
@@ -412,7 +435,7 @@ def unflatten(flat: np.ndarray, like: Mapping[str, np.ndarray]
 
 
 def _weighted(lcl, hgcl, l2, cfg: LossConfig):
-    """alpha·LCL + beta·HGCL + lambda·L2 for floats and tensors alike."""
+    """alpha·LCL + beta·HGCL + lambda·L2."""
     return lcl * cfg.alpha + hgcl * cfg.beta + l2 * cfg.l2_weight
 
 
@@ -518,20 +541,21 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
     blocks = block_graph(views) if use_cl else None
     decay = 2.0 * cfg.loss.l2_weight
 
+    grad_views = unflatten(grad, initial)
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             l2 = _l2(theta)
+            np.multiply(theta, decay, out=grad)
             if use_cl:
-                tensors = {key: ad.Tensor(value) for key, value in params.items()}
-                stack = att.encode_stack(blocks, tensors, cfg.encoder,
-                                         cfg.use_global_attention)
+                stack, keys, encoder_back = att.encode_stack(
+                    blocks, params, cfg.encoder, cfg.use_global_attention)
                 if plan is None or epoch % cfg.refresh_period == 0:
                     plan = build_plan(
-                        views, stack.value.reshape(len(views), num_nodes, -1),
+                        views, stack.reshape(len(views), num_nodes, -1),
                         cfg.loss, np.random.default_rng([seed, epoch]))
-                lcl = lcl_stack(stack, len(views), plan.samples, cfg.loss)
-                hgcl = hgcl_stack(stack, len(views), plan.mean_operator, cfg.loss)
-                l_lcl, l_hgcl = float(lcl.value), float(hgcl.value)
+                l_lcl, lcl_back = lcl_stack(stack, len(views), plan.samples, cfg.loss)
+                l_hgcl, hgcl_back = hgcl_stack(stack, len(views), plan.mean_operator,
+                                               cfg.loss)
             else:
                 l_lcl = l_hgcl = 0.0
             l_total = _weighted(l_lcl, l_hgcl, l2, cfg.loss)
@@ -539,12 +563,9 @@ def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
                 raise NonFiniteLossError(epoch + 1, trace[-1] if trace else None)
 
             if use_cl:
-                ad.backward(_weighted(lcl, hgcl, 0.0, cfg.loss))
-                np.concatenate([ad.grad_of(t).ravel() for t in tensors.values()],
-                               out=grad)
-                grad += decay * theta
-            else:
-                np.multiply(theta, decay, out=grad)
+                d_stack = lcl_back(cfg.loss.alpha) + hgcl_back(cfg.loss.beta)
+                for key, g in zip(keys, encoder_back(d_stack)):
+                    grad_views[key] += g
         norm = clip_gradients(grad, cfg.clip_norm)
         report = LossReport(epoch=epoch + 1, l_lcl=l_lcl, l_hgcl=l_hgcl,
                             l2_term=l2, l_total=l_total, grad_norm=norm,

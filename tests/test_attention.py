@@ -181,17 +181,15 @@ class TestFusedAttentionLayer:
         return rng.normal(size=(num_nodes, fan_in)), heads
 
     def layer(self, view, h_in, heads):
-        out, coeffs, _ = att._dual_attention(
-            ad.Tensor(h_in), [ad.Tensor(w) for w, _ in heads],
-            [ad.Tensor(a) for _, a in heads], [], graph.block_graph([view]),
-            first=False)
-        return out.value, coeffs
+        return att._dual_attention(
+            h_in, np.stack([w for w, _ in heads]), np.stack([a for _, a in heads]),
+            None, graph.block_graph([view]), first=False)
 
     @pytest.mark.parametrize("num_heads", [1, 2, 3])
     def test_matches_per_head_oracle(self, num_heads):
         view = self.graph()
         h_in, heads = self.draw(num_heads, seed=num_heads)
-        out, coeffs = self.layer(view, h_in, heads)
+        out, coeffs, _, _ = self.layer(view, h_in, heads)
         centers, neighbors = view.neighbor_arrays()
         want_coeffs, want_out = gat_oracle(centers, neighbors, view.num_nodes,
                                            h_in, heads)
@@ -202,7 +200,7 @@ class TestFusedAttentionLayer:
     def test_singleton_neighbourhood_coefficient_is_one(self):
         view = view_from_incidence([[3.0, 0.0], [0.0, 1.0]])
         h_in, heads = self.draw(3, num_nodes=4, seed=4)
-        _, coeffs = self.layer(view, h_in, heads)
+        coeffs = self.layer(view, h_in, heads)[1]
         assert np.array_equal(coeffs, np.ones((4, 3)))
 
     def test_zero_edge_view_gives_zero_rows_and_gradients(self):
@@ -210,16 +208,15 @@ class TestFusedAttentionLayer:
         centers, _ = view.neighbor_arrays()
         assert centers.size == 0
         h_in, heads = self.draw(2, num_nodes=5, seed=5)
-        out, coeffs = self.layer(view, h_in, heads)
-        assert coeffs.shape == (0, 2)
+        out, coeffs, factor, back = self.layer(view, h_in, heads)
+        assert coeffs.shape == (0, 2) and factor is None
         assert np.array_equal(out, np.zeros((5, 4)))
-        leaves = [ad.Tensor(h_in)] + [ad.Tensor(w) for w, _ in heads]
-        attns = [ad.Tensor(a) for _, a in heads]
-        tensor, _, _ = att._dual_attention(leaves[0], leaves[1:], attns, [],
-                                           graph.block_graph([view]), first=False)
-        ad.backward(ad.tsum(ad.mul(tensor, tensor)))
-        for leaf in leaves + attns:
-            assert np.array_equal(ad.grad_of(leaf), np.zeros(leaf.shape))
+        # the gradient of sum(out * out)
+        d_h, d_w, d_a, d_wg = back(2.0 * out)
+        assert d_wg is None
+        inputs = (h_in, np.stack([w for w, _ in heads]), np.stack([a for _, a in heads]))
+        for grad, value in zip((d_h, d_w, d_a), inputs):
+            assert np.array_equal(grad, np.zeros(value.shape))
 
     @pytest.mark.parametrize("num_heads", [1, 2, 3])
     def test_passes_gradient_check(self, num_heads):
@@ -232,11 +229,20 @@ class TestFusedAttentionLayer:
             size=(view.num_nodes, num_heads * 2)))
 
         def loss_fn(t):
-            out, _, _ = att._dual_attention(
-                t["h"], [t[f"w{k}"] for k in range(1, num_heads + 1)],
-                [t[f"a{k}"] for k in range(1, num_heads + 1)], [],
+            # the kernel as one tape node over per-head leaves
+            weights = [t[f"w{k}"] for k in range(1, num_heads + 1)]
+            attns = [t[f"a{k}"] for k in range(1, num_heads + 1)]
+            out, _, _, back = att._dual_attention(
+                t["h"].value, np.stack([w.value for w in weights]),
+                np.stack([a.value for a in attns]), None,
                 graph.block_graph([view]), first=True)
-            return ad.tsum(ad.mul(out, weight))
+
+            def tape_back(g):
+                d_h, d_w, d_a, _ = back(g)
+                return (d_h, *d_w, *d_a)
+            node = ad.Tensor(out, "dual_attention", (t["h"], *weights, *attns),
+                             tape_back)
+            return ad.tsum(ad.mul(node, weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
@@ -253,8 +259,7 @@ class TestFusedAttentionLayer:
             return sum(node.op != "leaf" for node in ad.topo_order(emb))
 
         for use_global in (True, False):
-            sizes = [tape_size(h, use_global) for h in (1, 2, 4)]
-            assert sizes == [sizes[0]] * 3
+            assert [tape_size(h, use_global) for h in (1, 2, 4)] == [1, 1, 1]
 
 
 def view_oracle(view, h_in, heads, gate_weight, activate):
@@ -307,16 +312,16 @@ class TestBlockDiagonalEncoder:
         heads, gates = self.leaves(count, fan_in, seed=10 * count + first)
         rng = np.random.default_rng(3)
         h_in = rng.normal(size=(n if first else count * n, fan_in))
-        out, coeffs, factor = att._dual_attention(
-            ad.Tensor(h_in), [ad.Tensor(w) for view in heads for w, _ in view],
-            [ad.Tensor(a) for view in heads for _, a in view],
-            [ad.Tensor(g) for g in gates] if use_global else [],
+        out, coeffs, factor, _ = att._dual_attention(
+            h_in, np.stack([w for view in heads for w, _ in view]),
+            np.stack([a for view in heads for _, a in view]),
+            np.stack(gates) if use_global else None,
             graph.block_graph(views), first=first)
         assert out.shape == (count * n, width)
         want = [view_oracle(view, h_in if first else h_in[v * n:(v + 1) * n],
                             heads[v], gates[v] if use_global else None, first)
                 for v, view in enumerate(views)]
-        assert_allclose(out.value, np.concatenate([w[0] for w in want]),
+        assert_allclose(out, np.concatenate([w[0] for w in want]),
                         rtol=1e-12, atol=1e-12)
         assert_allclose(coeffs, np.concatenate([w[1] for w in want]),
                         rtol=1e-12, atol=1e-12)
@@ -326,7 +331,7 @@ class TestBlockDiagonalEncoder:
         else:
             assert factor is None
         if count == 3:  # the edgeless view's rows stay zero
-            assert np.array_equal(out.value[2 * n:], np.zeros((n, width)))
+            assert np.array_equal(out[2 * n:], np.zeros((n, width)))
 
     def test_stacked_encoding_matches_one_view_at_a_time(self):
         views = self.views(3)
@@ -350,7 +355,12 @@ class TestBlockDiagonalEncoder:
             size=(count * views[0].num_nodes, cfg.embed_dim)))
 
         def loss_fn(t):
-            return ad.tsum(ad.mul(att.encode_stack(blocks, t, cfg), weight))
+            # the encoder as one tape node over the leaves it reads
+            stack, keys, back = att.encode_stack(
+                blocks, {k: leaf.value for k, leaf in t.items()}, cfg)
+            assert sorted(keys) == sorted(params)
+            node = ad.Tensor(stack, "encoder", tuple(t[k] for k in keys), back)
+            return ad.tsum(ad.mul(node, weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
@@ -359,20 +369,28 @@ class TestBlockDiagonalEncoder:
     def test_passes_gradient_check_on_every_leaf(self):
         self.check_stack_gradients(3, seed=5)
 
-    def test_tape_size_independent_of_view_count(self):
+    def test_tape_size_independent_of_view_count(self, monkeypatch):
+        # the encoder is two kernel calls, one per layer, for any view count
         cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
+        calls = []
+        kernel = att._dual_attention
 
-        def tape_size(count, use_global):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(att, "_dual_attention", counting)
+
+        def kernel_calls(count, use_global):
             b = self.views(1)[0].incidence.toarray()
             views = [view_from_incidence(b, criterion_index=c + 1)
                      for c in range(count)]
             params = att.init_params(views[0].num_nodes, count, cfg, seed=0)
-            tensors = {key: ad.Tensor(value) for key, value in params.items()}
-            stack = att.encode_stack(graph.block_graph(views), tensors, cfg, use_global)
-            return sum(node.op != "leaf" for node in ad.topo_order(stack))
+            calls.clear()
+            att.encode_stack(graph.block_graph(views), params, cfg, use_global)
+            return len(calls)
 
         for use_global in (True, False):
-            assert [tape_size(v, use_global) for v in (1, 2, 4)] == [2, 2, 2]
+            assert [kernel_calls(v, use_global) for v in (1, 2, 4)] == [2, 2, 2]
 
     def test_csr_segment_sums_equal_scatter_add(self):
         blocks = graph.block_graph(self.views(3))
@@ -419,17 +437,18 @@ class TestBlockDiagonalEncoder:
         x = rng.normal(size=(views[0].num_nodes, self.fan_in))
 
         def layer(h_in, heads, gates, is_first):
-            return att._dual_attention(
-                ad.Tensor(h_in), [ad.Tensor(w) for view in heads for w, _ in view],
-                [ad.Tensor(a) for view in heads for _, a in view],
-                [ad.Tensor(g) for g in gates], blocks, first=is_first)[0]
+            out, _, _, back = att._dual_attention(
+                h_in, np.stack([w for view in heads for w, _ in view]),
+                np.stack([a for view in heads for _, a in view]),
+                np.stack(gates), blocks, first=is_first)
+            return out, back
 
-        out = layer(x, first, gates1, True)
+        out, back = layer(x, first, gates1, True)
         g = rng.normal(size=out.shape)
-        alone = out._backward(g)
-        out = layer(x, first, gates1, True)
-        layer(out.value, second, gates2, False)
-        after_second = out._backward(g)
+        alone = back(g)
+        out, back = layer(x, first, gates1, True)
+        layer(out, second, gates2, False)
+        after_second = back(g)
         assert len(after_second) == len(alone)
         for got, want in zip(after_second, alone):
             assert np.array_equal(got, want)

@@ -2,22 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import autodiff as ad
-
-
-def picker(groups, num_columns) -> sp.csr_matrix:
-    """0/1 CSR operator whose row r picks the entries groups[r], in order;
-    an entry picked twice is summed twice."""
-    groups = np.asarray(groups)
-    rows, count = groups.shape
-    return sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
-                          np.arange(0, groups.size + 1, count)),
-                         shape=(rows, num_columns))
 
 
 def central_diff(loss_of, block: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -48,8 +35,6 @@ class TestForward:
             ad.add(a, b)
         with pytest.raises(ad.ShapeError, match="mul"):
             ad.mul(a, b)
-        with pytest.raises(ad.ShapeError, match="concat"):
-            ad.concat([a, b], axis=0)
 
 
 class TestScatterAdd:
@@ -118,17 +103,13 @@ class TestBackward:
             "w1": rng.normal(size=(1, 4)),
             "w2": rng.normal(size=(4,)),
         }
-        # column means of two groups of rows, row 3 in the second one twice
-        groups = np.array([[0, 2, 4], [1, 3, 3]])
-        means = picker((groups[:, None, :] * 4 + np.arange(4)[:, None])
-                       .reshape(8, 3), 20)
 
         def build(t):
             h1 = ad.mul(t["x"], t["w1"])
             sq = ad.mul(h1, ad.tsum(ad.mul(h1, h1), axis=1, keepdims=True))
-            h2 = ad.sparse_mean(sq, means, 3, (2, 4))
-            p = ad.tsum(ad.mul(ad.concat([h2, ad.mul(h2, h2)], axis=0), t["w2"]),
-                        axis=1)
+            # the (1, 4) column means, broadcast back over the rows
+            h2 = ad.mul(ad.tsum(sq, axis=0, keepdims=True), ad.Tensor(0.2))
+            p = ad.tsum(ad.mul(ad.add(sq, ad.mul(h2, h2)), t["w2"]), axis=1)
             return ad.add(ad.tsum(ad.mul(p, p)),
                           ad.mul(ad.tsum(ad.mul(h2, h2)), ad.Tensor(0.125)))
 
@@ -151,22 +132,6 @@ class TestBackward:
         unused = ad.Tensor(np.ones((2, 2)))
         ad.backward(ad.tsum(x))
         assert_allclose(ad.grad_of(unused), np.zeros((2, 2)))
-
-    def test_sparse_mean_accumulates_repeated_entries(self):
-        x = ad.Tensor(np.arange(6.0).reshape(3, 2))
-        mean = ad.sparse_mean(x, picker([[0, 0, 4], [1, 5, 5]], 6), 3, (2,))
-        assert_allclose(mean.value, [4.0 / 3.0, 11.0 / 3.0])
-        ad.backward(ad.tsum(mean))
-        assert_allclose(ad.grad_of(x), np.array([[2, 1], [0, 0], [1, 2]]) / 3.0)
-
-    def test_sparse_mean_sums_then_scales_like_tsum(self):
-        # (sum of the picked entries) * (1/count), in the order tsum adds them
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(3, 7, 5))
-        columns = np.arange(3 * 7 * 5).reshape(3, 7, 5).transpose(0, 2, 1)
-        mean = ad.sparse_mean(ad.Tensor(x), picker(columns.reshape(15, 7), 105),
-                              7, (3, 5))
-        assert np.array_equal(mean.value, x.sum(axis=1) * (1.0 / 7))
 
     def test_constant_operands_get_no_gradient(self):
         x = ad.Tensor(np.arange(3.0))
@@ -228,43 +193,19 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(6, 4))
         w0 = rng.normal(size=(4,))
-        # entry e paired with a random one; some entries are drawn repeatedly
-        pairs = picker(np.column_stack([np.arange(24), rng.integers(0, 24, 24)]), 24)
 
         def run():
             x, w = ad.Tensor(x0), ad.Tensor(w0)
             xw = ad.mul(x, w)
-            loss = ad.tsum(ad.mul(xw, ad.sparse_mean(xw, pairs, 2, (6, 4))))
+            # xw reaches the root by three paths, and w once more directly
+            rows = ad.add(xw, ad.tsum(ad.mul(xw, w), axis=0, keepdims=True))
+            loss = ad.tsum(ad.mul(xw, rows))
             ad.backward(loss)
             return float(loss.value), ad.grad_of(w).copy()
 
         (l1, g1), (l2, g2) = run(), run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
-
-
-class TestGradientsAgainstFiniteDifferences:
-    """Each nontrivial primitive gets its own oracle comparison."""
-
-    def check(self, build, params, rtol=1e-4):
-        leaves = {k: ad.Tensor(v) for k, v in params.items()}
-        ad.backward(build(leaves))
-        for name, block in params.items():
-            fd = central_diff(lambda: float(build(
-                {k: ad.Tensor(v) for k, v in params.items()}).value), block)
-            assert_allclose(ad.grad_of(leaves[name]), fd, rtol=rtol, atol=1e-8)
-
-    def test_concat_and_sparse_mean(self):
-        rng = np.random.default_rng(6)
-        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))}
-        # row r averages entries r and (3r + 1) mod 10 of the joined (2, 5)
-        pairs = picker([[r, (3 * r + 1) % 10] for r in range(10)], 10)
-
-        def build(t):
-            joined = ad.concat([t["a"], t["b"]], axis=1)
-            mean = ad.sparse_mean(joined, pairs, 2, (10,))
-            return ad.tsum(ad.mul(ad.mul(mean, mean), ad.Tensor(np.arange(10.0))))
-        self.check(build, params)
 
 
 class TestFiniteDiffCheck:
@@ -297,11 +238,3 @@ class TestFiniteDiffCheck:
         assert not report.passed
         assert report.failing() == ["bad"]
 
-
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12))
-@settings(max_examples=50, deadline=None)
-def test_sparse_mean_gradient_counts_entry_uses(indices):
-    x = ad.Tensor(np.zeros((5,)))
-    ad.backward(ad.tsum(ad.sparse_mean(x, picker([indices], 5), len(indices), (1,))))
-    counts = np.bincount(indices, minlength=5) / len(indices)
-    assert_allclose(ad.grad_of(x), counts)

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -316,19 +317,6 @@ class TestTrainConfigValidation:
             cl.TrainConfig(**{name: value})
 
 
-def capture_leaves(monkeypatch):
-    """Record the parameter leaves `train` hands the encoder, one dict per
-    epoch."""
-    leaves = []
-    encode = att.encode_stack
-
-    def capturing(graph, tensors, *args, **kwargs):
-        leaves.append(tensors)
-        return encode(graph, tensors, *args, **kwargs)
-    monkeypatch.setattr(att, "encode_stack", capturing)
-    return leaves
-
-
 def two_view_setup(seed=0):
     rng = np.random.default_rng(seed)
     views = []
@@ -374,7 +362,7 @@ def hgcl_oracle(embs, perms, t):
 
 
 def hgcl_composite(stack, num_views, perms, cfg):
-    """HGCL as the tape composite that `sparse_mean` replaced, in numpy: the
+    """HGCL as the composite that the sparse mean operator replaced: the
     view means, and the corrupted means gathered through a (P, K, n, d) flat
     index, each a sum over rows scaled by 1/n, stacked and scored by
     `_info_nce`. Returns the loss and its gradient in the stack."""
@@ -385,18 +373,17 @@ def hgcl_composite(stack, num_views, perms, cfg):
                          for a, b in pairs])
     means = stack.reshape(num_views, n, d).sum(axis=1) * (1.0 / n)
     corrupted = stack.reshape(-1)[flat_idx].sum(axis=2) * (1.0 / n)
-    source = ad.Tensor(np.concatenate([means, corrupted.reshape(-1, d)]))
+    source = np.concatenate([means, corrupted.reshape(-1, d)])
     view_a, view_b = np.array(pairs).T
     negatives = num_views + np.arange(len(pairs) * k).reshape(len(pairs), k)
-    loss = (cl._info_nce(source, view_a, np.column_stack([view_b, negatives]), cfg)
-            * (1.0 / len(pairs)))
-    ad.backward(loss)
-    g = source.grad * (1.0 / n)
+    loss, back = cl._info_nce(source, view_a, np.column_stack([view_b, negatives]),
+                              cfg, 1.0 / len(pairs))
+    g = back(1.0) * (1.0 / n)
     grad = np.repeat(g[:num_views], n, axis=0)
     np.add.at(grad.reshape(-1), flat_idx,
               np.broadcast_to(g[num_views:].reshape(len(pairs), k, 1, d),
                               flat_idx.shape))
-    return float(loss.value), grad
+    return float(loss), grad
 
 
 def three_view_plan(rng, n=5, d=3, k_neg=3, k_perm=2):
@@ -456,12 +443,21 @@ class TestBatchedLosses:
         return [sum(node.op != "leaf" for node in ad.topo_order(loss))
                 for loss in losses]
 
-    def test_each_anchor_row_is_gathered_once(self):
+    def test_each_anchor_row_is_gathered_once(self, monkeypatch):
         embs, samples, _ = three_view_plan(np.random.default_rng(2), k_neg=4)
+        blocks = []
+        kernel = cl._info_nce
+
+        def recording(source, anchors, candidates, *args):
+            blocks.append((anchors, candidates))
+            return kernel(source, anchors, candidates, *args)
+        monkeypatch.setattr(cl, "_info_nce", recording)
         loss = cl.lcl_tensor([ad.Tensor(e) for e in embs], samples, cl.LossConfig())
-        ops = [node.op for node in ad.topo_order(loss)]
-        assert ops.count("info_nce") == 1
-        assert set(ops) == {"leaf", "concat", "info_nce", "const", "mul"}
+        assert {node.op for node in ad.topo_order(loss)} == {"leaf", "lcl"}
+        # one dense block: a row per term, its anchor once, 1 + K candidates
+        [(anchors, candidates)] = blocks
+        terms = sum(ps.positives.size for ps in samples if ps.negatives is not None)
+        assert anchors.shape == (terms,) and candidates.shape == (terms, 1 + 4)
 
     def test_info_nce_with_shared_and_repeated_rows(self):
         # row 2 anchors term 1 and is a candidate of terms 0 and 2; term 0
@@ -473,13 +469,15 @@ class TestBatchedLosses:
         cfg = cl.LossConfig(temperature=0.6)
 
         def loss_fn(t):
-            return cl._info_nce(t["source"], anchors, candidates, cfg)
+            value, back = cl._info_nce(t["source"].value, anchors, candidates,
+                                       cfg, 1.0 / 3)
+            return ad.Tensor(value, "info_nce", (t["source"],), lambda g: (back(g),))
 
         report = ad.finite_diff_check(loss_fn, {"source": source})
         assert report.passed, f"worst relative error {report.worst}"
         expected = sum(_info_nce_oracle(source[a], source[row[0]],
                                         source[row[1:]], 0.6)
-                       for a, row in zip(anchors, candidates))
+                       for a, row in zip(anchors, candidates)) / 3
         assert_allclose(loss_fn({"source": ad.Tensor(source)}).value, expected,
                         rtol=1e-12, atol=1e-12)
 
@@ -491,15 +489,11 @@ class TestBatchedLosses:
         cfg = cl.LossConfig(temperature=0.6, num_negatives=k)
         perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
         expected, expected_grad = hgcl_composite(stack, num_views, perms, cfg)
-        leaf = ad.Tensor(stack)
-        loss = cl.hgcl_stack(leaf, num_views,
-                             cl._mean_operator(num_views, n, d, perms), cfg)
-        ad.backward(loss)
-        assert_allclose(loss.value, expected, rtol=1e-12, atol=0)
-        assert_allclose(leaf.grad, expected_grad, rtol=1e-12,
+        loss, back = cl.hgcl_stack(stack, num_views,
+                                   cl._mean_operator(num_views, n, d, perms), cfg)
+        assert_allclose(loss, expected, rtol=1e-12, atol=0)
+        assert_allclose(back(1.0), expected_grad, rtol=1e-12,
                         atol=1e-12 * np.abs(expected_grad).max())
-        ops = [node.op for node in ad.topo_order(loss)]
-        assert ops.count("sparse_mean") == 1 and len(ops) == 5
 
     def test_mean_operator_layout(self):
         num_views, n, d = 3, 7, 4
@@ -533,9 +527,89 @@ class TestBatchedLosses:
 
     def test_tape_size_independent_of_views_and_negatives(self):
         base = self.tape_sizes(2, 2)
+        assert base == [1, 1]
         assert self.tape_sizes(2, 8) == base
         assert self.tape_sizes(4, 2) == base
         assert self.tape_sizes(4, 8) == base
+
+
+def picker(groups, num_columns) -> sp.csr_matrix:
+    """0/1 CSR operator whose row r picks the entries groups[r], in order;
+    an entry picked twice is summed twice."""
+    groups = np.asarray(groups)
+    rows, count = groups.shape
+    return sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
+                          np.arange(0, groups.size + 1, count)),
+                         shape=(rows, num_columns))
+
+
+def mean_step(patch, stack, num_views, operator):
+    """The means `hgcl_stack` scores, and its gradient in the stack when
+    every mean's gradient is one: `_info_nce` is swapped for a probe that
+    records its source and hands back ones."""
+    sources = []
+
+    def probe(source, *args):
+        sources.append(source)
+        return 0.0, lambda g: np.ones_like(source)
+    patch.setattr(cl, "_info_nce", probe)
+    _, back = cl.hgcl_stack(stack, num_views, operator, cl.LossConfig())
+    return sources[0], back(1.0)
+
+
+class TestHgclMeanStep:
+    """`hgcl_stack`'s means: (operator @ raveled stack) * (1/n), and back."""
+
+    def test_sums_then_scales_like_tsum(self, monkeypatch):
+        # (sum of the picked entries) * (1/n), in the order a sum over rows adds
+        rng = np.random.default_rng(9)
+        num_views, n, d = 3, 7, 5
+        stack = rng.normal(size=(num_views * n, d))
+        cfg = cl.LossConfig(num_negatives=2)
+        perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
+        means, _ = mean_step(monkeypatch, stack, num_views,
+                             cl._mean_operator(num_views, n, d, perms))
+        blocks = stack.reshape(num_views, n, d)
+        corrupted = [np.take_along_axis(blocks[a], perm, axis=1).sum(axis=0)
+                     for (a, _), block in perms.items() for perm in block]
+        assert np.array_equal(
+            means, np.concatenate([blocks.sum(axis=1), corrupted]) * (1.0 / n))
+
+    def test_accumulates_repeated_entries(self, monkeypatch):
+        # two views of three one-column rows; four means, three picks each
+        stack = np.arange(6.0).reshape(6, 1)
+        operator = picker([[0, 0, 4], [1, 5, 5], [2, 3, 3], [2, 2, 2]], 6)
+        means, grad = mean_step(monkeypatch, stack, 2, operator)
+        assert_allclose(means[:, 0], np.array([4.0, 11.0, 8.0, 6.0]) / 3.0)
+        assert_allclose(grad[:, 0], np.array([2, 1, 4, 2, 1, 2]) / 3.0)
+
+    def test_passes_gradient_check_with_repeated_entries(self):
+        rng = np.random.default_rng(6)
+        # two views of five two-column rows; row r of the (V + P*K)*d = 8
+        # means picks entries r, 3r + 1 and (5r + 2) mod 20, five times in all
+        operator = picker([[r, (3 * r + 1) % 20, (5 * r + 2) % 20,
+                            (3 * r + 1) % 20, r] for r in range(8)], 20)
+        cfg = cl.LossConfig(temperature=0.7)
+
+        def loss_fn(t):
+            value, back = cl.hgcl_stack(t["stack"].value, 2, operator, cfg)
+            return ad.Tensor(value, "hgcl", (t["stack"],), lambda g: (back(g),))
+
+        report = ad.finite_diff_check(loss_fn, {"stack": rng.normal(size=(10, 2))})
+        assert report.passed, f"worst relative error {report.worst}"
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=2 * n - 1),
+                       min_size=n, max_size=n)))
+@settings(max_examples=50, deadline=None)
+def test_hgcl_mean_step_gradient_counts_entry_uses(indices):
+    # two views of n one-column rows; each of the four means picks `indices`
+    n = len(indices)
+    with pytest.MonkeyPatch.context() as patch:
+        _, grad = mean_step(patch, np.zeros((2 * n, 1)), 2,
+                            picker([indices] * 4, 2 * n))
+    assert_allclose(grad[:, 0], 4 * np.bincount(indices, minlength=2 * n) / n)
 
 
 def test_full_objective_passes_gradient_check():
@@ -557,43 +631,50 @@ def test_full_objective_passes_gradient_check():
     assert report.passed, f"failing blocks: {report.failing()}"
 
 
-def planted_epoch(monkeypatch):
-    """Backward root and flat parameter gradient of the first epoch of a
-    planted full-variant training run."""
-    cfg = ev.ExperimentConfig()
-    views = build_views(ev.prepared_data(cfg)[0])
-    roots, grads = [], []
-    with monkeypatch.context() as patch:
-        leaves = capture_leaves(patch)
-        backward = ad.backward
+class TestPlantedEpochSchedule:
+    def test_gradient_equals_tape_backward(self, monkeypatch):
+        # one planted full-variant epoch: train's flat gradient against the
+        # tape's backward of the same objective on the same plan
+        cfg = ev.ExperimentConfig()
+        views = build_views(ev.prepared_data(cfg)[0])
+        train_cfg = cfg.train_config().variant("full")
+        plans, grads = [], []
+        build, clip = cl.build_plan, cl.clip_gradients
 
-        def capturing(root):
-            backward(root)
-            roots.append(root)
-            grads.append(cl.flatten({k: t.grad for k, t in leaves[-1].items()}))
-        patch.setattr(ad, "backward", capturing)
-        cl.train(views, cfg.train_config(), seed=0, epochs=1)
-    return roots[0], grads[0]
+        def recording_plan(*args):
+            plans.append(build(*args))
+            return plans[-1]
 
+        def recording_clip(grad, max_norm):
+            grads.append(grad.copy())
+            return clip(grad, max_norm)
+        monkeypatch.setattr(cl, "build_plan", recording_plan)
+        monkeypatch.setattr(cl, "clip_gradients", recording_clip)
+        cl.train(views, train_cfg, seed=0, epochs=1)
 
-class TestPlantedEpochTape:
-    def test_one_info_nce_node_per_loss(self, monkeypatch):
-        nodes = ad.topo_order(planted_epoch(monkeypatch)[0])
-        ops = [node.op for node in nodes]
-        assert ops.count("info_nce") == 2 and ops.count("sparse_mean") == 1
-        assert len(nodes) <= 47
+        enc, loss_cfg = train_cfg.encoder, train_cfg.loss
+        params = att.init_params(views[0].num_nodes, len(views), enc, seed=0)
+        tensors = {key: ad.Tensor(value) for key, value in params.items()}
+        embeddings = [att.encode_view_tensors(v, tensors, enc) for v in views]
+        lcl = cl.lcl_tensor(embeddings, plans[0].samples, loss_cfg)
+        hgcl = cl.hgcl_tensor(embeddings, plans[0].permutations, loss_cfg)
+        l2 = ad.sum_of_squares(tensors.values())
+        ad.backward(lcl * loss_cfg.alpha + hgcl * loss_cfg.beta
+                    + l2 * loss_cfg.l2_weight)
+        tape = cl.flatten({key: ad.grad_of(t) for key, t in tensors.items()})
+        assert_allclose(grads[0], tape, rtol=1e-12, atol=0)
 
-    def test_constants_get_no_gradient(self, monkeypatch):
-        root, grads = planted_epoch(monkeypatch)
-        consts = [node for node in ad.topo_order(root) if node.op == "const"]
-        assert consts and all(node.grad is None for node in consts)
-        # the same objective with every constant made a leaf, which does get
-        # a gradient: the parameter gradients must not change by one bit
-        monkeypatch.setattr(ad, "_wrap", lambda x: x if isinstance(x, ad.Tensor)
-                            else ad.Tensor(x))
-        leaf_root, leaf_grads = planted_epoch(monkeypatch)
-        assert not any(node.op == "const" for node in ad.topo_order(leaf_root))
-        assert np.array_equal(grads, leaf_grads)
+    def test_train_builds_no_tape(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("train used the autodiff tape")
+        monkeypatch.setattr(ad, "Tensor", fail)
+        monkeypatch.setattr(ad, "backward", fail)
+        cfg = ev.ExperimentConfig()
+        views = build_views(ev.prepared_data(cfg)[0])
+        for variant in ev.VARIANTS:
+            _, trace = cl.train(views, cfg.train_config().variant(variant),
+                                seed=0, epochs=2)
+            assert len(trace) == 2
 
 
 def test_mean_operator_built_once_per_plan(monkeypatch):
@@ -673,22 +754,31 @@ class TestTrain:
     def test_nan_gradient_aborts_before_the_update(self, monkeypatch):
         views = two_view_setup()
         cfg = self.tiny_config()
-        leaves = capture_leaves(monkeypatch)
-        backward = ad.backward
+        seen = []
+        encode = att.encode_stack
 
-        def poisoned(root):
-            backward(root)
-            leaves[-1]["x"].grad[0, 0] = np.nan
+        def poisoned(graph, params, *args):
+            # the encoder's back returns a NaN in the gradient of "x"
+            seen.append(params)
+            stack, keys, back = encode(graph, params, *args)
+            assert keys[0] == "x"
+
+            def nan_back(g):
+                grads = back(g)
+                grads[0][0, 0] = np.nan
+                return grads
+            return stack, keys, nan_back
 
         def no_step(*args, **kwargs):
             raise AssertionError("Adam ran on a non-finite gradient")
-        monkeypatch.setattr(ad, "backward", poisoned)
+        monkeypatch.setattr(att, "encode_stack", poisoned)
         monkeypatch.setattr(cl, "adam_update", no_step)
         with pytest.raises(cl.NonFiniteLossError, match="epoch 1"):
             cl.train(views, cfg, seed=0, epochs=1)
         initial = att.init_params(8, 2, cfg.encoder, seed=0)
-        for key, tensor in leaves[-1].items():
-            assert np.array_equal(tensor.value, initial[key])
+        assert list(seen[-1]) == list(initial)
+        for key, value in seen[-1].items():
+            assert np.array_equal(value, initial[key])
 
     def test_contrastive_disabled_reports_zero_losses(self):
         views = two_view_setup()
