@@ -62,14 +62,10 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class HeadParams:
-    weight: np.ndarray  # (head_dim, fan_in)
-    attn: np.ndarray    # (2 * head_dim,)
-
-
-@dataclass(frozen=True)
 class LayerParams:
-    heads: tuple[HeadParams, ...]
+    """One view's layer, its heads stacked as `_dual_attention` takes them."""
+    weight: np.ndarray         # (num_heads, head_dim, fan_in)
+    attn: np.ndarray           # (num_heads, 2 * head_dim)
     global_weight: np.ndarray  # (num_heads * head_dim,)
 
 
@@ -109,12 +105,10 @@ def init_params(num_nodes: int, num_views: int, config: EncoderConfig,
 
 def layer_params(params: Mapping[str, np.ndarray], view_index: int, layer: int,
                  config: EncoderConfig) -> LayerParams:
-    heads = tuple(
-        HeadParams(weight=np.asarray(params[head_key(view_index, layer, h, "w")]),
-                   attn=np.asarray(params[head_key(view_index, layer, h, "a")]))
-        for h in range(1, config.num_heads + 1))
-    return LayerParams(heads=heads,
-                       global_weight=np.asarray(params[gate_key(view_index, layer)]))
+    weight, attn = (np.stack([params[head_key(view_index, layer, h, field)]
+                              for h in range(1, config.num_heads + 1)])
+                    for field in ("w", "a"))
+    return LayerParams(weight, attn, np.asarray(params[gate_key(view_index, layer)]))
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -271,14 +265,6 @@ def encode_view_tensors(view: CriterionView, tensors: Mapping[str, ad.Tensor],
 # ---------------------------------------------------------------------------
 # numpy-level operations (inference, inspection, tests)
 
-def _one_layer(view: CriterionView, h_in: np.ndarray, layer: LayerParams,
-               last: bool):
-    return _dual_attention(np.asarray(h_in, dtype=np.float64),
-                           np.stack([h.weight for h in layer.heads]),
-                           np.stack([h.attn for h in layer.heads]), None,
-                           view.block, first=not last)
-
-
 def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
                            layer: LayerParams) -> list[np.ndarray]:
     """Per-head dense coefficient matrices; row i sums to 1 over i's neighbors.
@@ -288,7 +274,8 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
     """
     centers, neighbors = view.neighbor_arrays()
     n = view.num_nodes
-    coeffs = _one_layer(view, h_in, layer, last=False)[1]
+    coeffs = _dual_attention(np.asarray(h_in, dtype=np.float64), layer.weight,
+                             layer.attn, None, view.block, first=True)[1]
     out = []
     for head_coeffs in coeffs.T:
         dense = np.zeros((n, n))
@@ -300,7 +287,8 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
 def local_attention_forward(view: CriterionView, h_in: np.ndarray,
                             layer: LayerParams, last: bool = False) -> np.ndarray:
     """Multi-head attended features, ELU-activated unless this is the last layer."""
-    return _one_layer(view, h_in, layer, last)[0]
+    return _dual_attention(np.asarray(h_in, dtype=np.float64), layer.weight,
+                           layer.attn, None, view.block, first=not last)[0]
 
 
 def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> np.ndarray:

@@ -5,19 +5,14 @@ a backward function of the gradient `g` of its output that returns one
 gradient per parent, in parent order, or `None` for a parent it does not
 reach. `backward` alone adds those into the parents' `.grad`, and it skips
 constant parents (`op == "const"`). The primitives are add and elementwise
-mul (broadcasting) and sum. Training does not use the tape: the model's
-kernels (the encoder in `attention.py`, the losses in `contrastive.py`)
-each return a value and a `back` closure, which `contrastive.train` calls
-in a fixed order. Their tape adaptors (`attention.encode_view_tensors`,
-`contrastive.lcl_tensor` and `hgcl_tensor`) are one node each over the same
-kernels, so `finite_diff_check` checks the derivatives training uses.
-Everything is float64.
-
-The InfoNCE kernel's backward scatters through `_scatter_add`: one
-`np.bincount` per trailing column. It adds in index order exactly like
-numpy's unbuffered `ufunc.at` scatter, at a fraction of its cost. The
-encoder kernel sums over edges with cached CSR operators instead, which add
-in the same order.
+mul of equal shapes and the sum of every entry. Training does not use the
+tape: the model's kernels (the encoder in `attention.py`, the losses in
+`contrastive.py`) each return a value and a `back` closure, which
+`contrastive.train` calls in a fixed order. Their tape adaptors
+(`attention.encode_view_tensors`, `contrastive.lcl_tensor` and
+`hgcl_tensor`) are one node each over the same kernels, so
+`finite_diff_check` checks the derivatives training uses. Everything is
+float64.
 """
 
 from __future__ import annotations
@@ -70,33 +65,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
 
 
-def _scatter_add(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum values[j] into row index[j] of a (num_rows, ...) array of zeros.
-
-    `index` may have any shape; its dims lead `values`' dims, and the rest of
-    `values`' shape is each row's shape. Entries are added in index order, as
-    the unbuffered `ufunc.at` scatter does, so the sums are bit-identical to it.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    row_shape = values.shape[index.ndim:]
-    columns = values.reshape(index.size, int(np.prod(row_shape))).T
-    out = np.empty((num_rows, columns.shape[0]))
-    flat = index.reshape(-1)
-    for j, column in enumerate(columns):
-        out[:, j] = np.bincount(flat, weights=column, minlength=num_rows)
-    return out.reshape((num_rows,) + row_shape)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def topo_order(root: Tensor) -> list[Tensor]:
     """Deterministic topological order of the subgraph rooted at `root`."""
     order: list[Tensor] = []
@@ -147,37 +115,26 @@ def grad_of(leaf: Tensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        value = a.value + b.value
-    except ValueError as exc:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: {a.shape} vs {b.shape}")
 
-    def back(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-    return Tensor(value, "add", (a, b), back)
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
+    return Tensor(a.value + b.value, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        value = a.value * b.value
-    except ValueError as exc:
-        raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
-
-    def back(g):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
-    return Tensor(value, "mul", (a, b), back)
+    _same_shape("mul", a, b)
+    return Tensor(a.value * b.value, "mul", (a, b),
+                  lambda g: (g * b.value, g * a.value))
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-    kept = (np.shape(value) if axis is None or keepdims
-            else np.expand_dims(value, axis).shape)
-
-    def back(g):
-        return np.broadcast_to(np.reshape(g, kept), a.value.shape),
-    return Tensor(value, "sum", (a,), back)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry of `a`."""
+    return Tensor(a.value.sum(), "sum", (a,),
+                  lambda g: (np.broadcast_to(g, a.value.shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,12 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{flag} entries must be finite, got {text!r}")
+    return values
 
 
 def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
@@ -80,10 +83,11 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
         env_seed = os.environ.get("MCGRAPH_SEED")
         if env_seed is not None:
             try:
-                cfg = replace(cfg, seed_base=int(env_seed))
+                seed = int(env_seed)
             except ValueError:
                 raise ValueError(
                     f"MCGRAPH_SEED must be an integer, got {env_seed!r}") from None
+            cfg = replace(cfg, seed_base=seed)
     return cfg
 
 
@@ -200,7 +204,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
-    out = _out_dir(args)
     if args.kind == "sensitivity":
         alphas = _float_list(args.alphas, "--alphas") if args.alphas \
             else ev.SENSITIVITY_WEIGHTS
@@ -208,6 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else ev.SENSITIVITY_WEIGHTS
         lambdas = _float_list(args.lambdas, "--lambdas") if args.lambdas \
             else ev.SENSITIVITY_LAMBDAS
+        out = _out_dir(args)
         points = ev.sweep_sensitivity(cfg, alphas, betas, lambdas,
                                       jobs=args.jobs)
         ev.write_sensitivity_csv(points, out / "sensitivity.csv")
@@ -222,6 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.dims:
             raise ValueError("sweep dims needs --dims, e.g. --dims 24,48,96")
         dims = _int_list(args.dims, "--dims")
+        out = _out_dir(args)
         reports = ev.sweep_embedding_dim(cfg, dims, jobs=args.jobs)
         _write_json({"config": ev.config_as_dict(cfg),
                      "dims": dims,
@@ -230,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for dim, report in zip(dims, reports):
             print(f"dim {dim}: mae {report.mae_mean:.4f}")
     elif args.kind == "ts":
-        reports = []
+        out, reports = _out_dir(args), []
         for ts in ds.TS_PERCENTS:
             report = ev.run_experiment(replace(cfg, ts_percent=ts),
                                        jobs=args.jobs)
@@ -244,6 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.counts:
             raise ValueError("sweep criteria needs --counts, e.g. --counts 1,2,3")
         counts = _int_list(args.counts, "--counts")
+        out = _out_dir(args)
         reports = ev.sweep_criteria_count(cfg, counts, jobs=args.jobs)
         _write_json({"config": ev.config_as_dict(cfg),
                      "counts": counts,

@@ -14,14 +14,12 @@ import numpy as np
 
 from . import attention as att
 from . import recommend as rec
-from .contrastive import (LossConfig, LossReport, NonFiniteLossError,
-                          TrainConfig, train)
+from .contrastive import (VARIANTS, LossConfig, LossReport,
+                          NonFiniteLossError, TrainConfig, train)
 from .dataset import (RatingDataset, from_columns, load_ratings, pair_codes,
                       split_train_test, subsample_train, subset)
 from .graph import build_views
 from .recommend import PredictorConfig
-
-VARIANTS = ("full", "no_global_attention", "no_global_attention_no_cl")
 
 VARIANT_LABELS = {
     "full": "D-MGAC",
@@ -82,12 +80,16 @@ class ExperimentConfig:
     encoder: att.EncoderConfig = att.EncoderConfig(feature_dim=8, head_dim=4)
     predictor: PredictorConfig = PredictorConfig()
 
+    def __post_init__(self):
+        for name in ("seed_base", "split_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+
     def train_config(self) -> TrainConfig:
-        base = TrainConfig(loss=self.loss, encoder=self.encoder,
+        return TrainConfig(loss=self.loss, encoder=self.encoder,
                            learning_rate=self.learning_rate, epochs=self.epochs,
                            refresh_period=self.refresh_period,
-                           clip_norm=self.clip_norm)
-        return base.variant(self.variant)
+                           clip_norm=self.clip_norm, variant=self.variant)
 
 
 def _config_keys() -> tuple[tuple[str, str, str, type], ...]:
@@ -372,7 +374,6 @@ class MetricReport:
     run_indices: tuple[int, ...]
     mae_runs: tuple[float, ...]
     rmse_runs: tuple[float, ...]
-    wall_clock_runs: tuple[float, ...]
     failed_runs: int
     config: dict
 
@@ -439,7 +440,6 @@ def aggregate_runs(cfg: ExperimentConfig, results: Sequence[RunResult]) -> Metri
                         run_indices=tuple(r.run_index for r in kept),
                         mae_runs=tuple(r.mae for r in kept),
                         rmse_runs=tuple(r.rmse for r in kept),
-                        wall_clock_runs=tuple(r.wall_clock for r in kept),
                         failed_runs=len(results) - len(kept),
                         config=config_as_dict(cfg))
 
@@ -463,16 +463,13 @@ def baseline_report(cfg: ExperimentConfig, name: str) -> MetricReport:
     }
     if name not in predictors:
         raise ValueError(f"unknown baseline {name!r}; choose from {sorted(predictors)}")
-    start = time.perf_counter()
     train_data, test_data = prepared_data(cfg)
     predictions = predictors[name](train_data, test_data)
-    elapsed = time.perf_counter() - start
     return MetricReport(variant=name, ts_percent=cfg.ts_percent,
                         run_indices=(0,),
                         mae_runs=(mae(predictions, test_data.overall),),
                         rmse_runs=(rmse(predictions, test_data.overall),),
-                        wall_clock_runs=(elapsed,), failed_runs=0,
-                        config=config_as_dict(cfg))
+                        failed_runs=0, config=config_as_dict(cfg))
 
 
 # ---------------------------------------------------------------------------

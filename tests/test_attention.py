@@ -51,9 +51,8 @@ def tiny_config():
 class TestLocalCoefficients:
     def test_single_neighbor_gets_coefficient_one(self):
         view = view_from_incidence([[3.0]])
-        layer = att.LayerParams(
-            heads=(att.HeadParams(np.ones((1, 1)), np.array([0.3, 0.7])),),
-            global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.3, 0.7]]),
+                                global_weight=np.ones(1))
         coeffs = att.local_attention_coeffs(view, np.array([[1.0], [2.0]]), layer)
         assert_allclose(coeffs[0][0, 1], 1.0)
         assert_allclose(coeffs[0][1, 0], 1.0)
@@ -61,9 +60,8 @@ class TestLocalCoefficients:
     def test_identical_neighbors_share_weight_equally(self):
         view = view_from_incidence([[1.0, 1.0]])
         h_in = np.array([[0.5], [2.0], [2.0]])
-        layer = att.LayerParams(
-            heads=(att.HeadParams(np.array([[1.0]]), np.array([0.4, 0.9])),),
-            global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.4, 0.9]]),
+                                global_weight=np.ones(1))
         coeffs = att.local_attention_coeffs(view, h_in, layer)[0]
         assert_allclose(coeffs[0, 1:], [0.5, 0.5])
 
@@ -71,9 +69,8 @@ class TestLocalCoefficients:
         # a = [0, 1], projections (1, 2) for the two items: scores 1 and 2
         view = view_from_incidence([[1.0, 1.0]])
         h_in = np.array([[5.0], [1.0], [2.0]])
-        layer = att.LayerParams(
-            heads=(att.HeadParams(np.array([[1.0]]), np.array([0.0, 1.0])),),
-            global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.0, 1.0]]),
+                                global_weight=np.ones(1))
         coeffs = att.local_attention_coeffs(view, h_in, layer)[0]
         assert_allclose(coeffs[0, 1:], [0.26894142, 0.73105858], atol=1e-8)
 
@@ -98,9 +95,8 @@ class TestLocalForward:
         rng = np.random.default_rng(1)
         w = rng.normal(size=(3, 2))
         h_in = rng.normal(size=(2, 2))
-        layer = att.LayerParams(
-            heads=(att.HeadParams(w, rng.normal(size=6)),),
-            global_weight=np.ones(3))
+        layer = att.LayerParams(weight=w[None], attn=rng.normal(size=(1, 6)),
+                                global_weight=np.ones(3))
         out = att.local_attention_forward(view, h_in, layer, last=True)
         assert_allclose(out[0], w @ h_in[1], atol=1e-12)
         assert_allclose(out[1], w @ h_in[0], atol=1e-12)
@@ -108,10 +104,10 @@ class TestLocalForward:
     def test_output_width_is_heads_times_head_dim(self):
         view = view_from_incidence([[1.0, 2.0], [0.0, 3.0]])
         rng = np.random.default_rng(2)
-        layer = att.LayerParams(
-            heads=tuple(att.HeadParams(rng.normal(size=(3, 2)), rng.normal(size=6))
-                        for _ in range(2)),
-            global_weight=np.ones(6))
+        heads = [(rng.normal(size=(3, 2)), rng.normal(size=6)) for _ in range(2)]
+        layer = att.LayerParams(weight=np.stack([w for w, _ in heads]),
+                                attn=np.stack([a for _, a in heads]),
+                                global_weight=np.ones(6))
         out = att.local_attention_forward(view, rng.normal(size=(4, 2)), layer)
         assert out.shape == (4, 6)
 
@@ -121,9 +117,9 @@ class TestLocalForward:
         view = view_from_incidence(b)
         h_in = rng.normal(size=(6, 4))
         heads = [(rng.normal(size=(2, 4)), rng.normal(size=4)) for _ in range(2)]
-        layer = att.LayerParams(
-            heads=tuple(att.HeadParams(w, a) for w, a in heads),
-            global_weight=np.ones(4))
+        layer = att.LayerParams(weight=np.stack([w for w, _ in heads]),
+                                attn=np.stack([a for _, a in heads]),
+                                global_weight=np.ones(4))
         pattern = (view.adjacency.toarray() > 0)
         for last in (True, False):
             ours = att.local_attention_forward(view, h_in, layer, last=last)
@@ -133,9 +129,8 @@ class TestLocalForward:
     def test_isolated_nodes_output_zero_rows(self):
         view = view_from_incidence([[1.0, 0.0], [0.0, 0.0]])  # u2 and i2 isolated
         rng = np.random.default_rng(4)
-        layer = att.LayerParams(
-            heads=(att.HeadParams(rng.normal(size=(2, 3)), rng.normal(size=4)),),
-            global_weight=np.ones(2))
+        layer = att.LayerParams(weight=rng.normal(size=(1, 2, 3)),
+                                attn=rng.normal(size=(1, 4)), global_weight=np.ones(2))
         out = att.local_attention_forward(view, rng.normal(size=(4, 3)), layer)
         assert_allclose(out[1], np.zeros(2))
         assert_allclose(out[3], np.zeros(2))
@@ -398,10 +393,11 @@ class TestBlockDiagonalEncoder:
         rows = 3 * blocks.num_nodes
         for shape in [(blocks.centers.size,), (blocks.centers.size, 5)]:
             values = rng.normal(size=shape)
-            assert np.array_equal(blocks.center_sum @ values,
-                                  ad._scatter_add(blocks.centers, values, rows))
-            assert np.array_equal(blocks.neighbor_sum @ values,
-                                  ad._scatter_add(blocks.neighbors, values, rows))
+            for operator, index in ((blocks.center_sum, blocks.centers),
+                                    (blocks.neighbor_sum, blocks.neighbors)):
+                want = np.zeros((rows,) + shape[1:])
+                np.add.at(want, index, values)
+                assert np.array_equal(operator @ values, want)
 
 
     @staticmethod

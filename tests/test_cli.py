@@ -240,6 +240,24 @@ class TestExitCodes:
         assert last.startswith(f"usage error: config key {key!r} was removed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, env, line, key", [
+        (["--seed", "-1"], None, "", "seed_base"),
+        ([], "-2", "", "seed_base"),
+        ([], None, "split_seed = -1\n", "split_seed"),
+    ], ids=["seed_flag", "env_seed", "config_split_seed"])
+    def test_negative_seed_is_usage_naming_key(self, tmp_path, monkeypatch,
+                                               capsys, flags, env, line, key):
+        if env is not None:
+            monkeypatch.setenv("MCGRAPH_SEED", env)
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(FAST_CFG + line, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), *flags, "--out",
+                         str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("usage error:") and key in last
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n", encoding="utf-8")
@@ -570,9 +588,33 @@ class TestSweep:
         assert sidecar["points"][0]["report"]["config"]["alpha"] == 0.1
         capsys.readouterr()
 
-    def test_dims_requires_flag(self, fast_cfg, capsys):
-        assert cli.main(["sweep", "dims", "--config", fast_cfg]) == cli.EXIT_USAGE
-        capsys.readouterr()
+    def test_dims_requires_flag(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "dims", "--config", fast_cfg,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--dims" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
+    def test_criteria_requires_flag(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "criteria", "--config", fast_cfg,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--counts" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--alphas", "--betas", "--lambdas"])
+    @pytest.mark.parametrize("value", ["inf", "0.1,nan", "-inf"])
+    def test_non_finite_sensitivity_entry_is_usage_before_any_run(
+            self, tmp_path, fast_cfg, monkeypatch, capsys, flag, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(ev, "run_experiment", no_run)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "sensitivity", "--config", fast_cfg,
+                         f"{flag}={value}", "--out", str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("usage error:") and flag in last
+        assert not out.exists()
 
     def test_dims_artifacts(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Anchors, contrastive losses, and training loop behavior."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -637,7 +638,8 @@ class TestPlantedEpochSchedule:
         # tape's backward of the same objective on the same plan
         cfg = ev.ExperimentConfig()
         views = build_views(ev.prepared_data(cfg)[0])
-        train_cfg = cfg.train_config().variant("full")
+        train_cfg = cfg.train_config()
+        assert train_cfg.variant == "full"
         plans, grads = [], []
         build, clip = cl.build_plan, cl.clip_gradients
 
@@ -666,13 +668,17 @@ class TestPlantedEpochSchedule:
 
     def test_train_builds_no_tape(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("train used the autodiff tape")
-        monkeypatch.setattr(ad, "Tensor", fail)
-        monkeypatch.setattr(ad, "backward", fail)
+            raise AssertionError("train used the autodiff module")
+        functions = [name for name, value in vars(ad).items()
+                     if callable(value) and getattr(value, "__module__", None)
+                     == ad.__name__]
+        assert {"Tensor", "backward", "add", "mul", "tsum"} <= set(functions)
+        for name in functions:
+            monkeypatch.setattr(ad, name, fail)
         cfg = ev.ExperimentConfig()
         views = build_views(ev.prepared_data(cfg)[0])
         for variant in ev.VARIANTS:
-            _, trace = cl.train(views, cfg.train_config().variant(variant),
+            _, trace = cl.train(views, replace(cfg, variant=variant).train_config(),
                                 seed=0, epochs=2)
             assert len(trace) == 2
 
@@ -782,7 +788,7 @@ class TestTrain:
 
     def test_contrastive_disabled_reports_zero_losses(self):
         views = two_view_setup()
-        cfg = self.tiny_config(use_contrastive=False)
+        cfg = self.tiny_config(variant="no_global_attention_no_cl")
         _, trace = cl.train(views, cfg, seed=0, epochs=4)
         for r in trace:
             assert r.l_lcl == 0.0 and r.l_hgcl == 0.0
@@ -813,22 +819,23 @@ class TestTrain:
     def test_clipped_exactly_when_norm_exceeds_clip_on_planted(self):
         cfg = ev.ExperimentConfig()
         train_data, _ = ev.prepared_data(cfg)
-        train_cfg = cfg.train_config().variant("full")
+        train_cfg = cfg.train_config()
         _, trace = cl.train(build_views(train_data), train_cfg, seed=4)
         assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in trace)
         assert [r.clipped for r in trace] == \
             [r.grad_norm > train_cfg.clip_norm for r in trace]
         assert any(r.clipped for r in trace)
 
-    @pytest.mark.parametrize("num_views, use_contrastive", [(2, False), (1, True)],
+    @pytest.mark.parametrize("num_views, variant",
+                             [(2, "no_global_attention_no_cl"), (1, "full")],
                              ids=["no_cl", "single_view"])
     def test_no_contrast_skips_encoder_and_matches_adam_oracle(
-            self, monkeypatch, num_views, use_contrastive):
+            self, monkeypatch, num_views, variant):
         def fail(*args, **kwargs):
             raise AssertionError("the encoder ran without a contrastive loss")
         monkeypatch.setattr(att, "encode_stack", fail)
         views = two_view_setup()[:num_views]
-        cfg = self.tiny_config(use_contrastive=use_contrastive, clip_norm=0.05)
+        cfg = self.tiny_config(variant=variant, clip_norm=0.05)
         params, trace = cl.train(views, cfg, seed=6, epochs=7)
 
         # Adam on the weight decay alone, with the global-norm clip
@@ -852,14 +859,18 @@ class TestTrain:
         assert all(r.l_lcl == 0.0 and r.l_hgcl == 0.0 for r in trace)
 
     def test_variant_names(self):
-        cfg = self.tiny_config()
-        assert cfg.variant("full").use_global_attention
-        assert not cfg.variant("no_global_attention").use_global_attention
-        assert cfg.variant("no_global_attention").use_contrastive
-        off = cfg.variant("no_global_attention_no_cl")
-        assert not off.use_global_attention and not off.use_contrastive
-        with pytest.raises(ValueError):
-            cfg.variant("bogus")
+        assert self.tiny_config().variant == "full"
+        flags = {}
+        for name in cl.VARIANTS:
+            cfg = self.tiny_config(variant=name)
+            flags[name] = (cfg.use_global_attention, cfg.use_contrastive)
+        assert flags == {"full": (True, True),
+                         "no_global_attention": (False, True),
+                         "no_global_attention_no_cl": (False, False)}
+        with pytest.raises(ValueError, match="variant"):
+            self.tiny_config(variant="bogus")
+        with pytest.raises(AttributeError):  # read-only, derived from variant
+            self.tiny_config().use_contrastive = False
 
 
 class TestOptimizer:

@@ -422,8 +422,7 @@ class TestReportFiles:
         assert "wall_clock_runs" not in loaded
 
     def test_nan_in_report_raises_before_writing(self, tmp_path):
-        report = ev.MetricReport("full", 100, (0,), (float("nan"),), (0.5,),
-                                 (1.0,), 0, {})
+        report = ev.MetricReport("full", 100, (0,), (float("nan"),), (0.5,), 0, {})
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="JSON"):
             ev.write_report_json(report, path)
@@ -463,10 +462,11 @@ class TestReportFiles:
         assert lines[1].startswith("0.1,0.5,0.2,")
 
     def test_timing_kept_in_memory_only(self):
-        report = ev.run_experiment(fast_config(n_runs=1))
-        assert len(report.wall_clock_runs) == 1
-        assert report.wall_clock_runs[0] > 0
-        assert "wall_clock_runs" not in report.as_dict()
+        cfg = fast_config(n_runs=1)
+        runs = ev.experiment_runs(cfg)
+        assert len(runs) == 1 and runs[0].wall_clock > 0
+        report = ev.aggregate_runs(cfg, runs)
+        assert not any("wall" in key for key in report.as_dict())
 
 
 class TestComparisonTable:
