@@ -37,18 +37,16 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(ev.json_text(payload) + "\n", encoding="utf-8")
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _number_list(text: str, flag: str, kind: type = float) -> list:
+    """Comma-separated numbers of `kind`; a list with no number in it, or a
+    non-finite entry, fails naming the flag."""
+    noun = "integers" if kind is int else "numbers"
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag} lists no {noun}, got {text!r}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{flag} entries must be finite, got {text!r}")
     return values
@@ -56,27 +54,25 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
     """Defaults, then the config file, then flags; env seed is the weakest."""
-    cfg = ev.ExperimentConfig()
     file_values: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ValueError(f"config file not found: {path}")
         file_values = ev.config_values(path.read_text(encoding="utf-8"))
-        cfg = ev.apply_config_values(cfg, file_values)
-    overrides: dict[str, object] = {}
+    # one merge, so a flag replaces a file value before either is checked
+    values: dict[str, object] = dict(file_values)
     if args.data:
-        overrides["dataset_path"] = args.data
+        values["dataset_path"] = args.data
     if args.runs is not None:
-        overrides["n_runs"] = args.runs
+        values["n_runs"] = args.runs
     if getattr(args, "variant", None):
-        overrides["variant"] = args.variant
+        values["variant"] = args.variant
     if args.ts is not None:
-        overrides["ts_percent"] = args.ts
+        values["ts_percent"] = args.ts
     if args.criteria is not None:
-        overrides["criteria_count"] = args.criteria
-    if overrides:
-        cfg = ev.apply_config_values(cfg, overrides)
+        values["criteria_count"] = args.criteria
+    cfg = ev.apply_config_values(ev.ExperimentConfig(), values)
     if args.seed is not None:
         cfg = replace(cfg, seed_base=args.seed)
     elif "seed_base" not in file_values:
@@ -139,7 +135,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(cfg)
     train_data, _ = ev.prepared_data(cfg)
     views = build_views(train_data)
-    params, trace = train_embeddings(views, cfg.train_config(), cfg.seed_base)
+    params, trace = train_embeddings(views, cfg, cfg.seed_base)
     out = _out_dir(args)
     np.savez(out / "checkpoint.npz", **params)
     write_loss_trace(trace, out / "loss_trace.csv")
@@ -187,13 +183,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
-    out = _out_dir(args)
     reports = []
     for variant in ev.VARIANTS:
-        report = ev.run_ablation(cfg, variant, jobs=args.jobs)
-        ev.write_report_json(report, out / f"report_{variant}.json")
-        reports.append(report)
-        print(_report_line(report))
+        reports.append(ev.run_ablation(cfg, variant, jobs=args.jobs))
+        print(_report_line(reports[-1]))
+    out = _out_dir(args)
+    for report in reports:
+        ev.write_report_json(report, out / f"report_{report.variant}.json")
     ev.write_report_csv(reports, out / "runs_ablation.csv")
     ordered = reports[0].mae_mean < reports[1].mae_mean < reports[2].mae_mean
     print(f"ablation ordering D-MGAC < D-MGAC* < D-MGAC*-: "
@@ -204,16 +200,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
+    # each kind creates --out only after its runs succeed
     if args.kind == "sensitivity":
-        alphas = _float_list(args.alphas, "--alphas") if args.alphas \
-            else ev.SENSITIVITY_WEIGHTS
-        betas = _float_list(args.betas, "--betas") if args.betas \
-            else ev.SENSITIVITY_WEIGHTS
-        lambdas = _float_list(args.lambdas, "--lambdas") if args.lambdas \
-            else ev.SENSITIVITY_LAMBDAS
-        out = _out_dir(args)
+        alphas, betas, lambdas = (
+            default if text is None else _number_list(text, flag)
+            for text, flag, default in (
+                (args.alphas, "--alphas", ev.SENSITIVITY_WEIGHTS),
+                (args.betas, "--betas", ev.SENSITIVITY_WEIGHTS),
+                (args.lambdas, "--lambdas", ev.SENSITIVITY_LAMBDAS)))
         points = ev.sweep_sensitivity(cfg, alphas, betas, lambdas,
                                       jobs=args.jobs)
+        out = _out_dir(args)
         ev.write_sensitivity_csv(points, out / "sensitivity.csv")
         _write_json({"config": ev.config_as_dict(cfg),
                      "points": [{"alpha": p.alpha, "beta": p.beta,
@@ -225,9 +222,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.kind == "dims":
         if not args.dims:
             raise ValueError("sweep dims needs --dims, e.g. --dims 24,48,96")
-        dims = _int_list(args.dims, "--dims")
-        out = _out_dir(args)
+        dims = _number_list(args.dims, "--dims", int)
         reports = ev.sweep_embedding_dim(cfg, dims, jobs=args.jobs)
+        out = _out_dir(args)
         _write_json({"config": ev.config_as_dict(cfg),
                      "dims": dims,
                      "reports": [r.as_dict() for r in reports]},
@@ -235,12 +232,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for dim, report in zip(dims, reports):
             print(f"dim {dim}: mae {report.mae_mean:.4f}")
     elif args.kind == "ts":
-        out, reports = _out_dir(args), []
+        reports = []
         for ts in ds.TS_PERCENTS:
-            report = ev.run_experiment(replace(cfg, ts_percent=ts),
-                                       jobs=args.jobs)
-            reports.append(report)
-            print(f"ts {ts}: mae {report.mae_mean:.4f}")
+            reports.append(ev.run_experiment(replace(cfg, ts_percent=ts),
+                                             jobs=args.jobs))
+            print(f"ts {ts}: mae {reports[-1].mae_mean:.4f}")
+        out = _out_dir(args)
         ev.write_report_csv(reports, out / "runs_ts.csv")
         _write_json({"config": ev.config_as_dict(cfg),
                      "reports": [r.as_dict() for r in reports]},
@@ -248,9 +245,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if not args.counts:
             raise ValueError("sweep criteria needs --counts, e.g. --counts 1,2,3")
-        counts = _int_list(args.counts, "--counts")
-        out = _out_dir(args)
+        counts = _number_list(args.counts, "--counts", int)
         reports = ev.sweep_criteria_count(cfg, counts, jobs=args.jobs)
+        out = _out_dir(args)
         _write_json({"config": ev.config_as_dict(cfg),
                      "counts": counts,
                      "reports": [r.as_dict() for r in reports]},

@@ -29,8 +29,10 @@ its value and a `back` closure; `lcl_tensor` and `hgcl_tensor` wrap
 `lcl_stack` and `hgcl_stack` as one autodiff tape node over a list of
 per-view tensors, for gradient checks.
 
-`train` runs a fixed schedule with no tape: the encoder, LCL and HGCL
-forward, then their `back`s in reverse. It keeps every parameter in one
+`train` takes the experiment config, `evaluate.ExperimentConfig`, and
+reads the fields it needs by name, so this module never imports `evaluate`.
+It runs a fixed schedule with no tape: the encoder, LCL and HGCL forward,
+then their `back`s in reverse. It keeps every parameter in one
 contiguous vector theta, in `init_params`' key order, and the name -> array
 dict it hands the encoder and returns holds reshaped views into theta. The
 gradient and Adam's two moments are vectors of the same layout: the
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +57,9 @@ from . import attention as att
 from . import autodiff as ad
 from .dataset import DatasetError
 from .graph import CriterionView, block_graph
+
+if TYPE_CHECKING:  # evaluate imports this module
+    from .evaluate import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -506,47 +511,16 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
 # ---------------------------------------------------------------------------
 # training loop
 
-VARIANTS = ("full", "no_global_attention", "no_global_attention_no_cl")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    loss: LossConfig = LossConfig()
-    encoder: att.EncoderConfig = att.EncoderConfig()
-    learning_rate: float = 0.005
-    epochs: int = 200
-    refresh_period: int = 10
-    clip_norm: float = 5.0
-    variant: str = "full"
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.refresh_period < 1:
-            raise ValueError(f"refresh_period must be at least 1, got {self.refresh_period}")
-        if not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-
-    @property
-    def use_global_attention(self) -> bool:
-        return self.variant == "full"
-
-    @property
-    def use_contrastive(self) -> bool:
-        return self.variant != "no_global_attention_no_cl"
-
-
-def train(views: Sequence[CriterionView], cfg: TrainConfig, seed: int,
+def train(views: Sequence[CriterionView], cfg: ExperimentConfig, seed: int,
           epochs: int | None = None
           ) -> tuple[dict[str, np.ndarray], list[LossReport]]:
     """Optimize encoder parameters on the views; deterministic per seed.
 
-    The returned dict holds `init_params`' keys in their order, each a view
-    into one flat parameter vector.
+    `cfg` is the experiment config: `train` reads its `loss` and `encoder`
+    sections, `learning_rate`, `epochs` (unless `epochs` is given),
+    `refresh_period`, `clip_norm`, `use_contrastive` and
+    `use_global_attention`. The returned dict holds `init_params`' keys in
+    their order, each a view into one flat parameter vector.
     """
     epochs = cfg.epochs if epochs is None else epochs
     num_nodes = views[0].num_nodes

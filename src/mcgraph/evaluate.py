@@ -14,8 +14,7 @@ import numpy as np
 
 from . import attention as att
 from . import recommend as rec
-from .contrastive import (VARIANTS, LossConfig, LossReport,
-                          NonFiniteLossError, TrainConfig, train)
+from .contrastive import LossConfig, LossReport, NonFiniteLossError, train
 from .dataset import (RatingDataset, from_columns, load_ratings, pair_codes,
                       split_train_test, subsample_train, subset)
 from .graph import build_views
@@ -26,6 +25,7 @@ VARIANT_LABELS = {
     "no_global_attention": "D-MGAC*",
     "no_global_attention_no_cl": "D-MGAC*-",
 }
+VARIANTS = tuple(VARIANT_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +84,28 @@ class ExperimentConfig:
         for name in ("seed_base", "split_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("n_runs", "epochs", "refresh_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "clip_norm"):
+            if not getattr(self, name) > 0:  # written so that NaN fails
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(loss=self.loss, encoder=self.encoder,
-                           learning_rate=self.learning_rate, epochs=self.epochs,
-                           refresh_period=self.refresh_period,
-                           clip_norm=self.clip_norm, variant=self.variant)
+    @property
+    def use_global_attention(self) -> bool:
+        return self.variant == "full"
+
+    @property
+    def use_contrastive(self) -> bool:
+        return self.variant != "no_global_attention_no_cl"
+
+    def train_config(self) -> ExperimentConfig:
+        """The config itself: `contrastive.train` reads it directly. Kept
+        for callers that still ask for a training config, as the benchmark's
+        scale workload does."""
+        return self
 
 
 def _config_keys() -> tuple[tuple[str, str, str, type], ...]:
@@ -328,10 +344,9 @@ def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedMo
     Raises NonFiniteLossError when training diverges.
     """
     views = build_views(train_data)
-    train_cfg = cfg.train_config()
-    params, trace = train(views, train_cfg, seed)
+    params, trace = train(views, cfg, seed)
     matrices = [e.matrix for e in att.encode_views(
-        views, params, cfg.encoder, train_cfg.use_global_attention)]
+        views, params, cfg.encoder, cfg.use_global_attention)]
     fused = rec.fuse(matrices, train_data.num_users)
     predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
     return FittedModel(params, trace, train_data, fused, predictor)
@@ -419,8 +434,6 @@ def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
 
     The train/test pair is prepared once and shared by every run.
     """
-    if cfg.n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     run = partial(_run_prepared, cfg, prepared_data(cfg))
@@ -449,8 +462,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> MetricReport:
 
 
 def run_ablation(cfg: ExperimentConfig, variant: str, jobs: int = 1) -> MetricReport:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     return run_experiment(replace(cfg, variant=variant), jobs)
 
 
@@ -492,15 +503,12 @@ def sweep_sensitivity(cfg: ExperimentConfig,
                       betas: Sequence[float] = SENSITIVITY_WEIGHTS,
                       lambdas: Sequence[float] = SENSITIVITY_LAMBDAS,
                       jobs: int = 1) -> list[SweepPoint]:
-    points = []
-    for alpha in alphas:
-        for beta in betas:
-            for lam in lambdas:
-                tuned = replace(cfg, loss=replace(cfg.loss, alpha=alpha,
-                                                  beta=beta, l2_weight=lam))
-                points.append(SweepPoint(alpha, beta, lam,
-                                         run_experiment(tuned, jobs)))
-    return points
+    """Every grid point's config is built, and so checked, before the first run."""
+    grid = [(alpha, beta, lam, replace(cfg, loss=replace(
+                cfg.loss, alpha=alpha, beta=beta, l2_weight=lam)))
+            for alpha in alphas for beta in betas for lam in lambdas]
+    return [SweepPoint(alpha, beta, lam, run_experiment(tuned, jobs))
+            for alpha, beta, lam, tuned in grid]
 
 
 def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],
@@ -508,14 +516,14 @@ def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],
     """One report per fused width; the per-view width is dim / criteria count."""
     num_criteria = load_dataset(cfg).num_criteria
     heads = cfg.encoder.num_heads
-    reports = []
     for dim in dims:
         if dim % num_criteria or (dim // num_criteria) % heads:
             raise ValueError(f"fused dimension {dim} does not divide into "
                              f"{num_criteria} views of {heads} heads")
-        encoder = replace(cfg.encoder, head_dim=dim // num_criteria // heads)
-        reports.append(run_experiment(replace(cfg, encoder=encoder), jobs))
-    return reports
+    encoders = [replace(cfg.encoder, head_dim=dim // num_criteria // heads)
+                for dim in dims]
+    return [run_experiment(replace(cfg, encoder=encoder), jobs)
+            for encoder in encoders]
 
 
 def sweep_criteria_count(cfg: ExperimentConfig, counts: Sequence[int],

@@ -316,6 +316,17 @@ class TestConfigPrecedence:
         assert len(report["mae_runs"]) == 1
         capsys.readouterr()
 
+    def test_flag_replaces_a_bad_file_value_before_it_is_checked(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + "n_runs = 0\nvariant = bogus\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", "--config", str(cfg), "--runs", "1",
+                         "--variant", "full", "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads((out / "report_full.json").read_text())
+        assert len(report["mae_runs"]) == 1
+        capsys.readouterr()
+
     def test_env_seed_is_default(self, tmp_path, fast_cfg, monkeypatch, capsys):
         monkeypatch.setenv("MCGRAPH_SEED", "9")
         out = tmp_path / "out"
@@ -616,6 +627,34 @@ class TestSweep:
         assert last.startswith("usage error:") and flag in last
         assert not out.exists()
 
+    def test_negative_sensitivity_weight_is_usage_before_any_run(
+            self, tmp_path, fast_cfg, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(ev, "run_experiment", no_run)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "sensitivity", "--config", fast_cfg,
+                         "--alphas", "0.1,-1", "--betas", "0.5",
+                         "--lambdas", "0.2", "--out", str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("usage error:") and "alpha" in last
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        *[(kind, flag, value) for kind, flag in [
+            ("dims", "--dims"), ("criteria", "--counts"),
+            ("sensitivity", "--alphas"), ("sensitivity", "--betas"),
+            ("sensitivity", "--lambdas")] for value in (",", " , ")],
+        ("sensitivity", "--alphas", "")])
+    def test_number_list_without_numbers_is_usage(self, tmp_path, fast_cfg,
+                                                  capsys, kind, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", kind, "--config", fast_cfg, f"{flag}={value}",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("usage error:") and flag in last
+        assert not out.exists()
+
     def test_dims_artifacts(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "out"
         code = cli.main(["sweep", "dims", "--config", fast_cfg, "--runs", "1",
@@ -652,6 +691,38 @@ class TestSweep:
         runs = (out / "runs_ts.csv").read_text().splitlines()
         assert len(runs) == 5
         capsys.readouterr()
+
+
+RUN_COMMANDS = {
+    "ablate": ["ablate"],
+    "sweep_ts": ["sweep", "ts"],
+    "sweep_sensitivity": ["sweep", "sensitivity", "--alphas", "0.1",
+                          "--betas", "0.5", "--lambdas", "0.2"],
+    "sweep_dims": ["sweep", "dims", "--dims", "24"],
+    "sweep_criteria": ["sweep", "criteria", "--counts", "1"],
+}
+BAD_SETTINGS = {
+    "learning_rate": ("learning_rate = -1\n", []),
+    "epochs": ("epochs = 0\n", []),
+    "variant": ("variant = bogus\n", []),
+    "n_runs": ("n_runs = 0\n", []),
+    "jobs": ("", ["--jobs", "0"]),
+    "test_fraction": ("test_fraction = 1.5\n", []),
+}
+
+
+@pytest.mark.parametrize("command", list(RUN_COMMANDS))
+@pytest.mark.parametrize("key", list(BAD_SETTINGS))
+def test_bad_setting_fails_before_out_is_created(tmp_path, capsys, command, key):
+    line, flags = BAD_SETTINGS[key]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(FAST_CFG + line, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([*RUN_COMMANDS[command], "--config", str(cfg), *flags,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("usage error:") and key in last
+    assert not out.exists()
 
 
 VALID_ROWS = [["u1", "i1", "4", "4", "3"], ["u1", "i2", "2", "1", "2"],

@@ -308,16 +308,6 @@ class TestLossConfigValidation:
         cl.LossConfig(pos_threshold=1.0, neg_threshold=-1.0)
 
 
-class TestTrainConfigValidation:
-    @pytest.mark.parametrize("name, value", [
-        ("learning_rate", 0.0), ("learning_rate", -0.1),
-        ("learning_rate", float("nan")), ("epochs", 0), ("refresh_period", 0),
-        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan"))])
-    def test_bad_value_rejected_naming_the_field(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            cl.TrainConfig(**{name: value})
-
-
 def two_view_setup(seed=0):
     rng = np.random.default_rng(seed)
     views = []
@@ -638,8 +628,7 @@ class TestPlantedEpochSchedule:
         # tape's backward of the same objective on the same plan
         cfg = ev.ExperimentConfig()
         views = build_views(ev.prepared_data(cfg)[0])
-        train_cfg = cfg.train_config()
-        assert train_cfg.variant == "full"
+        assert cfg.variant == "full"
         plans, grads = [], []
         build, clip = cl.build_plan, cl.clip_gradients
 
@@ -652,9 +641,9 @@ class TestPlantedEpochSchedule:
             return clip(grad, max_norm)
         monkeypatch.setattr(cl, "build_plan", recording_plan)
         monkeypatch.setattr(cl, "clip_gradients", recording_clip)
-        cl.train(views, train_cfg, seed=0, epochs=1)
+        cl.train(views, cfg, seed=0, epochs=1)
 
-        enc, loss_cfg = train_cfg.encoder, train_cfg.loss
+        enc, loss_cfg = cfg.encoder, cfg.loss
         params = att.init_params(views[0].num_nodes, len(views), enc, seed=0)
         tensors = {key: ad.Tensor(value) for key, value in params.items()}
         embeddings = [att.encode_view_tensors(v, tensors, enc) for v in views]
@@ -678,7 +667,7 @@ class TestPlantedEpochSchedule:
         cfg = ev.ExperimentConfig()
         views = build_views(ev.prepared_data(cfg)[0])
         for variant in ev.VARIANTS:
-            _, trace = cl.train(views, replace(cfg, variant=variant).train_config(),
+            _, trace = cl.train(views, replace(cfg, variant=variant),
                                 seed=0, epochs=2)
             assert len(trace) == 2
 
@@ -693,9 +682,8 @@ def test_mean_operator_built_once_per_plan(monkeypatch):
     monkeypatch.setattr(cl, "_mean_operator", counting)
     cfg = ev.ExperimentConfig()
     views = build_views(ev.prepared_data(cfg)[0])
-    train_cfg = cfg.train_config()
-    assert train_cfg.refresh_period == 10
-    cl.train(views, train_cfg, seed=0, epochs=100)
+    assert cfg.refresh_period == 10
+    cl.train(views, cfg, seed=0, epochs=100)
     assert len(calls) == 10
 
 
@@ -706,7 +694,7 @@ class TestTrain:
             encoder=att.EncoderConfig(num_heads=2, feature_dim=4, head_dim=2),
             learning_rate=0.005, epochs=12, refresh_period=5, clip_norm=5.0)
         base.update(overrides)
-        return cl.TrainConfig(**base)
+        return ev.ExperimentConfig(**base)
 
     def test_zero_epochs_returns_initial_params(self):
         views = two_view_setup()
@@ -819,11 +807,10 @@ class TestTrain:
     def test_clipped_exactly_when_norm_exceeds_clip_on_planted(self):
         cfg = ev.ExperimentConfig()
         train_data, _ = ev.prepared_data(cfg)
-        train_cfg = cfg.train_config()
-        _, trace = cl.train(build_views(train_data), train_cfg, seed=4)
+        _, trace = cl.train(build_views(train_data), cfg, seed=4)
         assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in trace)
         assert [r.clipped for r in trace] == \
-            [r.grad_norm > train_cfg.clip_norm for r in trace]
+            [r.grad_norm > cfg.clip_norm for r in trace]
         assert any(r.clipped for r in trace)
 
     @pytest.mark.parametrize("num_views, variant",
@@ -861,7 +848,7 @@ class TestTrain:
     def test_variant_names(self):
         assert self.tiny_config().variant == "full"
         flags = {}
-        for name in cl.VARIANTS:
+        for name in ev.VARIANTS:
             cfg = self.tiny_config(variant=name)
             flags[name] = (cfg.use_global_attention, cfg.use_contrastive)
         assert flags == {"full": (True, True),

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import attention as att
+from mcgraph import contrastive as cl
 from mcgraph import dataset as ds
 from mcgraph import evaluate as ev
 from mcgraph import recommend as rec
 from mcgraph.contrastive import LossConfig
+from mcgraph.graph import build_views
 
 
 class TestMetrics:
@@ -120,6 +122,21 @@ class TestConfigRoundTrip:
         listed = set(re.findall(r"`([a-z_0-9]+)`", section))
         keys = {key for key, _, _, _ in ev._CONFIG_KEYS} | set(ev._REMOVED_KEYS)
         assert listed == keys
+
+
+class TestExperimentConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("learning_rate", float("nan")), ("epochs", 0), ("refresh_period", 0),
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
+        ("n_runs", 0), ("variant", "bogus")])
+    def test_bad_value_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ev.ExperimentConfig(**{name: value})
+
+    def test_train_config_is_the_config_itself(self):
+        cfg = ev.ExperimentConfig()
+        assert cfg.train_config() is cfg
 
 
 class TestPlantedDataset:
@@ -335,6 +352,27 @@ class TestFit:
         predicted = ev.fit(cfg, train_data, seed=0).predict(test_data)
         mean = np.mean([r.overall for r in train_data.records])
         assert np.all(predicted[unseen] == mean)
+
+
+    def test_benchmark_scale_calls_match_fit(self):
+        # perfbench's scale workload drives the pipeline through these calls
+        # itself; its own tests are not part of the tier-1 suite
+        cfg = fast_config()
+        seed = cfg.seed_base
+        train_data, test_data = ev.prepared_data(cfg)
+        views = build_views(train_data)
+        train_cfg = cfg.train_config()
+        params, _ = cl.train(views, train_cfg, seed, epochs=3)
+        matrices = [att.encode_view(v, params, cfg.encoder,
+                                    train_cfg.use_global_attention).matrix
+                    for v in views]
+        fused = rec.fuse(matrices, train_data.num_users)
+        predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
+        users, items = ds.pair_codes(train_data, test_data)
+        assert np.all(users >= 0) and np.all(items >= 0)
+        predictions = rec.predict_many(predictor, fused, users, items)
+        expected = ev.fit(cfg, train_data, seed).predict(test_data)
+        assert np.array_equal(predictions, expected)
 
 
 class TestAblation:
