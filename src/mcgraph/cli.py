@@ -10,6 +10,7 @@ overridden by flags) and the seed.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
@@ -20,9 +21,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluate as ev
 from . import recommend as rec
-from .contrastive import train as train_embeddings
 from .contrastive import write_loss_trace
-from .graph import build_views
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,10 +133,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
     train_data, _ = ev.prepared_data(cfg)
-    views = build_views(train_data)
-    params, trace = train_embeddings(views, cfg, cfg.seed_base)
+    model = ev.fit(cfg, train_data, cfg.seed_base)
+    trace = model.trace
     out = _out_dir(args)
-    np.savez(out / "checkpoint.npz", **params)
+    ev.save_model(model, out / "checkpoint.npz")
     write_loss_trace(trace, out / "loss_trace.csv")
     _write_json({"config": ev.config_as_dict(cfg), "seed": cfg.seed_base,
                  "epochs": len(trace), "first_loss": trace[0].l_total,
@@ -151,14 +150,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
+    run, current = Path(args.out), ev.config_as_dict(cfg)
+    try:
+        trained = json.loads((run / "train.json").read_text(encoding="utf-8"))["config"]
+        key = next((k for k in current if trained.get(k) != current[k]), None)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ds.DatasetError(f"cannot read {run / 'train.json'}: {exc}") from None
+    if key is not None:
+        raise ValueError(f"{key} is {current[key]!r} here but {trained.get(key)!r} in "
+                         f"{run / 'train.json'}; predict takes train's config and seed")
     train_data, test_data = ev.prepared_data(cfg)
-    predictions = ev.fit(cfg, train_data, cfg.seed_base).predict(test_data)
+    model = ev.load_model(cfg, train_data, run / "checkpoint.npz")
+    predictions = model.predict(test_data)
     mae = ev.mae(predictions, test_data.overall)
-    out = _out_dir(args)
-    rec.write_predictions(test_data, predictions, out / "predictions.csv")
-    _write_json({"config": ev.config_as_dict(cfg), "seed": cfg.seed_base,
+    rec.write_predictions(test_data, predictions, run / "predictions.csv")
+    _write_json({"config": current, "seed": cfg.seed_base,
                  "mae": mae, "rmse": ev.rmse(predictions, test_data.overall)},
-                out / "predict.json")
+                run / "predict.json")
     print(f"predicted {len(test_data)} pairs: mae {mae:.4f}")
     return EXIT_OK
 
@@ -286,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("train", help="one seeded embedding training run")
+    p = sub.add_parser("train", help="fit one seeded model and save it to --out")
     common(p)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("predict", help="train once and score the test split")
+    p = sub.add_parser("predict", help="score the test split with the model in --out")
     common(p)
     p.set_defaults(handler=cmd_predict)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -15,8 +16,8 @@ import numpy as np
 from . import attention as att
 from . import recommend as rec
 from .contrastive import LossConfig, LossReport, NonFiniteLossError, train
-from .dataset import (RatingDataset, from_columns, load_ratings, pair_codes,
-                      split_train_test, subsample_train, subset)
+from .dataset import (TS_PERCENTS, DatasetError, RatingDataset, from_columns, load_ratings,
+                      pair_codes, split_train_test, subsample_train, subset)
 from .graph import build_views
 from .recommend import PredictorConfig
 
@@ -81,7 +82,7 @@ class ExperimentConfig:
     predictor: PredictorConfig = PredictorConfig()
 
     def __post_init__(self):
-        for name in ("seed_base", "split_seed"):
+        for name in ("seed_base", "split_seed", "criteria_count"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("n_runs", "epochs", "refresh_period"):
@@ -92,6 +93,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.ts_percent not in TS_PERCENTS:
+            raise ValueError(f"ts_percent must be one of {TS_PERCENTS}, got {self.ts_percent}")
 
     @property
     def use_global_attention(self) -> bool:
@@ -344,12 +349,46 @@ def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedMo
     Raises NonFiniteLossError when training diverges.
     """
     views = build_views(train_data)
-    params, trace = train(views, cfg, seed)
+    return _with_head(cfg, train_data, views, *train(views, cfg, seed))
+
+
+def _with_head(cfg: ExperimentConfig, train_data: RatingDataset, views: list,
+               params: dict, trace: list, predictor=None) -> FittedModel:
+    """Encode and fuse the train views; fit the head unless `predictor` is given."""
     matrices = [e.matrix for e in att.encode_views(
         views, params, cfg.encoder, cfg.use_global_attention)]
     fused = rec.fuse(matrices, train_data.num_users)
-    predictor = rec.train_predictor(fused, train_data, cfg.predictor, seed=seed)
+    predictor = predictor or rec.train_predictor(fused, train_data, cfg.predictor)
     return FittedModel(params, trace, train_data, fused, predictor)
+
+
+def save_model(model: FittedModel, path: str | Path) -> None:
+    """One npz: the encoder parameters by name, each head field as `head/<field>`."""
+    np.savez(path, **model.params, **{f"head/{k}": v for k, v in vars(model.predictor).items()})
+
+
+def load_model(cfg: ExperimentConfig, train_data: RatingDataset,
+               path: str | Path) -> FittedModel:
+    """The model `save_model` wrote after `fit(cfg, train_data, seed)`, with an
+    empty trace. A missing or non-npz file, or a member that is missing or not
+    a float64 array of its shape, raises DatasetError naming the file."""
+    views = build_views(train_data)
+    width = 2 * len(views) * cfg.encoder.embed_dim
+    encoder = {key: value.shape for key, value in att.init_params(
+        views[0].num_nodes, len(views), cfg.encoder, seed=0).items()}
+    head = {"weights": (width,), "bias": (), "feature_mean": (width,), "feature_scale": (width,)}
+    try:  # opened here, so a bad zip leaves no file handle open
+        with open(path, "rb") as handle, np.lib.npyio.NpzFile(handle) as stored:
+            members = {key: stored[key] for key in stored.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"cannot read checkpoint {path}: {exc}") from None
+    for key, shape in [*encoder.items(), *((f"head/{k}", v) for k, v in head.items())]:
+        if key not in members or members[key].shape != shape or members[key].dtype != float:
+            raise DatasetError(f"checkpoint {path} has no float64 {key!r} of shape {shape}")
+    # [()] reads the 0-d bias as a float and leaves the vectors as they are
+    predictor = rec.RatingPredictor(**{name: members[f"head/{name}"][()] for name in head})
+    return _with_head(cfg, train_data, views, {key: members[key] for key in encoder}, [],
+                      predictor)
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunResult:

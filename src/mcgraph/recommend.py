@@ -90,8 +90,6 @@ class PredictorConfig:
 class RatingPredictor:
     weights: np.ndarray        # (2 * num_views * view_dim,)
     bias: float
-    epsilon: float
-    regularization: float
     feature_mean: np.ndarray
     feature_scale: np.ndarray
 
@@ -207,9 +205,7 @@ def train_predictor(fused: FusedEmbedding, train: RatingDataset,
     x /= scale
     w, b, _ = newton_fit(x, train.overall, cfg.epsilon, cfg.regularization,
                          cfg.epochs)
-    return RatingPredictor(weights=w, bias=b, epsilon=cfg.epsilon,
-                           regularization=cfg.regularization,
-                           feature_mean=mean, feature_scale=scale)
+    return RatingPredictor(weights=w, bias=b, feature_mean=mean, feature_scale=scale)
 
 
 def predict_many(predictor: RatingPredictor, fused: FusedEmbedding,

@@ -100,11 +100,13 @@ class TestExitCodes:
         unrated.write_text("\n".join(",".join(r) for r in rows) + "\n",
                            encoding="utf-8")
         common = ["--data", str(unrated), "--config", fast_cfg]
-        for command in ("train", "predict"):
-            assert cli.main([command, *common, "--out",
-                             str(tmp_path / command)]) == cli.EXIT_DATA
-            err = capsys.readouterr().err
-            assert "data error: view 3: every node is isolated" in err
+        run = tmp_path / "run"
+        assert cli.main(["train", *common, "--out", str(run)]) == cli.EXIT_DATA
+        assert "data error: view 3: every node is isolated" in capsys.readouterr().err
+        # the failed train left no model, so predict has nothing to score
+        assert cli.main(["predict", *common, "--out", str(run)]) == cli.EXIT_DATA
+        assert f"data error: cannot read {run / 'train.json'}" in capsys.readouterr().err
+        assert not run.exists()
         assert cli.main(["stats", "--data", str(unrated)]) == cli.EXIT_OK
         assert cli.main(["train", *common, "--variant",
                          "no_global_attention_no_cl", "--out",
@@ -299,7 +301,7 @@ class TestExitCodes:
         def diverge(views, cfg, seed, epochs=None):
             raise NonFiniteLossError(1, None)
 
-        monkeypatch.setattr(cli, "train_embeddings", diverge)
+        monkeypatch.setattr(ev, "train", diverge)
         code = cli.main(["train", "--config", fast_cfg,
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERIC
@@ -486,9 +488,13 @@ class TestTrain:
         # the planted data's 80 nodes under the default encoder widths
         per_layer = (("h1/w", (4, 8)), ("h1/a", (8,)), ("h2/w", (4, 8)),
                      ("h2/a", (8,)), ("wg", (8,)))
+        # the rating head over 2 x 3 views x 8 fused units per node
+        head = (("weights", (48,)), ("bias", ()), ("feature_mean", (48,)),
+                ("feature_scale", (48,)))
         expected = [("x", (80, 8))] + [
             (f"view{v}/l{layer}/{name}", shape)
-            for v in (1, 2, 3) for layer in (1, 2) for name, shape in per_layer]
+            for v in (1, 2, 3) for layer in (1, 2) for name, shape in per_layer
+        ] + [(f"head/{name}", shape) for name, shape in head]
         out = tmp_path / "out"
         assert cli.main(["train", "--config", fast_cfg, "--seed", "7",
                          "--out", str(out)]) == cli.EXIT_OK
@@ -505,11 +511,32 @@ class TestTrain:
         capsys.readouterr()
 
 
+def train_then(args, out):
+    """`mcgraph train` then `mcgraph predict`, both with `args` into `out`;
+    returns predict's exit code."""
+    assert cli.main(["train", *args, "--out", str(out)]) == cli.EXIT_OK
+    return cli.main(["predict", *args, "--out", str(out)])
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:500])
+
+
+def overwrite_with_text(path):
+    path.write_text("not a model\n", encoding="utf-8")
+
+
+def drop_member(path):
+    with np.load(path) as stored:
+        members = {key: stored[key] for key in stored.files}
+    del members["view2/l1/h1/a"]
+    np.savez(path, **members)
+
+
 class TestPredict:
     def test_predictions_and_metrics(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "out"
-        assert cli.main(["predict", "--config", fast_cfg, "--seed", "0",
-                         "--out", str(out)]) == cli.EXIT_OK
+        assert train_then(["--config", fast_cfg, "--seed", "0"], out) == cli.EXIT_OK
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "user_id,item_id,actual,predicted"
         assert len(lines) > 1
@@ -519,21 +546,70 @@ class TestPredict:
 
     def test_repeat_run_byte_identical(self, tmp_path, fast_cfg, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
-        cli.main(["predict", "--config", fast_cfg, "--out", str(a)])
-        cli.main(["predict", "--config", fast_cfg, "--out", str(b)])
+        assert train_then(["--config", fast_cfg], a) == cli.EXIT_OK
+        assert train_then(["--config", fast_cfg], b) == cli.EXIT_OK
         for name in ("predictions.csv", "predict.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         capsys.readouterr()
 
-
     def test_mae_matches_run_single(self, tmp_path, fast_cfg, capsys):
         out = tmp_path / "out"
-        assert cli.main(["predict", "--config", fast_cfg, "--seed", "3",
-                         "--out", str(out)]) == cli.EXIT_OK
+        assert train_then(["--config", fast_cfg, "--seed", "3"], out) == cli.EXIT_OK
         sidecar = json.loads((out / "predict.json").read_text())
         cfg = ev.apply_config_values(ev.ExperimentConfig(), sidecar["config"])
         assert sidecar["mae"] == ev.run_single(cfg, 0).mae
         capsys.readouterr()
+
+    def test_trains_nothing(self, tmp_path, fast_cfg, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) == cli.EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict trained")
+
+        monkeypatch.setattr(ev, "train", refuse)
+        assert cli.main(["predict", "--config", fast_cfg, "--out", str(out)]) \
+            == cli.EXIT_OK
+        assert (out / "predictions.csv").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("damage, named", [
+        (None, "train.json"),
+        (truncate, "checkpoint.npz"),
+        (overwrite_with_text, "checkpoint.npz"),
+        (drop_member, "'view2/l1/h1/a'"),
+    ], ids=["no_train_run", "truncated", "not_a_zip", "member_removed"])
+    def test_unreadable_model_is_data_error_writing_nothing(
+            self, tmp_path, fast_cfg, capsys, damage, named):
+        out = tmp_path / "out"
+        if damage is None:
+            out.mkdir()
+        else:
+            assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) \
+                == cli.EXIT_OK
+            damage(out / "checkpoint.npz")
+        before = sorted(out.iterdir())
+        assert cli.main(["predict", "--config", fast_cfg, "--out", str(out)]) \
+            == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("data error:") and named in err
+        assert "Traceback" not in err
+        assert sorted(out.iterdir()) == before
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--seed", "4"], "seed_base"),
+        (["--variant", "no_global_attention"], "variant"),
+    ], ids=["seed", "variant"])
+    def test_other_config_is_usage_naming_key(self, tmp_path, fast_cfg, capsys,
+                                              flags, key):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) == cli.EXIT_OK
+        before = sorted(out.iterdir())
+        assert cli.main(["predict", "--config", fast_cfg, *flags,
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"usage error: {key} ")
+        assert sorted(out.iterdir()) == before
 
 
 class TestEvaluate:
@@ -719,6 +795,24 @@ def test_bad_setting_fails_before_out_is_created(tmp_path, capsys, command, key)
     cfg.write_text(FAST_CFG + line, encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main([*RUN_COMMANDS[command], "--config", str(cfg), *flags,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("usage error:") and key in last
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "ingest"])
+@pytest.mark.parametrize("line, key", [
+    ("test_fraction = 1.5\n", "test_fraction"),
+    ("ts_percent = 33\n", "ts_percent"),
+    ("criteria_count = -1\n", "criteria_count"),
+], ids=["test_fraction", "ts_percent", "criteria_count"])
+def test_bad_data_setting_fails_in_stats_and_ingest(tmp_path, ratings_csv, capsys,
+                                                     command, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--data", ratings_csv,
                      "--out", str(out)]) == cli.EXIT_USAGE
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("usage error:") and key in last

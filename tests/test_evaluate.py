@@ -129,7 +129,10 @@ class TestExperimentConfigValidation:
         ("learning_rate", 0.0), ("learning_rate", -0.1),
         ("learning_rate", float("nan")), ("epochs", 0), ("refresh_period", 0),
         ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
-        ("n_runs", 0), ("variant", "bogus")])
+        ("n_runs", 0), ("variant", "bogus"), ("test_fraction", 0.0),
+        ("test_fraction", 1.0), ("test_fraction", 1.5),
+        ("test_fraction", float("nan")), ("ts_percent", 33),
+        ("ts_percent", 0), ("criteria_count", -1)])
     def test_bad_value_rejected_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             ev.ExperimentConfig(**{name: value})
@@ -353,6 +356,15 @@ class TestFit:
         mean = np.mean([r.overall for r in train_data.records])
         assert np.all(predicted[unseen] == mean)
 
+
+    @pytest.mark.parametrize("variant", ev.VARIANTS)
+    def test_saved_model_predicts_as_fitted(self, tmp_path, variant):
+        cfg = fast_config(variant=variant)
+        train_data, test_data = ev.prepared_data(cfg)
+        model = ev.fit(cfg, train_data, seed=2)
+        ev.save_model(model, tmp_path / "model.npz")
+        loaded = ev.load_model(cfg, train_data, tmp_path / "model.npz")
+        assert np.array_equal(loaded.predict(test_data), model.predict(test_data))
 
     def test_benchmark_scale_calls_match_fit(self):
         # perfbench's scale workload drives the pipeline through these calls

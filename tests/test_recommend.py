@@ -63,7 +63,6 @@ def smoothed_objective(theta, x, y, epsilon, regularization):
 
 def constant_predictor(width, bias):
     return rec.RatingPredictor(weights=np.zeros(2 * width), bias=bias,
-                               epsilon=0.1, regularization=1.0,
                                feature_mean=np.zeros(2 * width),
                                feature_scale=np.ones(2 * width))
 
@@ -96,7 +95,7 @@ class TestRatingHead:
         data = self.dataset_from_targets(fused, pairs, targets.tolist())
         predictor = rec.train_predictor(fused, data, seed=1)
         fitted = rec.predict_many(predictor, fused, users, items)
-        assert np.abs(fitted - targets).mean() <= predictor.epsilon
+        assert np.abs(fitted - targets).mean() <= rec.PredictorConfig().epsilon
 
     def test_beats_global_mean_on_signal_bearing_features(self):
         fused = make_fused(8, 8, 4, seed=5)
