@@ -38,26 +38,25 @@ def main():
                               seed_base=args.seed)
     t0 = time.perf_counter()
 
-    results = {}
-    reports = []
-    for variant in ev.VARIANTS:
-        tuned = replace(cfg, variant=variant)
-        runs = ev.experiment_runs(tuned, jobs=args.jobs)
-        results[variant] = runs
+    # one runner call: the variants share one prepared split, and --jobs
+    # spreads every run of every config over one pool
+    configs = [replace(cfg, variant=v) for v in ev.VARIANTS]
+    configs.append(replace(cfg, criteria_count=1))
+    tags = [*ev.VARIANT_LABELS.values(), "1 criterion"]
+    results, reports = [], []
+    for runs, tuned, tag in zip(ev.run_configs(configs, args.jobs), configs, tags):
+        results.append(runs)
         reports.append(ev.aggregate_runs(tuned, runs))
-        describe(ev.VARIANT_LABELS[variant], reports[-1])
+        describe(tag, reports[-1])
 
-    full_runs = results["full"]
+    full_runs = results[0]
     shrunk = sum(r.final_loss < 0.6 * r.first_loss for r in full_runs
                  if not r.failed)
     slowest = max(r.wall_clock for r in full_runs)
     print(f"loss shrink (<0.6x first): {shrunk}/{len(full_runs)} runs, "
           f"slowest run {slowest:.2f}s")
 
-    single = replace(cfg, criteria_count=1)
-    report_c1 = ev.run_experiment(single, jobs=args.jobs)
-    describe("1 criterion", report_c1)
-    full_report = reports[0]
+    full_report, report_c1 = reports[0], reports[-1]
     pooled = np.sqrt((full_report.mae_std ** 2 + report_c1.mae_std ** 2) / 2)
     gap = report_c1.mae_mean - full_report.mae_mean
     print(f"criteria trend: gap {gap:.4f} vs 0.5*pooled_std {0.5 * pooled:.4f}")
@@ -66,7 +65,7 @@ def main():
         describe(name, ev.baseline_report(cfg, name))
 
     print()
-    print(ev.comparison_table(reports), end="")
+    print(ev.comparison_table(reports[:-1]), end="")
     print(f"total wall clock {time.perf_counter() - t0:.1f}s")
 
 

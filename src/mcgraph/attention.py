@@ -284,13 +284,6 @@ def local_attention_coeffs(view: CriterionView, h_in: np.ndarray,
     return out
 
 
-def local_attention_forward(view: CriterionView, h_in: np.ndarray,
-                            layer: LayerParams, last: bool = False) -> np.ndarray:
-    """Multi-head attended features, ELU-activated unless this is the last layer."""
-    return _dual_attention(np.asarray(h_in, dtype=np.float64), layer.weight,
-                           layer.attn, None, view.block, first=not last)[0]
-
-
 def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> np.ndarray:
     """Probability vector over nodes: softmax of ReLU-clamped pooled scores."""
     return _softmax_rows(np.maximum(h_local @ global_weight, 0.0))

@@ -86,9 +86,13 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
     return cfg
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_path(args: argparse.Namespace) -> Path:
+    """`--out`, checked but not created: a file at it or at its nearest
+    existing parent is a usage error."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} exists and is not a directory")
     return out
 
 
@@ -100,6 +104,7 @@ def _echo_config(cfg: ev.ExperimentConfig) -> None:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
+    out = _out_path(args)
     if not cfg.dataset_path:
         raise ValueError("ingest needs --data (or dataset_path in the config)")
     data = ds.load_ratings(cfg.dataset_path)
@@ -110,7 +115,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"--scale expects LO:HI, got {args.scale!r}") from None
         data = ds.normalize_scale(data, source)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     ds.save_ratings(data, out / "ratings.csv")
     _write_json({"config": ev.config_as_dict(cfg), "source": cfg.dataset_path,
                  "scale": args.scale, "records": len(data),
@@ -131,16 +136,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
+    out = _out_path(args)
     _echo_config(cfg)
     train_data, _ = ev.prepared_data(cfg)
     model = ev.fit(cfg, train_data, cfg.seed_base)
     trace = model.trace
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     ev.save_model(model, out / "checkpoint.npz")
     write_loss_trace(trace, out / "loss_trace.csv")
     _write_json({"config": ev.config_as_dict(cfg), "seed": cfg.seed_base,
                  "epochs": len(trace), "first_loss": trace[0].l_total,
-                 "final_loss": trace[-1].l_total},
+                 "final_loss": trace[-1].l_total,
+                 "train_digest": ds.content_digest(train_data)},
                 out / "train.json")
     print(f"trained {cfg.variant} seed {cfg.seed_base}: "
           f"loss {trace[0].l_total:.4f} -> {trace[-1].l_total:.4f}")
@@ -151,15 +158,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     _echo_config(cfg)
     run, current = Path(args.out), ev.config_as_dict(cfg)
+    sidecar = run / "train.json"
     try:
-        trained = json.loads((run / "train.json").read_text(encoding="utf-8"))["config"]
-        key = next((k for k in current if trained.get(k) != current[k]), None)
+        trained = json.loads(sidecar.read_text(encoding="utf-8"))
+        key = next((k for k in current if trained["config"].get(k) != current[k]), None)
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise ds.DatasetError(f"cannot read {run / 'train.json'}: {exc}") from None
+        raise ds.DatasetError(f"cannot read {sidecar}: {exc}") from None
     if key is not None:
-        raise ValueError(f"{key} is {current[key]!r} here but {trained.get(key)!r} in "
-                         f"{run / 'train.json'}; predict takes train's config and seed")
+        raise ValueError(f"{key} is {current[key]!r} here but "
+                         f"{trained['config'].get(key)!r} in {sidecar}; "
+                         f"predict takes train's config and seed")
     train_data, test_data = ev.prepared_data(cfg)
+    if "train_digest" not in trained:
+        raise ds.DatasetError(f"{sidecar} records no train_digest; run train again")
+    if trained["train_digest"] != ds.content_digest(train_data):
+        raise ds.DatasetError(
+            f"the train split of {cfg.dataset_path or 'the planted dataset'} differs "
+            f"from the one whose train_digest {sidecar} records: the ratings "
+            f"changed after train")
     model = ev.load_model(cfg, train_data, run / "checkpoint.npz")
     predictions = model.predict(test_data)
     mae = ev.mae(predictions, test_data.overall)
@@ -171,33 +187,40 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_line(report: ev.MetricReport) -> str:
-    return (f"{report.label}: mae {report.mae_mean:.4f} +/- {report.mae_std:.4f}  "
-            f"rmse {report.rmse_mean:.4f} +/- {report.rmse_std:.4f}  "
-            f"({len(report.mae_runs)} runs, {report.failed_runs} failed)")
+def _reports(configs: list[ev.ExperimentConfig], jobs: int,
+             tags: list[str]) -> list[ev.MetricReport]:
+    """One report per config from one `run_configs` call, printing a progress
+    line `tag: ...` as each config's runs end."""
+    reports = []
+    for runs, cfg, tag in zip(ev.run_configs(configs, jobs), configs, tags):
+        reports.append(ev.aggregate_runs(cfg, runs))
+        r = reports[-1]
+        print(f"{tag}: mae {r.mae_mean:.4f} +/- {r.mae_std:.4f}  "
+              f"rmse {r.rmse_mean:.4f} +/- {r.rmse_std:.4f}  "
+              f"({len(r.mae_runs)} runs, {r.failed_runs} failed)")
+    return reports
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
+    out = _out_path(args)
     _echo_config(cfg)
-    report = ev.run_experiment(cfg, jobs=args.jobs)
-    out = _out_dir(args)
-    ev.write_report_json(report, out / f"report_{cfg.variant}.json")
+    [report] = _reports([cfg], args.jobs, [ev.VARIANT_LABELS[cfg.variant]])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(report.as_dict(), out / f"report_{cfg.variant}.json")
     ev.write_report_csv([report], out / f"runs_{cfg.variant}.csv")
-    print(_report_line(report))
     return EXIT_OK
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
+    out = _out_path(args)
     _echo_config(cfg)
-    reports = []
-    for variant in ev.VARIANTS:
-        reports.append(ev.run_ablation(cfg, variant, jobs=args.jobs))
-        print(_report_line(reports[-1]))
-    out = _out_dir(args)
+    configs = [replace(cfg, variant=variant) for variant in ev.VARIANTS]
+    reports = _reports(configs, args.jobs, list(ev.VARIANT_LABELS.values()))
+    out.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        ev.write_report_json(report, out / f"report_{report.variant}.json")
+        _write_json(report.as_dict(), out / f"report_{report.variant}.json")
     ev.write_report_csv(reports, out / "runs_ablation.csv")
     ordered = reports[0].mae_mean < reports[1].mae_mean < reports[2].mae_mean
     print(f"ablation ordering D-MGAC < D-MGAC* < D-MGAC*-: "
@@ -207,8 +230,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
+    out = _out_path(args)
     _echo_config(cfg)
-    # each kind creates --out only after its runs succeed
+    # each kind is its list of configs, all built and checked before any run
+    payload = {"config": ev.config_as_dict(cfg)}
     if args.kind == "sensitivity":
         alphas, betas, lambdas = (
             default if text is None else _number_list(text, flag)
@@ -216,52 +241,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 (args.alphas, "--alphas", ev.SENSITIVITY_WEIGHTS),
                 (args.betas, "--betas", ev.SENSITIVITY_WEIGHTS),
                 (args.lambdas, "--lambdas", ev.SENSITIVITY_LAMBDAS)))
-        points = ev.sweep_sensitivity(cfg, alphas, betas, lambdas,
-                                      jobs=args.jobs)
-        out = _out_dir(args)
-        ev.write_sensitivity_csv(points, out / "sensitivity.csv")
-        _write_json({"config": ev.config_as_dict(cfg),
-                     "points": [{"alpha": p.alpha, "beta": p.beta,
-                                 "lambda": p.l2_weight,
-                                 "report": p.report.as_dict()}
-                                for p in points]},
-                    out / "sensitivity.json")
-        print(f"swept {len(points)} sensitivity points")
+        configs = ev.sensitivity_configs(cfg, alphas, betas, lambdas)
+        tags = [f"alpha {c.loss.alpha} beta {c.loss.beta} lambda {c.loss.l2_weight}"
+                for c in configs]
     elif args.kind == "dims":
         if not args.dims:
             raise ValueError("sweep dims needs --dims, e.g. --dims 24,48,96")
-        dims = _number_list(args.dims, "--dims", int)
-        reports = ev.sweep_embedding_dim(cfg, dims, jobs=args.jobs)
-        out = _out_dir(args)
-        _write_json({"config": ev.config_as_dict(cfg),
-                     "dims": dims,
-                     "reports": [r.as_dict() for r in reports]},
-                    out / "dims.json")
-        for dim, report in zip(dims, reports):
-            print(f"dim {dim}: mae {report.mae_mean:.4f}")
+        payload["dims"] = _number_list(args.dims, "--dims", int)
+        configs = ev.width_configs(cfg, payload["dims"])
+        tags = [f"dim {dim}" for dim in payload["dims"]]
     elif args.kind == "ts":
-        reports = []
-        for ts in ds.TS_PERCENTS:
-            reports.append(ev.run_experiment(replace(cfg, ts_percent=ts),
-                                             jobs=args.jobs))
-            print(f"ts {ts}: mae {reports[-1].mae_mean:.4f}")
-        out = _out_dir(args)
-        ev.write_report_csv(reports, out / "runs_ts.csv")
-        _write_json({"config": ev.config_as_dict(cfg),
-                     "reports": [r.as_dict() for r in reports]},
-                    out / "ts.json")
+        configs = [replace(cfg, ts_percent=ts) for ts in ds.TS_PERCENTS]
+        tags = [f"ts {ts}" for ts in ds.TS_PERCENTS]
     else:
         if not args.counts:
             raise ValueError("sweep criteria needs --counts, e.g. --counts 1,2,3")
-        counts = _number_list(args.counts, "--counts", int)
-        reports = ev.sweep_criteria_count(cfg, counts, jobs=args.jobs)
-        out = _out_dir(args)
-        _write_json({"config": ev.config_as_dict(cfg),
-                     "counts": counts,
-                     "reports": [r.as_dict() for r in reports]},
-                    out / "criteria.json")
-        for count, report in zip(counts, reports):
-            print(f"criteria {count}: mae {report.mae_mean:.4f}")
+        payload["counts"] = _number_list(args.counts, "--counts", int)
+        configs = [replace(cfg, criteria_count=count) for count in payload["counts"]]
+        tags = [f"criteria {count}" for count in payload["counts"]]
+    reports = _reports(configs, args.jobs, tags)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.kind == "sensitivity":
+        ev.write_sensitivity_csv(reports, out / "sensitivity.csv")
+        payload["points"] = [{"alpha": r.config["alpha"], "beta": r.config["beta"],
+                              "lambda": r.config["l2_weight"], "report": r.as_dict()}
+                             for r in reports]
+    else:
+        payload["reports"] = [r.as_dict() for r in reports]
+    if args.kind == "ts":
+        ev.write_report_csv(reports, out / "runs_ts.csv")
+    _write_json(payload, out / f"{args.kind}.json")
     return EXIT_OK
 
 

@@ -173,11 +173,6 @@ def _best_node(view: CriterionView, sims: np.ndarray) -> int:
     return int(np.argmax(sims))
 
 
-def select_anchor(view: CriterionView, embeddings: np.ndarray) -> int:
-    """Node with the highest neighborhood similarity; ties pick the lowest index."""
-    return _best_node(view, neighborhood_similarities(view, embeddings))
-
-
 def build_anchor_set(view: CriterionView, embeddings: np.ndarray,
                      cfg: LossConfig) -> AnchorSet:
     unit = _unit_rows(embeddings)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
+import json
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -138,6 +140,20 @@ class DatasetStats:
             "sparsity": self.sparsity,
             "variance_criteria_ratings": self.variance_criteria_ratings,
         }
+
+
+def content_digest(dataset: RatingDataset) -> str:
+    """SHA-256 hex digest of every column (ids, codes, overall, criteria) with
+    its shape, in a fixed byte order: equal datasets give equal digests."""
+    digest = hashlib.sha256()
+    for name in _COLUMNS:
+        column = getattr(dataset, name)
+        if column.dtype == object:  # the id strings
+            data = json.dumps(column.tolist()).encode()
+        else:
+            data = column.astype("<f8" if column.dtype.kind == "f" else "<i8").tobytes()
+        digest.update(f"{name}{column.shape}".encode() + data)
+    return digest.hexdigest()
 
 
 def _id_array(ids: Sequence[str]) -> np.ndarray:

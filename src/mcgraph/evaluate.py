@@ -7,9 +7,8 @@ import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -192,12 +191,6 @@ def config_values(text: str) -> dict[str, str]:
     return values
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """`base` (default: the defaults) overridden by the `config_values` of text."""
-    return apply_config_values(base if base is not None else ExperimentConfig(),
-                               config_values(text))
-
-
 # ---------------------------------------------------------------------------
 # synthetic planted data
 
@@ -317,6 +310,12 @@ def prepared_data(cfg: ExperimentConfig) -> tuple[RatingDataset, RatingDataset]:
                                              cfg.split_seed)
     train_data = subsample_train(train_data, cfg.ts_percent, cfg.split_seed)
     return train_data, test_data
+
+
+def data_key(cfg: ExperimentConfig) -> tuple:
+    """What `prepared_data` reads: configs equal on it share one pair."""
+    return (cfg.dataset_path, cfg.criteria_count, cfg.test_fraction,
+            cfg.split_seed, cfg.ts_percent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,21 +467,6 @@ class MetricReport:
         }
 
 
-def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """All run results in run-index order, regardless of execution order.
-
-    The train/test pair is prepared once and shared by every run.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    run = partial(_run_prepared, cfg, prepared_data(cfg))
-    indices = range(cfg.n_runs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, indices))
-    return [run(i) for i in indices]
-
-
 def aggregate_runs(cfg: ExperimentConfig, results: Sequence[RunResult]) -> MetricReport:
     """Failed runs are excluded from the statistics but counted."""
     kept = [r for r in results if not r.failed]
@@ -494,6 +478,41 @@ def aggregate_runs(cfg: ExperimentConfig, results: Sequence[RunResult]) -> Metri
                         rmse_runs=tuple(r.rmse for r in kept),
                         failed_runs=len(results) - len(kept),
                         config=config_as_dict(cfg))
+
+
+def run_configs(configs: Sequence[ExperimentConfig],
+                jobs: int = 1) -> Iterator[list[RunResult]]:
+    """Every run of every config, serially or over one pool of `jobs` workers.
+
+    Each distinct train/test pair (`data_key`) is prepared once, before the
+    first run. Yields each config's results in run-index order, in config
+    order, as soon as its runs and those of the configs before it have ended.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    firsts = {data_key(cfg): cfg for cfg in configs}  # one config per pair
+    pairs = {key: prepared_data(cfg) for key, cfg in firsts.items()}
+    tasks = [[(cfg, pairs[data_key(cfg)], i) for i in range(cfg.n_runs)]
+             for cfg in configs]
+    if jobs == 1:
+        for runs in tasks:
+            yield [_run_prepared(*task) for task in runs]
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:  # an error, here or in the consumer, cancels the runs not yet started
+        futures = [[pool.submit(_run_prepared, *task) for task in runs]
+                   for runs in tasks]
+        for runs in futures:
+            yield [future.result() for future in runs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# one-config forms of `run_configs`, kept for the acceptance tests that import them
+
+def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
+    [results] = run_configs([cfg], jobs)
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> MetricReport:
@@ -529,51 +548,25 @@ SENSITIVITY_WEIGHTS = (0.1, 0.5)
 SENSITIVITY_LAMBDAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    alpha: float
-    beta: float
-    l2_weight: float
-    report: MetricReport
-
-
-def sweep_sensitivity(cfg: ExperimentConfig,
-                      alphas: Sequence[float] = SENSITIVITY_WEIGHTS,
-                      betas: Sequence[float] = SENSITIVITY_WEIGHTS,
-                      lambdas: Sequence[float] = SENSITIVITY_LAMBDAS,
-                      jobs: int = 1) -> list[SweepPoint]:
-    """Every grid point's config is built, and so checked, before the first run."""
-    grid = [(alpha, beta, lam, replace(cfg, loss=replace(
-                cfg.loss, alpha=alpha, beta=beta, l2_weight=lam)))
+def sensitivity_configs(cfg: ExperimentConfig, alphas: Sequence[float],
+                        betas: Sequence[float], lambdas: Sequence[float]
+                        ) -> list[ExperimentConfig]:
+    """One config per (alpha, beta, lambda) in grid order, each checked as it
+    is built."""
+    return [replace(cfg, loss=replace(cfg.loss, alpha=alpha, beta=beta, l2_weight=lam))
             for alpha in alphas for beta in betas for lam in lambdas]
-    return [SweepPoint(alpha, beta, lam, run_experiment(tuned, jobs))
-            for alpha, beta, lam, tuned in grid]
 
 
-def sweep_embedding_dim(cfg: ExperimentConfig, dims: Sequence[int],
-                        jobs: int = 1) -> list[MetricReport]:
-    """One report per fused width; the per-view width is dim / criteria count."""
+def width_configs(cfg: ExperimentConfig, dims: Sequence[int]) -> list[ExperimentConfig]:
+    """One config per fused width; the per-view width is dim / criteria count."""
     num_criteria = load_dataset(cfg).num_criteria
     heads = cfg.encoder.num_heads
     for dim in dims:
         if dim % num_criteria or (dim // num_criteria) % heads:
             raise ValueError(f"fused dimension {dim} does not divide into "
                              f"{num_criteria} views of {heads} heads")
-    encoders = [replace(cfg.encoder, head_dim=dim // num_criteria // heads)
-                for dim in dims]
-    return [run_experiment(replace(cfg, encoder=encoder), jobs)
-            for encoder in encoders]
-
-
-def sweep_criteria_count(cfg: ExperimentConfig, counts: Sequence[int],
-                         jobs: int = 1) -> list[MetricReport]:
-    """Same seeds for every count; criteria are kept in dataset order."""
-    limit = load_dataset(replace(cfg, criteria_count=0)).num_criteria
-    for count in counts:
-        if not 1 <= count <= limit:
-            raise ValueError(f"criteria count {count} outside 1..{limit}")
-    return [run_experiment(replace(cfg, criteria_count=count), jobs)
-            for count in counts]
+    return [replace(cfg, encoder=replace(cfg.encoder, head_dim=dim // num_criteria // heads))
+            for dim in dims]
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +585,6 @@ def json_text(payload: dict) -> str:
         raise NonFiniteOutputError(f"cannot write a non-finite result: {exc}") from None
 
 
-def write_report_json(report: MetricReport, path: str | Path) -> None:
-    Path(path).write_text(json_text(report.as_dict()) + "\n", encoding="utf-8")
-
-
 def write_report_csv(reports: Sequence[MetricReport], path: str | Path) -> None:
     lines = ["variant,ts,run,mae,rmse"]
     for report in reports:
@@ -605,11 +594,11 @@ def write_report_csv(reports: Sequence[MetricReport], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_sensitivity_csv(points: Sequence[SweepPoint], path: str | Path) -> None:
+def write_sensitivity_csv(reports: Sequence[MetricReport], path: str | Path) -> None:
     lines = ["alpha,beta,lambda,mae_mean,mae_std"]
-    for p in points:
-        lines.append(f"{p.alpha!r},{p.beta!r},{p.l2_weight!r},"
-                     f"{p.report.mae_mean!r},{p.report.mae_std!r}")
+    for r in reports:
+        point = (r.config["alpha"], r.config["beta"], r.config["l2_weight"])
+        lines.append(",".join(map(repr, (*point, r.mae_mean, r.mae_std))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

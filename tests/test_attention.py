@@ -22,6 +22,13 @@ def view_from_incidence(b, criterion_index=1):
                                graph.normalize_adjacency(ext))
 
 
+def local_forward(view, h_in, layer, last=False):
+    """One layer's multi-head attended features, ELU-activated unless `last`:
+    the value `_dual_attention` returns without a global gate."""
+    return att._dual_attention(np.asarray(h_in, dtype=np.float64), layer.weight,
+                               layer.attn, None, view.block, first=not last)[0]
+
+
 def local_oracle(pattern, h_in, heads, last):
     """Loop-based multi-head attention: scores, row softmax, weighted sum."""
     n = pattern.shape[0]
@@ -97,7 +104,7 @@ class TestLocalForward:
         h_in = rng.normal(size=(2, 2))
         layer = att.LayerParams(weight=w[None], attn=rng.normal(size=(1, 6)),
                                 global_weight=np.ones(3))
-        out = att.local_attention_forward(view, h_in, layer, last=True)
+        out = local_forward(view, h_in, layer, last=True)
         assert_allclose(out[0], w @ h_in[1], atol=1e-12)
         assert_allclose(out[1], w @ h_in[0], atol=1e-12)
 
@@ -108,7 +115,7 @@ class TestLocalForward:
         layer = att.LayerParams(weight=np.stack([w for w, _ in heads]),
                                 attn=np.stack([a for _, a in heads]),
                                 global_weight=np.ones(6))
-        out = att.local_attention_forward(view, rng.normal(size=(4, 2)), layer)
+        out = local_forward(view, rng.normal(size=(4, 2)), layer)
         assert out.shape == (4, 6)
 
     def test_matches_loop_oracle_on_random_view(self):
@@ -122,7 +129,7 @@ class TestLocalForward:
                                 global_weight=np.ones(4))
         pattern = (view.adjacency.toarray() > 0)
         for last in (True, False):
-            ours = att.local_attention_forward(view, h_in, layer, last=last)
+            ours = local_forward(view, h_in, layer, last=last)
             assert_allclose(ours, local_oracle(pattern, h_in, heads, last),
                             atol=1e-10)
 
@@ -131,7 +138,7 @@ class TestLocalForward:
         rng = np.random.default_rng(4)
         layer = att.LayerParams(weight=rng.normal(size=(1, 2, 3)),
                                 attn=rng.normal(size=(1, 4)), global_weight=np.ones(2))
-        out = att.local_attention_forward(view, rng.normal(size=(4, 3)), layer)
+        out = local_forward(view, rng.normal(size=(4, 3)), layer)
         assert_allclose(out[1], np.zeros(2))
         assert_allclose(out[3], np.zeros(2))
 
@@ -509,9 +516,9 @@ class TestEncodeView:
         self.params = att.init_params(self.view.num_nodes, 1, self.cfg, seed=7)
 
     def two_layer_local(self, params):
-        h = att.local_attention_forward(
+        h = local_forward(
             self.view, params["x"], att.layer_params(params, 1, 1, self.cfg))
-        return att.local_attention_forward(
+        return local_forward(
             self.view, h, att.layer_params(params, 1, 2, self.cfg), last=True)
 
     def test_shape_and_finiteness(self):

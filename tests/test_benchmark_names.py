@@ -1,0 +1,37 @@
+"""The benchmark's workloads call the package by module attribute; each name
+they read must exist, so a refactor that drops one fails here rather than in
+a benchmark run. `perfbench/tracing.py` is left out: it names tape
+primitives that may be absent on purpose."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from mcgraph import attention, cli, contrastive, dataset, evaluate, graph, recommend
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# the alias each module is imported under in workloads.py
+MODULES = {"ev": evaluate, "cl": contrastive, "att": attention, "ds": dataset,
+           "graph": graph, "rec": recommend, "cli": cli}
+
+
+def module_attributes():
+    """(alias, attribute) for every `alias.attribute` read in workloads.py."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in MODULES})
+
+
+def test_workloads_import_the_modules_under_these_aliases():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "mcgraph" for alias in node.names}
+    assert {alias: module.__name__ for alias, module in MODULES.items()} == imported
+
+
+@pytest.mark.parametrize("alias, name", module_attributes())
+def test_every_name_the_workloads_read_exists(alias, name):
+    assert hasattr(MODULES[alias], name), f"{MODULES[alias].__name__} has no {name}"

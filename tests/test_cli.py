@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,46 @@ class TestPredict:
         assert "Traceback" not in err
         assert sorted(out.iterdir()) == before
 
+    def test_train_json_records_the_train_split_digest(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) == cli.EXIT_OK
+        sidecar = json.loads((out / "train.json").read_text())
+        cfg = ev.apply_config_values(ev.ExperimentConfig(), sidecar["config"])
+        assert sidecar["train_digest"] == ds.content_digest(ev.prepared_data(cfg)[0])
+        capsys.readouterr()
+
+    def test_changed_ratings_are_data_error_writing_nothing(
+            self, tmp_path, ratings_csv, fast_cfg, capsys):
+        out = tmp_path / "out"
+        common = ["--config", fast_cfg, "--data", ratings_csv, "--out", str(out)]
+        assert cli.main(["train", *common]) == cli.EXIT_OK
+        path = Path(ratings_csv)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        raised = [row.split(",") for row in rows]
+        for row in raised:  # every rating up by 1, capped at 5; 0 stays unrated
+            row[2:] = [repr(min(float(v) + 1.0, 5.0)) if float(v) > 0 else v
+                       for v in row[2:]]
+        path.write_text("\n".join([header, *map(",".join, raised)]) + "\n",
+                        encoding="utf-8")
+        before = sorted(out.iterdir())
+        assert cli.main(["predict", *common]) == cli.EXIT_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("data error:") and str(out / "train.json") in last
+        assert not (out / "predictions.csv").exists()
+        assert sorted(out.iterdir()) == before
+
+    def test_train_json_without_digest_is_data_error(self, tmp_path, fast_cfg, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", fast_cfg, "--out", str(out)]) == cli.EXIT_OK
+        sidecar = json.loads((out / "train.json").read_text())
+        del sidecar["train_digest"]
+        (out / "train.json").write_text(json.dumps(sidecar), encoding="utf-8")
+        assert cli.main(["predict", "--config", fast_cfg, "--out", str(out)]) \
+            == cli.EXIT_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("data error:") and "train.json" in last
+        assert not (out / "predictions.csv").exists()
+
     @pytest.mark.parametrize("flags, key", [
         (["--seed", "4"], "seed_base"),
         (["--variant", "no_global_attention"], "variant"),
@@ -695,7 +736,7 @@ class TestSweep:
             self, tmp_path, fast_cfg, monkeypatch, capsys, flag, value):
         def no_run(*args, **kwargs):
             raise AssertionError("the sweep ran")
-        monkeypatch.setattr(ev, "run_experiment", no_run)
+        monkeypatch.setattr(ev, "run_configs", no_run)
         out = tmp_path / "out"
         assert cli.main(["sweep", "sensitivity", "--config", fast_cfg,
                          f"{flag}={value}", "--out", str(out)]) == cli.EXIT_USAGE
@@ -707,7 +748,7 @@ class TestSweep:
             self, tmp_path, fast_cfg, monkeypatch, capsys):
         def no_run(*args, **kwargs):
             raise AssertionError("the sweep ran")
-        monkeypatch.setattr(ev, "run_experiment", no_run)
+        monkeypatch.setattr(ev, "run_configs", no_run)
         out = tmp_path / "out"
         assert cli.main(["sweep", "sensitivity", "--config", fast_cfg,
                          "--alphas", "0.1,-1", "--betas", "0.5",
@@ -799,6 +840,73 @@ def test_bad_setting_fails_before_out_is_created(tmp_path, capsys, command, key)
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("usage error:") and key in last
     assert not out.exists()
+
+
+WRITING_COMMANDS = {"ingest": ["ingest"], "train": ["train"], "evaluate": ["evaluate"],
+                    **RUN_COMMANDS}
+
+
+@pytest.mark.parametrize("command", list(WRITING_COMMANDS))
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_out_at_or_below_a_file_is_usage_before_any_read(
+        tmp_path, ratings_csv, fast_cfg, monkeypatch, capsys, command, below):
+    def refuse(*args):
+        raise AssertionError("the command read its data")
+    monkeypatch.setattr(ev, "prepared_data", refuse)
+    monkeypatch.setattr(ev, "load_dataset", refuse)
+    monkeypatch.setattr(ds, "load_ratings", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    out = taken / "sub" if below else taken
+    assert cli.main([*WRITING_COMMANDS[command], "--config", fast_cfg, "--data",
+                     ratings_csv, "--out", str(out)]) == cli.EXIT_USAGE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"usage error: --out {out}: {taken} exists and is not a directory"
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+# every multi-run command, and the number of distinct train/test pairs it needs
+RUNNER_COMMANDS = {
+    "evaluate": (["evaluate"], 1),
+    "ablate": (["ablate"], 1),
+    "sweep_sensitivity": (["sweep", "sensitivity", "--alphas", "0.1,0.5",
+                           "--betas", "0.5", "--lambdas", "0.2"], 1),
+    "sweep_dims": (["sweep", "dims", "--dims", "12,24"], 1),
+    "sweep_ts": (["sweep", "ts"], 4),
+    "sweep_criteria": (["sweep", "criteria", "--counts", "1,3"], 2),
+}
+
+
+@pytest.mark.parametrize("command", list(RUNNER_COMMANDS))
+def test_each_train_test_pair_is_prepared_once(tmp_path, fast_cfg, monkeypatch,
+                                               capsys, command):
+    args, pairs = RUNNER_COMMANDS[command]
+    real, keys = ev.prepared_data, []
+
+    def counting(cfg):
+        keys.append(ev.data_key(cfg))
+        return real(cfg)
+    monkeypatch.setattr(ev, "prepared_data", counting)
+    assert cli.main([*args, "--config", fast_cfg, "--runs", "1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(keys) == len(set(keys)) == pairs
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(RUNNER_COMMANDS))
+def test_jobs_spread_every_run_over_one_pool(tmp_path, fast_cfg, monkeypatch,
+                                             capsys, command):
+    pools = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", Counting)
+    assert cli.main([*RUNNER_COMMANDS[command][0], "--config", fast_cfg, "--runs", "1",
+                     "--jobs", "2", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert pools == [2]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["stats", "ingest"])

@@ -41,33 +41,38 @@ class TestNeighborhoodSimilarity:
         assert cl.neighborhood_similarities(view, e)[3] == -np.inf
 
 
+def pick_anchor(view, e):
+    """The anchor `build_anchor_set` picks for embeddings `e`."""
+    return cl.build_anchor_set(view, e, cl.LossConfig()).anchor
+
+
 class TestSelectAnchor:
     def test_unique_argmax_wins(self):
         view = view_from_incidence([[1.0, 1.0], [1.0, 1.0]])
         # node 0 matches its neighbors perfectly, node 1 does not
         e = embed([[1.0, 0.0], [0.3, 1.0], [1.0, 0.0], [1.0, 0.0]])
-        assert cl.select_anchor(view, e) == 0
+        assert pick_anchor(view, e) == 0
 
     def test_ties_break_to_lowest_index(self):
         view = view_from_incidence([[1.0, 1.0], [1.0, 1.0]])
         e = np.ones((4, 3))
-        assert cl.select_anchor(view, e) == 0
+        assert pick_anchor(view, e) == 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)
         view = view_from_incidence(rng.uniform(1, 5, size=(4, 5)))
         e = rng.normal(size=(9, 6))
-        assert cl.select_anchor(view, e) == cl.select_anchor(view, 3.7 * e)
+        assert pick_anchor(view, e) == pick_anchor(view, 3.7 * e)
 
     def test_all_isolated_is_error(self):
         view = view_from_incidence([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="isolated"):
-            cl.select_anchor(view, np.ones((4, 2)))
+            pick_anchor(view, np.ones((4, 2)))
 
     def test_all_isolated_is_a_data_error(self):
         view = view_from_incidence([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DatasetError, match="criterion 1 has no nonzero rating"):
-            cl.select_anchor(view, np.ones((4, 2)))
+            pick_anchor(view, np.ones((4, 2)))
 
 
 class TestAnchorSet:
@@ -107,9 +112,9 @@ class TestAnchorSet:
 
     @staticmethod
     def reference_anchor_set(view, e, cfg):
-        """The anchor set from the public similarity and anchor functions."""
+        """The anchor set from the public similarity function, by its own argmax."""
         sims = cl.neighborhood_similarities(view, e)
-        anchor = cl.select_anchor(view, e)
+        anchor = int(np.argmax(sims))  # ties pick the lowest index
         eligible = ~np.isneginf(sims)
         norms = np.linalg.norm(e, axis=1, keepdims=True)
         unit = np.divide(e, norms, out=np.zeros_like(e), where=norms > 0)

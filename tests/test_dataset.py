@@ -78,6 +78,27 @@ class TestLoad:
             ds.load_ratings(write_csv(tmp_path / "r.csv", "user,item,rating\nu,i,3\n"))
 
 
+class TestContentDigest:
+    def test_equal_datasets_share_a_digest(self, tmp_path):
+        data = ds.load_ratings(write_csv(tmp_path / "r.csv", SMALL))
+        again = ds.from_columns(["u1", "u1", "u2"], ["i1", "i2", "i1"], [4, 2, 5],
+                                [[4, 3, 5, 4], [1, 2, 3, 2], [5, 5, 4, 5]])
+        assert again == data
+        assert ds.content_digest(again) == ds.content_digest(data)
+        assert len(ds.content_digest(data)) == 64
+
+    @pytest.mark.parametrize("text", [
+        SMALL.replace("u2,i1,5,5,5,4,5", "u2,i1,4,5,5,4,5"),  # an overall rating
+        SMALL.replace("u1,i2,2,1,2,3,2", "u1,i2,2,1,2,3,3"),  # a criterion rating
+        SMALL.replace("u2,i1", "u3,i1"),                      # an id
+        SMALL.replace("u1,i2", "u2,i2"),                      # a code
+    ], ids=["overall", "criterion", "id", "code"])
+    def test_any_changed_column_changes_the_digest(self, tmp_path, text):
+        base = ds.load_ratings(write_csv(tmp_path / "a.csv", SMALL))
+        changed = ds.load_ratings(write_csv(tmp_path / "b.csv", text))
+        assert ds.content_digest(changed) != ds.content_digest(base)
+
+
 class TestNormalizeScale:
     def make(self, values):
         recs = [ds.RatingRecord(f"u{k}", "i0", v, (v,)) for k, v in enumerate(values)]

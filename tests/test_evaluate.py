@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,12 +15,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mcgraph import attention as att
+from mcgraph import cli
 from mcgraph import contrastive as cl
 from mcgraph import dataset as ds
 from mcgraph import evaluate as ev
 from mcgraph import recommend as rec
 from mcgraph.contrastive import LossConfig
 from mcgraph.graph import build_views
+
+
+def parse(text, base=ev.ExperimentConfig()):
+    """`base` overridden by the flat `key = value` lines of `text`."""
+    return ev.apply_config_values(base, ev.config_values(text))
 
 
 class TestMetrics:
@@ -65,35 +72,35 @@ class TestConfigRoundTrip:
     def test_format_then_parse_is_identity(self):
         cfg = ev.ExperimentConfig(variant="no_global_attention", n_runs=7,
                                   learning_rate=0.017)
-        assert ev.parse_config(ev.format_config(cfg)) == cfg
+        assert parse(ev.format_config(cfg)) == cfg
 
     def test_round_trip_preserves_float_bits(self):
         cfg = ev.ExperimentConfig(test_fraction=0.1 + 0.2)  # not representable as 0.3
-        back = ev.parse_config(ev.format_config(cfg))
+        back = parse(ev.format_config(cfg))
         assert back.test_fraction == cfg.test_fraction
 
     def test_nested_sections_round_trip(self):
         cfg = ev.ExperimentConfig(
             loss=LossConfig(alpha=0.25, l2_weight=0.001, num_negatives=3),
             encoder=att.EncoderConfig(num_heads=4, feature_dim=16, head_dim=4))
-        assert ev.parse_config(ev.format_config(cfg)) == cfg
+        assert parse(ev.format_config(cfg)) == cfg
 
     def test_comments_and_blanks_ignored(self):
         text = "# protocol notes\n\nn_runs = 3\n  # indented comment\nepochs = 5\n"
-        cfg = ev.parse_config(text)
+        cfg = parse(text)
         assert (cfg.n_runs, cfg.epochs) == (3, 5)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            ev.parse_config("momentum = 0.9\n")
+            parse("momentum = 0.9\n")
 
     def test_missing_equals_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
-            ev.parse_config("n_runs = 3\nepochs 5\n")
+            parse("n_runs = 3\nepochs 5\n")
 
     def test_overrides_apply_on_base(self):
         base = ev.ExperimentConfig(n_runs=9)
-        cfg = ev.parse_config("variant = no_global_attention_no_cl\n", base)
+        cfg = parse("variant = no_global_attention_no_cl\n", base)
         assert cfg.n_runs == 9
         assert cfg.variant == "no_global_attention_no_cl"
 
@@ -421,51 +428,155 @@ class TestBaselineReport:
         assert a.mae_runs == b.mae_runs
 
 
+def refuse_runs(*args):
+    raise AssertionError("a run started")
+
+
+# the settings `prepared_data` reads
+PAIR_KEYS = ("dataset_path", "criteria_count", "test_fraction", "split_seed", "ts_percent")
+
+
+class TestPairKey:
+    OTHER = {int: lambda v: v + 1, float: lambda v: v / 2,
+             str: lambda v: "no_global_attention"}  # variant is the one str
+
+    @pytest.mark.parametrize("key", [key for key, _, _, _ in ev._CONFIG_KEYS
+                                     if key not in PAIR_KEYS])
+    def test_other_keys_share_the_pair(self, key):
+        base = fast_config()
+        value = ev.config_as_dict(base)[key]
+        changed = ev.apply_config_values(base, {key: self.OTHER[type(value)](value)})
+        assert changed != base
+        assert ev.data_key(changed) == ev.data_key(base)
+        assert ev.prepared_data(changed) == ev.prepared_data(base)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset_path", "ratings.csv"), ("criteria_count", 2),
+        ("test_fraction", 0.3), ("split_seed", 8), ("ts_percent", 60)])
+    def test_each_pair_key_names_its_own_pair(self, key, value):
+        base = fast_config()
+        assert ev.data_key(ev.apply_config_values(base, {key: value})) != ev.data_key(base)
+
+
+@pytest.fixture
+def shutdowns(monkeypatch):
+    """The `cancel_futures` flag of every pool shutdown `run_configs` makes."""
+    flags = []
+
+    class Recording(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            flags.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", Recording)
+    return flags
+
+
+class TestRunConfigs:
+    def test_pairs_prepared_once_each_before_the_first_run(self, monkeypatch):
+        configs = [fast_config(n_runs=1, variant=v, ts_percent=ts)
+                   for ts in (60, 100) for v in ev.VARIANTS]
+        events, real_prepare, real_run = [], ev.prepared_data, ev._run_prepared
+
+        def preparing(cfg):
+            events.append(("prepare", ev.data_key(cfg)))
+            return real_prepare(cfg)
+
+        def running(cfg, data, run_index):
+            events.append(("run", cfg.variant))
+            return real_run(cfg, data, run_index)
+        monkeypatch.setattr(ev, "prepared_data", preparing)
+        monkeypatch.setattr(ev, "_run_prepared", running)
+        results = list(ev.run_configs(configs))
+        assert [kind for kind, _ in events] == ["prepare"] * 2 + ["run"] * 6
+        assert [key for _, key in events[:2]] == [ev.data_key(configs[0]),
+                                                  ev.data_key(configs[3])]
+        expected = [[replace(ev.run_single(cfg, 0), wall_clock=0.0)] for cfg in configs]
+        assert [[replace(r, wall_clock=0.0) for r in runs] for runs in results] == expected
+
+    def test_yields_each_config_in_order(self):
+        configs = [fast_config(n_runs=n, seed_base=5 * n) for n in (1, 3, 2)]
+        for runs, cfg in zip(ev.run_configs(configs, jobs=2), configs):
+            assert [r.seed for r in runs] == [cfg.seed_base + i for i in range(cfg.n_runs)]
+
+    def test_nonpositive_jobs_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            next(ev.run_configs([fast_config()], jobs=0))
+
+    def test_stopped_consumer_cancels_the_pool(self, shutdowns):
+        runner = ev.run_configs([fast_config(n_runs=1, variant=v) for v in ev.VARIANTS],
+                                jobs=2)
+        next(runner)
+        runner.close()
+        assert shutdowns == [True]
+
+    def test_failed_run_cancels_the_pool_and_raises(self, tmp_path, shutdowns):
+        data = ev.make_planted_dataset(seed=0)
+        unrated = data.criteria.copy()
+        unrated[:, 2] = 0.0  # nobody rates criterion 3, so its view has no anchor
+        path = tmp_path / "unrated.csv"
+        ds.save_ratings(ds.RatingDataset(data.user_ids, data.item_ids, data.users,
+                                         data.items, data.overall, unrated), path)
+        with pytest.raises(ds.DatasetError, match="view 3"):
+            list(ev.run_configs([fast_config(dataset_path=str(path))], jobs=2))
+        assert shutdowns == [True]
+
+
 class TestSweeps:
     def test_sensitivity_grid_cardinality(self):
-        points = ev.sweep_sensitivity(fast_config(n_runs=1),
-                                      alphas=(0.1, 0.5), betas=(0.5,),
-                                      lambdas=(0.2, 0.4))
-        assert len(points) == 4
-        assert [(p.alpha, p.beta, p.l2_weight) for p in points] == [
+        configs = ev.sensitivity_configs(fast_config(n_runs=1), alphas=(0.1, 0.5),
+                                         betas=(0.5,), lambdas=(0.2, 0.4))
+        assert [(c.loss.alpha, c.loss.beta, c.loss.l2_weight) for c in configs] == [
             (0.1, 0.5, 0.2), (0.1, 0.5, 0.4), (0.5, 0.5, 0.2), (0.5, 0.5, 0.4)]
 
     def test_sensitivity_defaults_span_32_points(self):
-        combos = [(a, b, l) for a in ev.SENSITIVITY_WEIGHTS
-                  for b in ev.SENSITIVITY_WEIGHTS
-                  for l in ev.SENSITIVITY_LAMBDAS]
-        assert len(combos) == 32
+        assert len(ev.sensitivity_configs(fast_config(), ev.SENSITIVITY_WEIGHTS,
+                                          ev.SENSITIVITY_WEIGHTS,
+                                          ev.SENSITIVITY_LAMBDAS)) == 32
 
     def test_sensitivity_point_config_reflects_overrides(self):
-        points = ev.sweep_sensitivity(fast_config(n_runs=1), alphas=(0.1,),
-                                      betas=(0.5,), lambdas=(0.3,))
-        cfg = points[0].report.config
+        base = fast_config(n_runs=1)
+        configs = ev.sensitivity_configs(base, alphas=(0.1,), betas=(0.5,),
+                                         lambdas=(0.3,))
+        [runs] = ev.run_configs(configs)
+        cfg = ev.aggregate_runs(configs[0], runs).config
         assert (cfg["alpha"], cfg["beta"], cfg["l2_weight"]) == (0.1, 0.5, 0.3)
+        assert cfg == {**ev.config_as_dict(base), "alpha": 0.1, "beta": 0.5,
+                       "l2_weight": 0.3}
+
+    def test_sensitivity_bad_weight_fails_as_its_config_is_built(self):
+        with pytest.raises(ValueError, match="alpha"):
+            ev.sensitivity_configs(fast_config(), (0.1, -1.0), (0.5,), (0.2,))
 
     def test_embedding_dim_sets_per_view_width(self):
-        reports = ev.sweep_embedding_dim(fast_config(n_runs=1), dims=(12, 24))
-        assert reports[0].config["head_dim"] == 2  # 12 / 3 views / 2 heads
-        assert reports[1].config["head_dim"] == 4
+        configs = ev.width_configs(fast_config(n_runs=1), dims=(12, 24))
+        assert [c.encoder.head_dim for c in configs] == [2, 4]  # 12 / 3 views / 2 heads
+        reports = [ev.aggregate_runs(c, runs)
+                   for c, runs in zip(configs, ev.run_configs(configs))]
+        assert [r.config["head_dim"] for r in reports] == [2, 4]
 
     def test_embedding_dim_must_divide(self):
         with pytest.raises(ValueError, match="does not divide"):
-            ev.sweep_embedding_dim(fast_config(n_runs=1), dims=(10,))
+            ev.width_configs(fast_config(n_runs=1), dims=(10,))
 
     def test_criteria_counts_same_seeds(self):
-        full = ev.run_experiment(fast_config(n_runs=1))
-        swept = ev.sweep_criteria_count(fast_config(n_runs=1), counts=(3,))
-        assert swept[0].mae_runs == full.mae_runs
+        base = fast_config(n_runs=2)
+        full, swept, one = ev.run_configs([base] + [replace(base, criteria_count=c)
+                                                    for c in (3, 1)])
+        assert [r.seed for r in swept] == [r.seed for r in one] == [0, 1]
+        assert [r.mae for r in swept] == [r.mae for r in full]
 
-    def test_criteria_count_validated_upfront(self):
-        with pytest.raises(ValueError, match="criteria count"):
-            ev.sweep_criteria_count(fast_config(n_runs=1), counts=(1, 9))
+    def test_criteria_count_validated_upfront(self, monkeypatch):
+        monkeypatch.setattr(ev, "_run_prepared", refuse_runs)
+        configs = [fast_config(n_runs=1, criteria_count=c) for c in (1, 9)]
+        with pytest.raises(ValueError, match="criteria count 9 outside 1..3"):
+            list(ev.run_configs(configs))
 
 
 class TestReportFiles:
     def test_json_report_round_trips(self, tmp_path):
         report = ev.run_experiment(fast_config(n_runs=1))
         path = tmp_path / "report.json"
-        ev.write_report_json(report, path)
+        cli._write_json(report.as_dict(), path)
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["variant"] == report.variant
         assert loaded["mae_runs"] == list(report.mae_runs)
@@ -475,13 +586,13 @@ class TestReportFiles:
         report = ev.MetricReport("full", 100, (0,), (float("nan"),), (0.5,), 0, {})
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="JSON"):
-            ev.write_report_json(report, path)
+            cli._write_json(report.as_dict(), path)
         assert not path.exists()
 
     def test_json_report_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        ev.write_report_json(ev.run_experiment(fast_config()), a)
-        ev.write_report_json(ev.run_experiment(fast_config()), b)
+        cli._write_json(ev.run_experiment(fast_config()).as_dict(), a)
+        cli._write_json(ev.run_experiment(fast_config()).as_dict(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_report_layout(self, tmp_path):
@@ -503,10 +614,12 @@ class TestReportFiles:
         assert float(value) == report.mae_runs[0]
 
     def test_sensitivity_csv_layout(self, tmp_path):
-        points = ev.sweep_sensitivity(fast_config(n_runs=1), alphas=(0.1,),
-                                      betas=(0.5,), lambdas=(0.2,))
+        configs = ev.sensitivity_configs(fast_config(n_runs=1), alphas=(0.1,),
+                                         betas=(0.5,), lambdas=(0.2,))
+        reports = [ev.aggregate_runs(c, runs)
+                   for c, runs in zip(configs, ev.run_configs(configs))]
         path = tmp_path / "sens.csv"
-        ev.write_sensitivity_csv(points, path)
+        ev.write_sensitivity_csv(reports, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "alpha,beta,lambda,mae_mean,mae_std"
         assert lines[1].startswith("0.1,0.5,0.2,")
