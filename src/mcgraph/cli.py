@@ -28,7 +28,30 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-SWEEP_KINDS = ("sensitivity", "dims", "ts", "criteria")
+# every flag: the config key it sets, if any, and its argparse keywords
+FLAGS: dict[str, tuple[str | None, dict]] = {
+    "--data": ("dataset_path", dict(help="ratings CSV; omitted = planted synthetic")),
+    "--config": (None, dict(help="flat key = value config file")),
+    "--seed": ("seed_base", dict(type=int, help="base seed (beats MCGRAPH_SEED)")),
+    "--runs": ("n_runs", dict(type=int, help="number of seeded runs")),
+    "--variant": ("variant", dict(choices=ev.VARIANTS)),
+    "--ts": ("ts_percent", dict(type=int, choices=ds.TS_PERCENTS,
+                                help="training segment percentage")),
+    "--criteria": ("criteria_count", dict(type=int, help="keep first K criteria")),
+    "--jobs": (None, dict(type=int, default=1, help="parallel workers")),
+    "--out": (None, dict(default=".", help="artifact directory")),
+    "--scale": (None, dict(help="source rating range LO:HI mapped onto 1..5")),
+    "--alphas": (None, dict(help="LCL weights, e.g. 0.1,0.5")),
+    "--betas": (None, dict(help="HGCL weights, e.g. 0.1,0.5")),
+    "--lambdas": (None, dict(help="decay weights, e.g. 0.2,0.4")),
+    "--dims": (None, dict(required=True, help="fused widths, e.g. 24,48,96")),
+    "--counts": (None, dict(required=True, help="criteria counts, e.g. 1,2,3")),
+}
+# flag sets that several commands read; `build_parser` gives each command
+# only the flags it reads
+TRAIN_FLAGS = ("--data", "--config", "--seed", "--variant", "--ts", "--criteria", "--out")
+RUN_FLAGS = (*TRAIN_FLAGS, "--runs", "--jobs")
+SWEEP_FLAGS = ("--data", "--config", "--seed", "--variant", "--runs", "--jobs", "--out")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -59,31 +82,20 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
         if not path.is_file():
             raise ValueError(f"config file not found: {path}")
         file_values = ev.config_values(path.read_text(encoding="utf-8"))
-    # one merge, so a flag replaces a file value before either is checked
+    # one merge, so a flag replaces a file value before either is checked;
+    # an empty --data, like an absent one, keeps the file's dataset_path
     values: dict[str, object] = dict(file_values)
-    if args.data:
-        values["dataset_path"] = args.data
-    if args.runs is not None:
-        values["n_runs"] = args.runs
-    if getattr(args, "variant", None):
-        values["variant"] = args.variant
-    if args.ts is not None:
-        values["ts_percent"] = args.ts
-    if args.criteria is not None:
-        values["criteria_count"] = args.criteria
-    cfg = ev.apply_config_values(ev.ExperimentConfig(), values)
-    if args.seed is not None:
-        cfg = replace(cfg, seed_base=args.seed)
-    elif "seed_base" not in file_values:
-        env_seed = os.environ.get("MCGRAPH_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ValueError(
-                    f"MCGRAPH_SEED must be an integer, got {env_seed!r}") from None
-            cfg = replace(cfg, seed_base=seed)
-    return cfg
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if key and value not in (None, ""):
+            values[key] = value
+    env_seed = os.environ.get("MCGRAPH_SEED")
+    if env_seed is not None and "seed_base" not in values:
+        try:
+            values["seed_base"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"MCGRAPH_SEED must be an integer, got {env_seed!r}") from None
+    return ev.apply_config_values(ev.ExperimentConfig(), values)
 
 
 def _out_path(args: argparse.Namespace) -> Path:
@@ -245,8 +257,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         tags = [f"alpha {c.loss.alpha} beta {c.loss.beta} lambda {c.loss.l2_weight}"
                 for c in configs]
     elif args.kind == "dims":
-        if not args.dims:
-            raise ValueError("sweep dims needs --dims, e.g. --dims 24,48,96")
         payload["dims"] = _number_list(args.dims, "--dims", int)
         configs = ev.width_configs(cfg, payload["dims"])
         tags = [f"dim {dim}" for dim in payload["dims"]]
@@ -254,8 +264,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = [replace(cfg, ts_percent=ts) for ts in ds.TS_PERCENTS]
         tags = [f"ts {ts}" for ts in ds.TS_PERCENTS]
     else:
-        if not args.counts:
-            raise ValueError("sweep criteria needs --counts, e.g. --counts 1,2,3")
         payload["counts"] = _number_list(args.counts, "--counts", int)
         configs = [replace(cfg, criteria_count=count) for count in payload["counts"]]
         tags = [f"criteria {count}" for count in payload["counts"]]
@@ -281,53 +289,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation and sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, variant: bool = True) -> None:
-        p.add_argument("--data", help="ratings CSV; omitted = planted synthetic")
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="base seed (beats MCGRAPH_SEED)")
-        p.add_argument("--runs", type=int, help="number of seeded runs")
-        if variant:
-            p.add_argument("--variant", choices=ev.VARIANTS)
-        p.add_argument("--ts", type=int, choices=ds.TS_PERCENTS,
-                       help="training segment percentage")
-        p.add_argument("--criteria", type=int, help="keep first K criteria")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-        p.add_argument("--out", default=".", help="artifact directory")
+    def command(group, name: str, text: str, flags: tuple[str, ...], handler) -> None:
+        p = group.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag][1])
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("ingest", help="validate a CSV and write canonical form")
-    common(p)
-    p.add_argument("--scale", help="source rating range LO:HI mapped onto 1..5")
-    p.set_defaults(handler=cmd_ingest)
-
-    p = sub.add_parser("stats", help="dataset statistics as JSON on stdout")
-    common(p)
-    p.set_defaults(handler=cmd_stats)
-
-    p = sub.add_parser("train", help="fit one seeded model and save it to --out")
-    common(p)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("predict", help="score the test split with the model in --out")
-    common(p)
-    p.set_defaults(handler=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="multi-run experiment with reports")
-    common(p)
-    p.set_defaults(handler=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="evaluate all three model variants")
-    common(p, variant=False)
-    p.set_defaults(handler=cmd_ablate)
-
-    p = sub.add_parser("sweep", help="hyperparameter and protocol sweeps")
-    p.add_argument("kind", choices=SWEEP_KINDS)
-    common(p)
-    p.add_argument("--dims", help="fused widths for `dims`, e.g. 24,48,96")
-    p.add_argument("--counts", help="criteria counts for `criteria`, e.g. 1,2,3")
-    p.add_argument("--alphas", help="LCL weights for `sensitivity`")
-    p.add_argument("--betas", help="HGCL weights for `sensitivity`")
-    p.add_argument("--lambdas", help="decay weights for `sensitivity`")
-    p.set_defaults(handler=cmd_sweep)
+    command(sub, "ingest", "validate a CSV and write canonical form",
+            ("--data", "--config", "--out", "--scale"), cmd_ingest)
+    command(sub, "stats", "dataset statistics as JSON on stdout",
+            ("--data", "--config", "--criteria"), cmd_stats)
+    command(sub, "train", "fit one seeded model and save it to --out",
+            TRAIN_FLAGS, cmd_train)
+    command(sub, "predict", "score the test split with the model in --out",
+            TRAIN_FLAGS, cmd_predict)
+    command(sub, "evaluate", "multi-run experiment with reports", RUN_FLAGS, cmd_evaluate)
+    command(sub, "ablate", "evaluate all three model variants",
+            tuple(f for f in RUN_FLAGS if f != "--variant"), cmd_ablate)
+    sweep = sub.add_parser("sweep", help="hyperparameter and protocol sweeps") \
+        .add_subparsers(dest="kind", required=True)
+    command(sweep, "sensitivity", "alpha/beta/lambda grid",
+            (*SWEEP_FLAGS, "--ts", "--criteria", "--alphas", "--betas", "--lambdas"),
+            cmd_sweep)
+    command(sweep, "dims", "fused embedding widths",
+            (*SWEEP_FLAGS, "--ts", "--criteria", "--dims"), cmd_sweep)
+    command(sweep, "ts", "40/60/80/100%% training segments",
+            (*SWEEP_FLAGS, "--criteria"), cmd_sweep)
+    command(sweep, "criteria", "criteria counts", (*SWEEP_FLAGS, "--ts", "--counts"),
+            cmd_sweep)
     return parser
 
 

@@ -17,11 +17,12 @@ import csv
 import functools
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -285,32 +286,43 @@ def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseE
     return None
 
 
-def load_ratings(path: str | Path) -> RatingDataset:
-    """Read a ratings CSV. A duplicate (user, item) row's values replace the
-    earlier ones at the pair's first position; a leading byte-order mark is
-    skipped; a directory or non-UTF-8 file is a `DatasetError`."""
+@contextmanager
+def _opened(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The checked header of the ratings CSV at `path` and a reader over the
+    rows after it."""
     try:
-        return _read_ratings(Path(path))
+        # "utf-8-sig" drops the byte-order mark that spreadsheets write in
+        # "CSV UTF-8" files, which would otherwise open the user_id header
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"empty dataset: {path} has no content") from None
+            num_criteria = len(header) - 3
+            if num_criteria < 1 or header != _expected_header(num_criteria):
+                raise ParseError(1, f"bad header {header!r}, "
+                                    "expected user_id,item_id,overall,c1,...,cC")
+            yield header, reader
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path} as UTF-8 text: {exc}") from None
 
 
-def _read_ratings(path: Path) -> RatingDataset:
+def header_criteria(path: str | Path) -> int:
+    """How many criteria the header of the ratings CSV at `path` names; no
+    row is read."""
+    with _opened(path) as (header, _):
+        return len(header) - 3
+
+
+def load_ratings(path: str | Path) -> RatingDataset:
+    """Read a ratings CSV. A duplicate (user, item) row's values replace the
+    earlier ones at the pair's first position; a leading byte-order mark is
+    skipped; a directory or non-UTF-8 file is a `DatasetError`."""
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users, items, values, lines = [], [], [], []
-    # "utf-8-sig" drops the byte-order mark that spreadsheets write in
-    # "CSV UTF-8" files, which would otherwise open the user_id header
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"empty dataset: {path} has no content") from None
-        num_criteria = len(header) - 3
-        if num_criteria < 1 or header != _expected_header(num_criteria):
-            raise ParseError(1, f"bad header {header!r}, "
-                                "expected user_id,item_id,overall,c1,...,cC")
+    with _opened(path) as (header, reader):
         width, first_line = len(header), 2
         while True:
             chunk: list[list[str]] = []

@@ -15,8 +15,9 @@ import numpy as np
 from . import attention as att
 from . import recommend as rec
 from .contrastive import LossConfig, LossReport, NonFiniteLossError, train
-from .dataset import (TS_PERCENTS, DatasetError, RatingDataset, from_columns, load_ratings,
-                      pair_codes, split_train_test, subsample_train, subset)
+from .dataset import (TS_PERCENTS, DatasetError, RatingDataset, from_columns,
+                      header_criteria, load_ratings, pair_codes, split_train_test,
+                      subsample_train, subset)
 from .graph import build_views
 from .recommend import PredictorConfig
 
@@ -254,10 +255,16 @@ def make_planted_dataset(num_users: int = 50, num_items: int = 30,
     return from_columns(user_ids, item_ids, overall, criteria)
 
 
+def _criteria_in_range(count: int, available: int) -> int:
+    """`count`, which must lie in 1..`available`."""
+    if not 1 <= count <= available:
+        raise ValueError(f"criteria count {count} outside 1..{available}")
+    return count
+
+
 def restrict_criteria(dataset: RatingDataset, count: int) -> RatingDataset:
     """Keep the first `count` criteria; overall targets are unchanged."""
-    if not 1 <= count <= dataset.num_criteria:
-        raise ValueError(f"criteria count {count} outside 1..{dataset.num_criteria}")
+    _criteria_in_range(count, dataset.num_criteria)
     if count == dataset.num_criteria:
         return dataset
     return RatingDataset(dataset.user_ids, dataset.item_ids, dataset.users,
@@ -558,8 +565,14 @@ def sensitivity_configs(cfg: ExperimentConfig, alphas: Sequence[float],
 
 
 def width_configs(cfg: ExperimentConfig, dims: Sequence[int]) -> list[ExperimentConfig]:
-    """One config per fused width; the per-view width is dim / criteria count."""
-    num_criteria = load_dataset(cfg).num_criteria
+    """One config per fused width; the per-view width is dim / criteria count.
+    A ratings file's criteria are counted from its header alone, so the runs
+    parse the file once."""
+    if cfg.dataset_path:
+        available = header_criteria(cfg.dataset_path)
+        num_criteria = _criteria_in_range(cfg.criteria_count or available, available)
+    else:
+        num_criteria = load_dataset(cfg).num_criteria
     heads = cfg.encoder.num_heads
     for dim in dims:
         if dim % num_criteria or (dim // num_criteria) % heads:

@@ -35,3 +35,24 @@ def test_workloads_import_the_modules_under_these_aliases():
 @pytest.mark.parametrize("alias, name", module_attributes())
 def test_every_name_the_workloads_read_exists(alias, name):
     assert hasattr(MODULES[alias], name), f"{MODULES[alias].__name__} has no {name}"
+
+
+def cli_command_lines():
+    """The argv of every `cli.main([...])` call in workloads.py, each element
+    that is not a string literal replaced by a placeholder path."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    return [[arg.value if isinstance(arg, ast.Constant) else "placeholder/path"
+             for arg in node.args[0].elts]
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "main"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "cli"]
+
+
+def test_workloads_run_the_cli():
+    assert [argv[0] for argv in cli_command_lines()] == ["ingest", "stats"]
+
+
+@pytest.mark.parametrize("argv", cli_command_lines(), ids=lambda argv: argv[0])
+def test_every_command_line_the_workloads_run_parses(argv):
+    args = cli.build_parser().parse_args(argv)  # a usage error exits here
+    assert args.command == argv[0]

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, precedence, artifacts, determinism."""
 
+import argparse
 import errno
 import io
 import json
@@ -22,12 +23,38 @@ from mcgraph.contrastive import NonFiniteLossError
 
 FAST_CFG = "n_runs = 2\nepochs = 3\n"
 
+# the flags each command and each sweep kind takes: those it reads
+_TRAIN = {"--data", "--config", "--seed", "--variant", "--ts", "--criteria", "--out"}
+_SWEEP = {"--data", "--config", "--seed", "--variant", "--runs", "--jobs", "--out"}
+COMMAND_FLAGS = {
+    "ingest": {"--data", "--config", "--out", "--scale"},
+    "stats": {"--data", "--config", "--criteria"},
+    "train": _TRAIN,
+    "predict": _TRAIN,
+    "evaluate": _TRAIN | {"--runs", "--jobs"},
+    "ablate": _TRAIN - {"--variant"} | {"--runs", "--jobs"},
+    "sweep sensitivity": _SWEEP | {"--ts", "--criteria", "--alphas", "--betas", "--lambdas"},
+    "sweep dims": _SWEEP | {"--ts", "--criteria", "--dims"},
+    "sweep ts": _SWEEP | {"--criteria"},
+    "sweep criteria": _SWEEP | {"--ts", "--counts"},
+}
+
 
 @pytest.fixture
 def fast_cfg(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text(FAST_CFG, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Every way a command reads its ratings raises."""
+    def refuse(*args):
+        raise AssertionError("the command read its data")
+    monkeypatch.setattr(ev, "prepared_data", refuse)
+    monkeypatch.setattr(ev, "load_dataset", refuse)
+    monkeypatch.setattr(ds, "load_ratings", refuse)
 
 
 @pytest.fixture
@@ -50,6 +77,12 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sweep", *COMMAND_FLAGS],
+                             ids=lambda command: command.replace(" ", "_"))
+    def test_command_help_exits_zero(self, capsys, command):
+        assert cli.main([*command.split(), "--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: mcgraph {command}")
 
     def test_missing_data_file_is_data_error(self, capsys):
         assert cli.main(["stats", "--data", "/no/such/file.csv"]) == cli.EXIT_DATA
@@ -716,18 +749,22 @@ class TestSweep:
         assert sidecar["points"][0]["report"]["config"]["alpha"] == 0.1
         capsys.readouterr()
 
-    def test_dims_requires_flag(self, tmp_path, fast_cfg, capsys):
+    def test_dims_requires_flag(self, tmp_path, ratings_csv, fast_cfg, no_reads,
+                                capsys):
         out = tmp_path / "out"
-        assert cli.main(["sweep", "dims", "--config", fast_cfg,
+        assert cli.main(["sweep", "dims", "--config", fast_cfg, "--data", ratings_csv,
                          "--out", str(out)]) == cli.EXIT_USAGE
-        assert "--dims" in capsys.readouterr().err.splitlines()[-1]
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "the following arguments are required: --dims")
         assert not out.exists()
 
-    def test_criteria_requires_flag(self, tmp_path, fast_cfg, capsys):
+    def test_criteria_requires_flag(self, tmp_path, ratings_csv, fast_cfg, no_reads,
+                                    capsys):
         out = tmp_path / "out"
-        assert cli.main(["sweep", "criteria", "--config", fast_cfg,
+        assert cli.main(["sweep", "criteria", "--config", fast_cfg, "--data", ratings_csv,
                          "--out", str(out)]) == cli.EXIT_USAGE
-        assert "--counts" in capsys.readouterr().err.splitlines()[-1]
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "the following arguments are required: --counts")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--alphas", "--betas", "--lambdas"])
@@ -781,6 +818,33 @@ class TestSweep:
         assert sidecar["dims"] == [24, 48]
         assert len(sidecar["reports"]) == 2
         capsys.readouterr()
+
+    def test_dims_parses_the_ratings_file_once(self, tmp_path, ratings_csv, fast_cfg,
+                                               monkeypatch, capsys):
+        real, calls = ds.load_ratings, []
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+        monkeypatch.setattr(ds, "load_ratings", counting)
+        monkeypatch.setattr(ev, "load_ratings", counting)
+        assert cli.main(["sweep", "dims", "--dims", "12,24", "--data", ratings_csv,
+                         "--config", fast_cfg, "--runs", "1",
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert calls == [ratings_csv]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--dims", "10"], "fused dimension 10 does not divide into 3 views of 2 heads"),
+        (["--dims", "12", "--criteria", "4"], "criteria count 4 outside 1..3"),
+    ], ids=["indivisible_dim", "criteria_beyond_the_header"])
+    def test_bad_width_fails_before_the_file_is_parsed(
+            self, tmp_path, ratings_csv, fast_cfg, no_reads, capsys, flags, error):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "dims", *flags, "--data", ratings_csv,
+                         "--config", fast_cfg, "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == f"usage error: {error}"
+        assert not out.exists()
 
     def test_indivisible_dim_is_usage(self, fast_cfg, capsys):
         assert cli.main(["sweep", "dims", "--config", fast_cfg,
@@ -849,12 +913,7 @@ WRITING_COMMANDS = {"ingest": ["ingest"], "train": ["train"], "evaluate": ["eval
 @pytest.mark.parametrize("command", list(WRITING_COMMANDS))
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
 def test_out_at_or_below_a_file_is_usage_before_any_read(
-        tmp_path, ratings_csv, fast_cfg, monkeypatch, capsys, command, below):
-    def refuse(*args):
-        raise AssertionError("the command read its data")
-    monkeypatch.setattr(ev, "prepared_data", refuse)
-    monkeypatch.setattr(ev, "load_dataset", refuse)
-    monkeypatch.setattr(ds, "load_ratings", refuse)
+        tmp_path, ratings_csv, fast_cfg, no_reads, capsys, command, below):
     taken = tmp_path / "taken"
     taken.write_text("kept\n", encoding="utf-8")
     out = taken / "sub" if below else taken
@@ -920,10 +979,60 @@ def test_bad_data_setting_fails_in_stats_and_ingest(tmp_path, ratings_csv, capsy
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line, encoding="utf-8")
     out = tmp_path / "out"
+    out_flag = ["--out", str(out)] if command == "ingest" else []  # stats writes no file
     assert cli.main([command, "--config", str(cfg), "--data", ratings_csv,
-                     "--out", str(out)]) == cli.EXIT_USAGE
+                     *out_flag]) == cli.EXIT_USAGE
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("usage error:") and key in last
+    assert not out.exists()
+
+
+def parser_commands(parser, prefix=""):
+    """(name, parser) for each command that runs, a sweep kind as `sweep KIND`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_commands(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    taken = {name: {flag for action in p._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")}
+             for name, p in parser_commands(cli.build_parser())}
+    assert taken == COMMAND_FLAGS
+    assert sum(map(len, taken.values())) == 77
+
+
+# (command, flag) for each flag that a command or sweep kind does not read
+NOT_READ = [(command, flag) for command, flags in {
+    "ingest": ["--seed", "--runs", "--variant", "--ts", "--criteria", "--jobs"],
+    "stats": ["--seed", "--runs", "--variant", "--ts", "--jobs", "--out"],
+    "train": ["--runs", "--jobs"],
+    "predict": ["--runs", "--jobs"],
+    "sweep sensitivity": ["--dims", "--counts"],
+    "sweep dims": ["--alphas", "--betas", "--lambdas", "--counts"],
+    "sweep ts": ["--ts", "--dims", "--counts", "--alphas", "--betas", "--lambdas"],
+    "sweep criteria": ["--criteria", "--dims", "--alphas", "--betas", "--lambdas"],
+}.items() for flag in flags]
+FLAG_VALUES = {"--seed": "1", "--runs": "1", "--variant": "full", "--ts": "40",
+               "--criteria": "1", "--jobs": "1", "--dims": "24", "--counts": "1",
+               "--alphas": "0.1", "--betas": "0.1", "--lambdas": "0.2"}
+REQUIRED_LISTS = {"sweep dims": ["--dims", "24"], "sweep criteria": ["--counts", "1"]}
+
+
+@pytest.mark.parametrize("command, flag", NOT_READ,
+                         ids=[f"{c.replace(' ', '_')}{f}" for c, f in NOT_READ])
+def test_flag_a_command_does_not_read_is_usage_before_any_read(
+        tmp_path, ratings_csv, fast_cfg, no_reads, capsys, command, flag):
+    out = tmp_path / "out"
+    value = str(out) if flag == "--out" else FLAG_VALUES[flag]
+    out_flag = [] if command == "stats" else ["--out", str(out)]
+    assert cli.main([*command.split(), *REQUIRED_LISTS.get(command, []),
+                     "--config", fast_cfg, "--data", ratings_csv, flag, value,
+                     *out_flag]) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -78,6 +78,32 @@ class TestLoad:
             ds.load_ratings(write_csv(tmp_path / "r.csv", "user,item,rating\nu,i,3\n"))
 
 
+class TestHeaderCriteria:
+    def test_counts_the_header_criteria_without_reading_rows(self, tmp_path):
+        # the row is ragged and non-numeric: only the header is read
+        path = write_csv(tmp_path / "r.csv", SMALL.splitlines()[0] + "\nu1,great\n")
+        assert ds.header_criteria(path) == 4
+
+    def test_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfuser_id,item_id,overall,c1,c2\n")
+        assert ds.header_criteria(path) == 2
+
+    @pytest.mark.parametrize("setup, error, match", [
+        (lambda p: write_csv(p, "user,item,rating\n"), ds.ParseError, "line 1: bad header"),
+        (lambda p: write_csv(p, ""), ds.DatasetError, "empty dataset"),
+        (lambda p: p.mkdir(), ds.DatasetError, "as UTF-8 text"),
+        (lambda p: p.write_bytes(b"user_id,item_id,overall,c\xe9\n"), ds.DatasetError,
+         "as UTF-8 text"),
+    ], ids=["bad_header", "empty", "directory", "latin1"])
+    def test_fails_as_load_ratings_does(self, tmp_path, setup, error, match):
+        path = tmp_path / "r.csv"
+        setup(path)
+        for read in (ds.header_criteria, ds.load_ratings):
+            with pytest.raises(error, match=match):
+                read(path)
+
+
 class TestContentDigest:
     def test_equal_datasets_share_a_digest(self, tmp_path):
         data = ds.load_ratings(write_csv(tmp_path / "r.csv", SMALL))
