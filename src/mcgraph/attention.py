@@ -64,9 +64,8 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class LayerParams:
     """One view's layer, its heads stacked as `_dual_attention` takes them."""
-    weight: np.ndarray         # (num_heads, head_dim, fan_in)
-    attn: np.ndarray           # (num_heads, 2 * head_dim)
-    global_weight: np.ndarray  # (num_heads * head_dim,)
+    weight: np.ndarray  # (num_heads, head_dim, fan_in)
+    attn: np.ndarray    # (num_heads, 2 * head_dim)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def layer_params(params: Mapping[str, np.ndarray], view_index: int, layer: int,
     weight, attn = (np.stack([params[head_key(view_index, layer, h, field)]
                               for h in range(1, config.num_heads + 1)])
                     for field in ("w", "a"))
-    return LayerParams(weight, attn, np.asarray(params[gate_key(view_index, layer)]))
+    return LayerParams(weight, attn)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -292,7 +291,7 @@ def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> n
 def encode_views(views: Sequence[CriterionView], params: Mapping[str, np.ndarray],
                  config: EncoderConfig, use_global: bool = True) -> list[ViewEmbedding]:
     """Encode every view in one pass over their block-diagonal graph."""
-    graph = views[0].block if len(views) == 1 else block_graph(views)
+    graph = block_graph(views)
     stack = encode_stack(graph, params, config, use_global)[0]
     blocks = stack.reshape(graph.num_views, graph.num_nodes, -1)
     return [ViewEmbedding(criterion_index=v.criterion_index, matrix=block)

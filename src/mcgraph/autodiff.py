@@ -5,11 +5,11 @@ a backward function of the gradient `g` of its output that returns one
 gradient per parent, in parent order, or `None` for a parent it does not
 reach. `backward` alone adds those into the parents' `.grad`, and it skips
 constant parents (`op == "const"`). The primitives are add and elementwise
-mul of equal shapes and the sum of every entry. Training does not use the
-tape: the model's kernels (the encoder in `attention.py`, the losses in
-`contrastive.py`) each return a value and a `back` closure, which
-`contrastive.train` calls in a fixed order. Their tape adaptors
-(`attention.encode_view_tensors`, `contrastive.lcl_tensor` and
+mul of equal shapes and the sum of squares of every entry of its operands.
+Training does not use the tape: the model's kernels (the encoder in
+`attention.py`, the losses in `contrastive.py`) each return a value and a
+`back` closure, which `contrastive.train` calls in a fixed order. Their tape
+adaptors (`attention.encode_view_tensors`, `contrastive.lcl_tensor` and
 `hgcl_tensor`) are one node each over the same kernels, so
 `finite_diff_check` checks the derivatives training uses. Everything is
 float64.
@@ -131,23 +131,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                   lambda g: (g * b.value, g * a.value))
 
 
-def tsum(a: Tensor) -> Tensor:
-    """The sum of every entry of `a`."""
-    return Tensor(a.value.sum(), "sum", (a,),
-                  lambda g: (np.broadcast_to(g, a.value.shape),))
-
-
-# ---------------------------------------------------------------------------
-# composites used throughout the model code
-
 def sum_of_squares(tensors: Iterable[Tensor]) -> Tensor:
-    total = None
-    for t in tensors:
-        sq = tsum(mul(t, t))
-        total = sq if total is None else add(total, sq)
-    if total is None:
+    """The sum of the squares of every entry of every tensor, as one node:
+    each tensor's squares are summed, then the tensors' sums in order. The
+    gradient of tensor t is 2 g t."""
+    parents = tuple(tensors)
+    if not parents:
         raise ValueError("sum_of_squares: no tensors given")
-    return total
+    return Tensor(sum((t.value * t.value).sum() for t in parents), "sum_of_squares",
+                  parents, lambda g: [2.0 * g * t.value for t in parents])
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +171,15 @@ class FiniteDiffReport:
 def finite_diff_check(loss_fn: Callable[[dict[str, Tensor]], Tensor],
                       params: dict[str, np.ndarray],
                       step: float = 1e-5,
-                      tolerance: float = 1e-4,
-                      floor: float = 1e-3) -> FiniteDiffReport:
+                      tolerance: float = 1e-4) -> FiniteDiffReport:
     """Compare reverse-mode gradients of a scalar loss to central differences.
 
     `loss_fn` must build a fresh graph from the leaf tensors it is handed and
     return a scalar Tensor. Per entry, the relative error is
-    |fd - ad| / max(|fd|, |ad|, floor); a block passes when its max relative
+    |fd - ad| / max(|fd|, |ad|, 1e-3); a block passes when its max relative
     error stays within `tolerance`.
     """
+    floor = 1e-3
     leaves = {name: Tensor(value.copy()) for name, value in params.items()}
     out = loss_fn(leaves)
     if out.value.size != 1:

@@ -282,12 +282,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports a flag the command does not take with
+    the command's own usage, where argparse would leave it to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcgraph",
         description="Multi-criteria graph recommender: data, training, "
                     "evaluation and sweeps.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     def command(group, name: str, text: str, flags: tuple[str, ...], handler) -> None:
         p = group.add_parser(name, help=text)

@@ -148,7 +148,8 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_means(view: CriterionView, unit: np.ndarray) -> np.ndarray:
-    """`neighborhood_similarities` of embeddings whose unit rows are `unit`."""
+    """Mean cosine similarity of each node to its neighbors, for embeddings
+    whose unit rows are `unit`; -inf if isolated."""
     centers, neighbors = view.neighbor_arrays()
     edge_sims = np.einsum("ij,ij->i", unit[centers], unit[neighbors])
     totals = np.bincount(centers, weights=edge_sims, minlength=view.num_nodes)
@@ -157,12 +158,6 @@ def _neighbor_means(view: CriterionView, unit: np.ndarray) -> np.ndarray:
     rated = counts > 0
     out[rated] = totals[rated] / counts[rated]
     return out
-
-
-def neighborhood_similarities(view: CriterionView,
-                              embeddings: np.ndarray) -> np.ndarray:
-    """Mean cosine similarity of each node to its neighbors; -inf if isolated."""
-    return _neighbor_means(view, _unit_rows(embeddings))
 
 
 def _best_node(view: CriterionView, sims: np.ndarray) -> int:
@@ -458,11 +453,12 @@ def _weighted(lcl, hgcl, l2, cfg: LossConfig):
 
 
 def total_loss(l_lcl: float, l_hgcl: float, params: Mapping[str, np.ndarray],
-               cfg: LossConfig, epoch: int = 0) -> LossReport:
-    """Weighted combination; the report identity holds exactly as computed."""
+               cfg: LossConfig) -> LossReport:
+    """Weighted combination, reported as epoch 0; the report identity holds
+    exactly as computed."""
     l2 = _l2(flatten(params))
     total = _weighted(l_lcl, l_hgcl, l2, cfg)
-    return LossReport(epoch=epoch, l_lcl=l_lcl, l_hgcl=l_hgcl,
+    return LossReport(epoch=0, l_lcl=l_lcl, l_hgcl=l_hgcl,
                       l2_term=l2, l_total=total)
 
 
@@ -488,9 +484,10 @@ def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
-                learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
-    """One Adam step (Kingma & Ba 2014) on the parameter vector, in place."""
+                learning_rate: float) -> None:
+    """One Adam step (Kingma & Ba 2014, with their default beta1, beta2 and
+    eps) on the parameter vector, in place."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     if state.first is None:
         state.first, state.second = np.zeros_like(grads), np.zeros_like(grads)
     state.step += 1

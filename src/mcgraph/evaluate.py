@@ -196,18 +196,11 @@ def config_values(text: str) -> dict[str, str]:
 # synthetic planted data
 
 def make_planted_dataset(num_users: int = 50, num_items: int = 30,
-                         num_criteria: int = 3, seed: int = 0,
-                         num_groups: int = 2, in_density: float = 0.6,
-                         out_density: float = 0.05, user_shift: float = 0.5,
-                         item_shift: float = 0.8, rating_noise: float = 0.35,
-                         criterion_jitter: float = 0.15,
-                         criterion_dropout: float = 0.15,
-                         noise_user_fraction: float = 0.1,
-                         noise_dropout: float = 0.5) -> RatingDataset:
+                         num_criteria: int = 3, seed: int = 0) -> RatingDataset:
     """Cluster-structured ratings whose signal lives in the rating pattern.
 
-    Users and items alternate between clusters. A user rates items of the own
-    cluster with probability in_density and others with out_density, so
+    Users and items alternate between two clusters. A user rates items of the
+    own cluster with probability in_density and others with out_density, so
     cluster membership is recoverable from connectivity alone. Ratings are
     additive: 3 + user-cluster shift + item-cluster shift + noise, with a
     small per-criterion offset. Users skip individual criteria occasionally
@@ -216,12 +209,15 @@ def make_planted_dataset(num_users: int = 50, num_items: int = 30,
     edge patterns disagree across the per-criterion views. The overall rating
     is the mean of the rated criteria.
     """
+    in_density, out_density = 0.6, 0.05
+    user_shift, item_shift, rating_noise = 0.5, 0.8, 0.35
+    criterion_jitter, criterion_dropout = 0.15, 0.15
+    noise_user_fraction, noise_dropout = 0.1, 0.5
     rng = np.random.default_rng(seed)
-    user_group = np.arange(num_users) % num_groups
-    item_group = np.arange(num_items) % num_groups
-    group_span = max(num_groups - 1, 1)
-    user_levels = user_shift * (2.0 * user_group / group_span - 1.0)
-    item_levels = item_shift * (2.0 * item_group / group_span - 1.0)
+    user_group = np.arange(num_users) % 2
+    item_group = np.arange(num_items) % 2
+    user_levels = user_shift * (2.0 * user_group - 1.0)
+    item_levels = item_shift * (2.0 * item_group - 1.0)
     n_noise = int(round(noise_user_fraction * num_users))
     noise_users = set(rng.choice(num_users, size=n_noise, replace=False).tolist())
     offsets = rng.uniform(-criterion_jitter, criterion_jitter, size=num_criteria)
@@ -517,17 +513,17 @@ def run_configs(configs: Sequence[ExperimentConfig],
 
 # one-config forms of `run_configs`, kept for the acceptance tests that import them
 
-def experiment_runs(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    [results] = run_configs([cfg], jobs)
+def experiment_runs(cfg: ExperimentConfig) -> list[RunResult]:
+    [results] = run_configs([cfg])
     return results
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> MetricReport:
-    return aggregate_runs(cfg, experiment_runs(cfg, jobs))
+def run_experiment(cfg: ExperimentConfig) -> MetricReport:
+    return aggregate_runs(cfg, experiment_runs(cfg))
 
 
-def run_ablation(cfg: ExperimentConfig, variant: str, jobs: int = 1) -> MetricReport:
-    return run_experiment(replace(cfg, variant=variant), jobs)
+def run_ablation(cfg: ExperimentConfig, variant: str) -> MetricReport:
+    return run_experiment(replace(cfg, variant=variant))
 
 
 def baseline_report(cfg: ExperimentConfig, name: str) -> MetricReport:

@@ -57,7 +57,6 @@ MAX_HALVINGS = 60
 class FusedEmbedding:
     matrix: np.ndarray  # (num_users + num_items, num_views * view_dim)
     num_users: int
-    view_dim: int
 
 
 def fuse(embeddings: Sequence[np.ndarray], num_users: int) -> FusedEmbedding:
@@ -66,8 +65,7 @@ def fuse(embeddings: Sequence[np.ndarray], num_users: int) -> FusedEmbedding:
     if len(shapes) != 1:
         raise ValueError(f"view embeddings disagree in shape: {sorted(shapes)}")
     matrix = np.concatenate(list(embeddings), axis=1)
-    return FusedEmbedding(matrix=matrix, num_users=num_users,
-                          view_dim=embeddings[0].shape[1])
+    return FusedEmbedding(matrix=matrix, num_users=num_users)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +352,14 @@ def baseline_multi_user_knn(train: RatingDataset, test: RatingDataset,
 
 
 def baseline_mlr(train: RatingDataset, test: RatingDataset) -> np.ndarray:
-    """Least-squares fit of the overall rating on the criteria ratings."""
+    """Least-squares fit of the overall rating on the criteria ratings; a
+    rank-deficient design gets lstsq's minimum-norm fit."""
     if len(train) < train.num_criteria + 1:
         raise ValueError(
             f"multiple linear regression needs at least {train.num_criteria + 1} "
             f"records, got {len(train)}")
     design = np.column_stack([train.criteria, np.ones(len(train))])
-    targets = train.overall
-
-    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < design.shape[1]:
-        gram = design.T @ design + 1e-6 * np.eye(design.shape[1])
-        coef = np.linalg.solve(gram, design.T @ targets)
-
+    coef = np.linalg.lstsq(design, train.overall, rcond=None)[0]
     test_design = np.column_stack([test.criteria, np.ones(len(test))])
     return np.clip(test_design @ coef, RATING_MIN, RATING_MAX)
 

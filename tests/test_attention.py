@@ -12,6 +12,7 @@ from mcgraph import autodiff as ad
 from mcgraph import evaluate as ev
 from mcgraph import graph
 from mcgraph.graph import build_views
+from tests.test_autodiff import total
 
 
 def view_from_incidence(b, criterion_index=1):
@@ -58,8 +59,7 @@ def tiny_config():
 class TestLocalCoefficients:
     def test_single_neighbor_gets_coefficient_one(self):
         view = view_from_incidence([[3.0]])
-        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.3, 0.7]]),
-                                global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.3, 0.7]]))
         coeffs = att.local_attention_coeffs(view, np.array([[1.0], [2.0]]), layer)
         assert_allclose(coeffs[0][0, 1], 1.0)
         assert_allclose(coeffs[0][1, 0], 1.0)
@@ -67,8 +67,7 @@ class TestLocalCoefficients:
     def test_identical_neighbors_share_weight_equally(self):
         view = view_from_incidence([[1.0, 1.0]])
         h_in = np.array([[0.5], [2.0], [2.0]])
-        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.4, 0.9]]),
-                                global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.4, 0.9]]))
         coeffs = att.local_attention_coeffs(view, h_in, layer)[0]
         assert_allclose(coeffs[0, 1:], [0.5, 0.5])
 
@@ -76,8 +75,7 @@ class TestLocalCoefficients:
         # a = [0, 1], projections (1, 2) for the two items: scores 1 and 2
         view = view_from_incidence([[1.0, 1.0]])
         h_in = np.array([[5.0], [1.0], [2.0]])
-        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.0, 1.0]]),
-                                global_weight=np.ones(1))
+        layer = att.LayerParams(weight=np.ones((1, 1, 1)), attn=np.array([[0.0, 1.0]]))
         coeffs = att.local_attention_coeffs(view, h_in, layer)[0]
         assert_allclose(coeffs[0, 1:], [0.26894142, 0.73105858], atol=1e-8)
 
@@ -102,8 +100,7 @@ class TestLocalForward:
         rng = np.random.default_rng(1)
         w = rng.normal(size=(3, 2))
         h_in = rng.normal(size=(2, 2))
-        layer = att.LayerParams(weight=w[None], attn=rng.normal(size=(1, 6)),
-                                global_weight=np.ones(3))
+        layer = att.LayerParams(weight=w[None], attn=rng.normal(size=(1, 6)))
         out = local_forward(view, h_in, layer, last=True)
         assert_allclose(out[0], w @ h_in[1], atol=1e-12)
         assert_allclose(out[1], w @ h_in[0], atol=1e-12)
@@ -113,8 +110,7 @@ class TestLocalForward:
         rng = np.random.default_rng(2)
         heads = [(rng.normal(size=(3, 2)), rng.normal(size=6)) for _ in range(2)]
         layer = att.LayerParams(weight=np.stack([w for w, _ in heads]),
-                                attn=np.stack([a for _, a in heads]),
-                                global_weight=np.ones(6))
+                                attn=np.stack([a for _, a in heads]))
         out = local_forward(view, rng.normal(size=(4, 2)), layer)
         assert out.shape == (4, 6)
 
@@ -125,8 +121,7 @@ class TestLocalForward:
         h_in = rng.normal(size=(6, 4))
         heads = [(rng.normal(size=(2, 4)), rng.normal(size=4)) for _ in range(2)]
         layer = att.LayerParams(weight=np.stack([w for w, _ in heads]),
-                                attn=np.stack([a for _, a in heads]),
-                                global_weight=np.ones(4))
+                                attn=np.stack([a for _, a in heads]))
         pattern = (view.adjacency.toarray() > 0)
         for last in (True, False):
             ours = local_forward(view, h_in, layer, last=last)
@@ -137,7 +132,7 @@ class TestLocalForward:
         view = view_from_incidence([[1.0, 0.0], [0.0, 0.0]])  # u2 and i2 isolated
         rng = np.random.default_rng(4)
         layer = att.LayerParams(weight=rng.normal(size=(1, 2, 3)),
-                                attn=rng.normal(size=(1, 4)), global_weight=np.ones(2))
+                                attn=rng.normal(size=(1, 4)))
         out = local_forward(view, rng.normal(size=(4, 3)), layer)
         assert_allclose(out[1], np.zeros(2))
         assert_allclose(out[3], np.zeros(2))
@@ -244,7 +239,7 @@ class TestFusedAttentionLayer:
                 return (d_h, *d_w, *d_a)
             node = ad.Tensor(out, "dual_attention", (t["h"], *weights, *attns),
                              tape_back)
-            return ad.tsum(ad.mul(node, weight))
+            return total(ad.mul(node, weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
@@ -362,7 +357,7 @@ class TestBlockDiagonalEncoder:
                 blocks, {k: leaf.value for k, leaf in t.items()}, cfg)
             assert sorted(keys) == sorted(params)
             node = ad.Tensor(stack, "encoder", tuple(t[k] for k in keys), back)
-            return ad.tsum(ad.mul(node, weight))
+            return total(ad.mul(node, weight))
 
         report = ad.finite_diff_check(loss_fn, params, step=1e-6, tolerance=1e-6)
         assert report.passed, f"failing blocks: {report.failing()}"
@@ -572,7 +567,7 @@ class TestEncodeView:
 
         def loss_fn(tensors):
             emb = att.encode_view_tensors(view, tensors, cfg)
-            return ad.tsum(ad.mul(emb, emb))
+            return ad.sum_of_squares([emb])
 
         report = ad.finite_diff_check(loss_fn, self.params, step=1e-5,
                                       tolerance=1e-4)

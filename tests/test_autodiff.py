@@ -8,6 +8,12 @@ from mcgraph import autodiff as ad
 from mcgraph import contrastive as cl
 
 
+def total(t: ad.Tensor) -> ad.Tensor:
+    """The sum of every entry of `t` as one tape node, to close a graph."""
+    return ad.Tensor(t.value.sum(), "sum", (t,),
+                     lambda g: (np.broadcast_to(g, t.shape),))
+
+
 def central_diff(loss_of, block: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Independent finite-difference oracle: perturb one entry at a time."""
     out = np.zeros_like(block)
@@ -107,9 +113,9 @@ class TestBackward:
             h1 = ad.mul(t["x"], t["w1"])
             cube = ad.mul(h1, ad.mul(h1, h1))
             # s: a scalar of the second layer; h3: a third reading the first two
-            s = ad.mul(ad.tsum(ad.mul(cube, h1)), ad.Tensor(0.2))
+            s = ad.mul(total(ad.mul(cube, h1)), ad.Tensor(0.2))
             h3 = ad.mul(ad.add(cube, ad.mul(h1, t["w2"])), t["w2"])
-            return ad.add(ad.tsum(ad.mul(h3, h3)),
+            return ad.add(total(ad.mul(h3, h3)),
                           ad.mul(ad.mul(s, s), ad.Tensor(0.125)))
 
         leaves = {k: ad.Tensor(v) for k, v in params.items()}
@@ -129,14 +135,14 @@ class TestBackward:
     def test_unreached_leaf_gets_zero_gradient(self):
         x = ad.Tensor(np.ones(3))
         unused = ad.Tensor(np.ones((2, 2)))
-        ad.backward(ad.tsum(x))
+        ad.backward(total(x))
         assert_allclose(ad.grad_of(unused), np.zeros((2, 2)))
 
     def test_constant_operands_get_no_gradient(self):
         x = ad.Tensor(np.arange(3.0))
         scale = ad.Tensor(np.full(3, 2.0), op="const")
         shift = ad.Tensor(np.ones(3), op="const")
-        ad.backward(ad.tsum(ad.add(ad.mul(x, scale), shift)))
+        ad.backward(total(ad.add(ad.mul(x, scale), shift)))
         assert scale.grad is None and shift.grad is None
         assert_allclose(ad.grad_of(x), np.full(3, 2.0))
 
@@ -144,7 +150,7 @@ class TestBackward:
         # an op whose backward reaches only its first parent
         a, b = ad.Tensor(np.arange(3.0)), ad.Tensor(np.ones(3))
         first = ad.Tensor(a.value.copy(), "first", (a, b), lambda g: (g, None))
-        ad.backward(ad.tsum(first))
+        ad.backward(total(first))
         assert b.grad is None
         assert_allclose(a.grad, np.ones(3))
 
@@ -152,7 +158,7 @@ class TestBackward:
         x, scale = ad.Tensor(np.arange(3.0)), ad.Tensor(2.0, op="const")
         scaled = ad.Tensor(x.value * 2.0, "scaled", (x, scale),
                            lambda g: (2.0 * g, (g * x.value).sum()))
-        ad.backward(ad.tsum(scaled))
+        ad.backward(total(scaled))
         assert scale.grad is None
         assert_allclose(x.grad, np.full(3, 2.0))
 
@@ -173,9 +179,9 @@ class TestBackward:
 
         def grad_of_loss(scale_f, scale_g):
             x = ad.Tensor(x0)
-            f = ad.tsum(ad.mul(x, x))
+            f = total(ad.mul(x, x))
             tenth = ad.Tensor(np.full(x0.shape, 0.1))
-            g = ad.tsum(ad.mul(ad.mul(x, x), ad.mul(x, tenth)))
+            g = total(ad.mul(ad.mul(x, x), ad.mul(x, tenth)))
             ad.backward(ad.add(ad.mul(ad.Tensor(scale_f), f),
                                ad.mul(ad.Tensor(scale_g), g)))
             return ad.grad_of(x)
@@ -193,7 +199,7 @@ class TestBackward:
             xw = ad.mul(x, w)
             # xw reaches the root by three paths, and w once more directly
             rows = ad.add(xw, ad.mul(xw, w))
-            loss = ad.tsum(ad.mul(xw, rows))
+            loss = total(ad.mul(xw, rows))
             ad.backward(loss)
             return float(loss.value), ad.grad_of(w).copy()
 
@@ -202,14 +208,55 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
 
+class TestSumOfSquares:
+    def tensors(self):
+        rng = np.random.default_rng(8)
+        return [ad.Tensor(rng.normal(size=shape)) for shape in ((3, 2), (4,), ())]
+
+    def test_is_one_node_over_its_tensors(self):
+        tensors = self.tensors()
+        node = ad.sum_of_squares(tensors)
+        assert node.op == "sum_of_squares"
+        assert ad.topo_order(node) == [*tensors, node]
+
+    def test_equals_the_composite_of_mul_total_and_add_bit_for_bit(self):
+        # each tensor's squares summed, then the sums added in order; the
+        # gradient 2 g t equals g t + g t from mul's two parents
+        def composite(tensors):
+            sums = [total(ad.mul(t, t)) for t in tensors]
+            out = sums[0]
+            for term in sums[1:]:
+                out = ad.add(out, term)
+            return out
+
+        fused, reference = self.tensors(), self.tensors()
+        ours, theirs = ad.sum_of_squares(fused), composite(reference)
+        assert ours.value == theirs.value
+        ad.backward(ad.mul(ours, ad.Tensor(0.3)))
+        ad.backward(ad.mul(theirs, ad.Tensor(0.3)))
+        for a, b in zip(fused, reference):
+            assert np.array_equal(a.grad, b.grad)
+            assert_allclose(a.grad, 0.6 * a.value, rtol=1e-15)
+
+    def test_passes_gradient_check(self):
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))}
+        report = ad.finite_diff_check(
+            lambda t: ad.sum_of_squares(t.values()), params, tolerance=1e-6)
+        assert report.passed, f"worst relative error {report.worst}"
+
+    def test_no_tensors_raises(self):
+        with pytest.raises(ValueError, match="no tensors"):
+            ad.sum_of_squares([])
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_loss_passes_tightly(self):
         rng = np.random.default_rng(42)
         params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))}
 
         def quad(t):
-            return ad.add(ad.tsum(ad.mul(t["w"], t["w"])),
-                          ad.tsum(ad.mul(t["b"], t["b"])))
+            return ad.sum_of_squares([t["w"], t["b"]])
 
         report = ad.finite_diff_check(quad, params, tolerance=1e-6)
         assert report.passed
@@ -225,8 +272,8 @@ class TestFiniteDiffCheck:
         params = {"ok": np.array([1.0, 2.0]), "bad": np.array([0.5, 1.5])}
 
         def loss(t):
-            return ad.add(ad.tsum(ad.mul(t["ok"], t["ok"])),
-                          ad.tsum(wrong_double(t["bad"])))
+            return ad.add(total(ad.mul(t["ok"], t["ok"])),
+                          total(wrong_double(t["bad"])))
 
         report = ad.finite_diff_check(loss, params)
         assert not report.passed

@@ -1,9 +1,11 @@
 """The benchmark's workloads call the package by module attribute; each name
-they read must exist, so a refactor that drops one fails here rather than in
-a benchmark run. `perfbench/tracing.py` is left out: it names tape
+they read must exist, and each call must bind to its function's signature,
+so a refactor that drops a name or a parameter fails here rather than in a
+benchmark run. `perfbench/tracing.py` is left out: it names tape
 primitives that may be absent on purpose."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,32 @@ def test_workloads_import_the_modules_under_these_aliases():
 @pytest.mark.parametrize("alias, name", module_attributes())
 def test_every_name_the_workloads_read_exists(alias, name):
     assert hasattr(MODULES[alias], name), f"{MODULES[alias].__name__} has no {name}"
+
+
+def module_calls():
+    """(alias, function, positional count, keyword names) for every distinct
+    `alias.function(...)` call in workloads.py."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id in MODULES]
+    # a starred argument would hide how many arguments a call passes
+    assert not any(isinstance(arg, ast.Starred) for node in calls for arg in node.args)
+    assert all(k.arg is not None for node in calls for k in node.keywords)
+    return sorted({(node.func.value.id, node.func.attr, len(node.args),
+                    tuple(sorted(k.arg for k in node.keywords))) for node in calls})
+
+
+CALLS = module_calls()
+
+
+@pytest.mark.parametrize("alias, name, positional, keywords", CALLS,
+                         ids=[f"{alias}.{name}/{positional}/{'+'.join(keywords)}"
+                              for alias, name, positional, keywords in CALLS])
+def test_every_call_the_workloads_make_binds(alias, name, positional, keywords):
+    # placeholders stand in for the values: only the argument shape is checked
+    signature = inspect.signature(getattr(MODULES[alias], name))
+    signature.bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
 def cli_command_lines():

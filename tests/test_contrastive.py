@@ -23,22 +23,27 @@ def embed(rows):
     return np.array(rows, dtype=np.float64)
 
 
+def neighbor_means(view, e):
+    """Each node's mean cosine similarity to its neighbors; -inf if isolated."""
+    return cl._neighbor_means(view, cl._unit_rows(e))
+
+
 class TestNeighborhoodSimilarity:
     def test_identical_neighbors_score_one(self):
         view = view_from_incidence([[1.0, 1.0]])
         e = embed([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
-        assert_allclose(cl.neighborhood_similarities(view, e)[0], 1.0)
+        assert_allclose(neighbor_means(view, e)[0], 1.0)
 
     def test_mean_of_cosines_one_and_zero(self):
         view = view_from_incidence([[1.0, 1.0]])
         e = embed([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        assert_allclose(cl.neighborhood_similarities(view, e)[0], 0.5)
+        assert_allclose(neighbor_means(view, e)[0], 0.5)
 
     def test_isolated_node_gets_sentinel(self):
         view = view_from_incidence([[1.0, 0.0], [0.0, 0.0]])
         e = np.ones((4, 2))
-        assert cl.neighborhood_similarities(view, e)[1] == -np.inf
-        assert cl.neighborhood_similarities(view, e)[3] == -np.inf
+        assert neighbor_means(view, e)[1] == -np.inf
+        assert neighbor_means(view, e)[3] == -np.inf
 
 
 def pick_anchor(view, e):
@@ -112,8 +117,8 @@ class TestAnchorSet:
 
     @staticmethod
     def reference_anchor_set(view, e, cfg):
-        """The anchor set from the public similarity function, by its own argmax."""
-        sims = cl.neighborhood_similarities(view, e)
+        """The anchor set from the neighbor means, by its own argmax."""
+        sims = neighbor_means(view, e)
         anchor = int(np.argmax(sims))  # ties pick the lowest index
         eligible = ~np.isneginf(sims)
         norms = np.linalg.norm(e, axis=1, keepdims=True)
@@ -556,7 +561,7 @@ def mean_step(patch, stack, num_views, operator):
 class TestHgclMeanStep:
     """`hgcl_stack`'s means: (operator @ raveled stack) * (1/n), and back."""
 
-    def test_sums_then_scales_like_tsum(self, monkeypatch):
+    def test_sums_then_scales(self, monkeypatch):
         # (sum of the picked entries) * (1/n), in the order a sum over rows adds
         rng = np.random.default_rng(9)
         num_views, n, d = 3, 7, 5
@@ -666,7 +671,7 @@ class TestPlantedEpochSchedule:
         functions = [name for name, value in vars(ad).items()
                      if callable(value) and getattr(value, "__module__", None)
                      == ad.__name__]
-        assert {"Tensor", "backward", "add", "mul", "tsum"} <= set(functions)
+        assert {"Tensor", "backward", "add", "mul", "sum_of_squares"} <= set(functions)
         for name in functions:
             monkeypatch.setattr(ad, name, fail)
         cfg = ev.ExperimentConfig()
