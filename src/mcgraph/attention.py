@@ -33,12 +33,12 @@ and the regularizer see a single vector while the encoder reads names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
-from .graph import BlockGraph, CriterionView, block_graph
+from .graph import BlockGraph, CriterionView
 
 LEAKY_SLOPE = 0.2
 
@@ -288,16 +288,7 @@ def global_attention_scores(h_local: np.ndarray, global_weight: np.ndarray) -> n
     return _softmax_rows(np.maximum(h_local @ global_weight, 0.0))
 
 
-def encode_views(views: Sequence[CriterionView], params: Mapping[str, np.ndarray],
-                 config: EncoderConfig, use_global: bool = True) -> list[ViewEmbedding]:
-    """Encode every view in one pass over their block-diagonal graph."""
-    graph = block_graph(views)
-    stack = encode_stack(graph, params, config, use_global)[0]
-    blocks = stack.reshape(graph.num_views, graph.num_nodes, -1)
-    return [ViewEmbedding(criterion_index=v.criterion_index, matrix=block)
-            for v, block in zip(views, blocks)]
-
-
 def encode_view(view: CriterionView, params: Mapping[str, np.ndarray],
                 config: EncoderConfig, use_global: bool = True) -> ViewEmbedding:
-    return encode_views([view], params, config, use_global)[0]
+    return ViewEmbedding(view.criterion_index,
+                         encode_stack(view.block, params, config, use_global)[0])

@@ -60,8 +60,9 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _number_list(text: str, flag: str, kind: type = float) -> list:
-    """Comma-separated numbers of `kind`; a list with no number in it, or a
-    non-finite entry, fails naming the flag."""
+    """Comma-separated numbers of `kind`; a list with no number in it, a
+    non-finite number or an integer below 1 (the integer lists hold counts
+    and widths) fails naming the flag."""
     noun = "integers" if kind is int else "numbers"
     try:
         values = [kind(part) for part in text.split(",") if part.strip()]
@@ -69,8 +70,9 @@ def _number_list(text: str, flag: str, kind: type = float) -> list:
         raise ValueError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} lists no {noun}, got {text!r}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{flag} entries must be finite, got {text!r}")
+    need = "at least 1" if kind is int else "finite"
+    if not (min(values) >= 1 if kind is int else np.all(np.isfinite(values))):
+        raise ValueError(f"{flag} entries must be {need}, got {text!r}")
     return values
 
 

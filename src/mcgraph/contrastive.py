@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from . import attention as att
 from . import autodiff as ad
 from .dataset import DatasetError
-from .graph import CriterionView, block_graph
+from .graph import CriterionView, Views
 
 if TYPE_CHECKING:  # evaluate imports this module
     from .evaluate import ExperimentConfig
@@ -503,11 +503,12 @@ def adam_update(params: np.ndarray, grads: np.ndarray, state: AdamState,
 # ---------------------------------------------------------------------------
 # training loop
 
-def train(views: Sequence[CriterionView], cfg: ExperimentConfig, seed: int,
+def train(views: Views, cfg: ExperimentConfig, seed: int,
           epochs: int | None = None
           ) -> tuple[dict[str, np.ndarray], list[LossReport]]:
     """Optimize encoder parameters on the views; deterministic per seed.
 
+    The encoder runs on `views.block`, which `evaluate.fit` then reuses.
     `cfg` is the experiment config: `train` reads its `loss` and `encoder`
     sections, `learning_rate`, `epochs` (unless `epochs` is given),
     `refresh_period`, `clip_norm`, `use_contrastive` and
@@ -524,7 +525,6 @@ def train(views: Sequence[CriterionView], cfg: ExperimentConfig, seed: int,
     trace: list[LossReport] = []
     plan: ContrastPlan | None = None
     use_cl = cfg.use_contrastive and len(views) >= 2
-    blocks = block_graph(views) if use_cl else None
     decay = 2.0 * cfg.loss.l2_weight
 
     grad_views = unflatten(grad, initial)
@@ -534,7 +534,7 @@ def train(views: Sequence[CriterionView], cfg: ExperimentConfig, seed: int,
             np.multiply(theta, decay, out=grad)
             if use_cl:
                 stack, keys, encoder_back = att.encode_stack(
-                    blocks, params, cfg.encoder, cfg.use_global_attention)
+                    views.block, params, cfg.encoder, cfg.use_global_attention)
                 if plan is None or epoch % cfg.refresh_period == 0:
                     plan = build_plan(
                         views, stack.reshape(len(views), num_nodes, -1),

@@ -18,7 +18,7 @@ from .contrastive import LossConfig, LossReport, NonFiniteLossError, train
 from .dataset import (TS_PERCENTS, DatasetError, RatingDataset, from_columns,
                       header_criteria, load_ratings, pair_codes, split_train_test,
                       subsample_train, subset)
-from .graph import build_views
+from .graph import Views, build_views
 from .recommend import PredictorConfig
 
 VARIANT_LABELS = {
@@ -354,12 +354,12 @@ def fit(cfg: ExperimentConfig, train_data: RatingDataset, seed: int) -> FittedMo
     return _with_head(cfg, train_data, views, *train(views, cfg, seed))
 
 
-def _with_head(cfg: ExperimentConfig, train_data: RatingDataset, views: list,
+def _with_head(cfg: ExperimentConfig, train_data: RatingDataset, views: Views,
                params: dict, trace: list, predictor=None) -> FittedModel:
-    """Encode and fuse the train views; fit the head unless `predictor` is given."""
-    matrices = [e.matrix for e in att.encode_views(
-        views, params, cfg.encoder, cfg.use_global_attention)]
-    fused = rec.fuse(matrices, train_data.num_users)
+    """Encode the train views on `views.block`, the graph `train` trained on,
+    and fuse them; fit the head unless `predictor` is given."""
+    stack = att.encode_stack(views.block, params, cfg.encoder, cfg.use_global_attention)[0]
+    fused = rec.fuse(np.split(stack, len(views)), train_data.num_users)
     predictor = predictor or rec.train_predictor(fused, train_data, cfg.predictor)
     return FittedModel(params, trace, train_data, fused, predictor)
 

@@ -14,8 +14,8 @@ neighbors. For H attention heads it also keeps one head-stacked CSR whose
 nonzeros are the edges, built on first use: `BlockGraph.edge_product`
 writes per-edge, per-head weights into its shared data buffer and
 multiplies, so an α-weighted sum over every center's neighbors is one
-sparse-dense product. A view's own one-block graph is built on first use
-and kept.
+sparse-dense product. `view.block` (one view) and `Views.block` (a fit's
+views, shared by training and the rating head) are built once and kept.
 """
 
 from __future__ import annotations
@@ -137,10 +137,8 @@ class BlockGraph:
 def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
     """Stack the views' edges once; every encoder pass over them reuses it."""
     n = views[0].num_nodes
-    centers = np.concatenate([v.neighbor_arrays()[0] + k * n
-                              for k, v in enumerate(views)])
-    neighbors = np.concatenate([v.neighbor_arrays()[1] + k * n
-                                for k, v in enumerate(views)])
+    centers, neighbors = (np.concatenate([v.neighbor_arrays()[side] + k * n
+                                          for k, v in enumerate(views)]) for side in (0, 1))
     size, ones = len(views) * n, np.ones(centers.size)
 
     def segment_sum(rows: np.ndarray) -> sp.csr_matrix:
@@ -156,6 +154,15 @@ def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
         centers=centers, neighbors=neighbors, center_sum=center_sum,
         neighbor_sum=segment_sum(neighbors),
         run_starts=center_sum.indptr[:-1][runs > 0], run_lengths=runs[runs > 0])
+
+
+class Views(tuple):
+    """One fit's criterion views; `views.block` is all of them as `view.block` is one."""
+
+    @functools.cached_property
+    def block(self) -> BlockGraph:
+        """The views as one `BlockGraph`, built on first use and kept."""
+        return block_graph(self)
 
 
 def extend_adjacency(incidence) -> sp.csr_matrix:
@@ -190,7 +197,7 @@ def degree_vector(extended) -> np.ndarray:
     return np.asarray(sp.csr_matrix(extended).sum(axis=1)).ravel()
 
 
-def build_views(train: RatingDataset) -> list[CriterionView]:
+def build_views(train: RatingDataset) -> Views:
     """One CriterionView per criterion; zero criterion scores leave no edge."""
     if len(train) == 0:
         raise DatasetError("cannot build graph views from an empty dataset")
@@ -214,4 +221,4 @@ def build_views(train: RatingDataset) -> list[CriterionView]:
             degrees=degree_vector(extended),
             adjacency=normalize_adjacency(extended),
         ))
-    return views
+    return Views(views)

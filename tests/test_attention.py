@@ -331,15 +331,16 @@ class TestBlockDiagonalEncoder:
             assert np.array_equal(out[2 * n:], np.zeros((n, width)))
 
     def test_stacked_encoding_matches_one_view_at_a_time(self):
-        views = self.views(3)
+        views = graph.Views(self.views(3))
         cfg = att.EncoderConfig(num_heads=2, feature_dim=3, head_dim=2)
         params = att.init_params(views[0].num_nodes, 3, cfg, seed=4)
+        assert views.block.view_indices == (1, 2, 3)
         for use_global in (True, False):
-            stacked = att.encode_views(views, params, cfg, use_global)
-            for view, emb in zip(views, stacked):
+            stack = att.encode_stack(views.block, params, cfg, use_global)[0]
+            for view, block in zip(views, np.split(stack, len(views))):
                 alone = att.encode_view(view, params, cfg, use_global)
-                assert emb.criterion_index == alone.criterion_index
-                assert_allclose(emb.matrix, alone.matrix, rtol=1e-12, atol=1e-12)
+                assert alone.criterion_index == view.criterion_index
+                assert_allclose(block, alone.matrix, rtol=1e-12, atol=1e-12)
 
     def check_stack_gradients(self, count, seed):
         """Two-layer, two-head `encode_stack` of `count` views against

@@ -1,15 +1,19 @@
 """The benchmark's workloads call the package by module attribute; each name
 they read must exist, and each call must bind to its function's signature,
 so a refactor that drops a name or a parameter fails here rather than in a
-benchmark run. `perfbench/tracing.py` is left out: it names tape
-primitives that may be absent on purpose."""
+benchmark run. Likewise each function `perfbench/tracing.py` wraps for a
+per-layer metric must exist, since the tracer skips a missing one and its
+metric then reads 0; the tape primitives it names are left out, as some are
+absent on purpose."""
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
 
+import mcgraph
 from mcgraph import attention, cli, contrastive, dataset, evaluate, graph, recommend
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -84,3 +88,17 @@ def test_workloads_run_the_cli():
 def test_every_command_line_the_workloads_run_parses(argv):
     args = cli.build_parser().parse_args(argv)  # a usage error exits here
     assert args.command == argv[0]
+
+
+def test_every_function_the_tracer_wraps_exists():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", WORKLOADS.with_name("tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # the tracer looks each name up in its owner's own namespace
+    missing = [f"{owner.__name__.removeprefix('mcgraph.')}.{name}"
+               for owner, name, _, _ in tracing._targets(mcgraph)
+               if not (owner is mcgraph.autodiff and name in tracing.PRIMITIVES)
+               and name not in vars(owner)]
+    # scoring is `predict_many` now; ROADMAP item 1 drops this name from the benchmark
+    assert missing == ["recommend.predict_rating"]

@@ -799,7 +799,11 @@ class TestSweep:
             ("dims", "--dims"), ("criteria", "--counts"),
             ("sensitivity", "--alphas"), ("sensitivity", "--betas"),
             ("sensitivity", "--lambdas")] for value in (",", " , ")],
-        ("sensitivity", "--alphas", "")])
+        ("sensitivity", "--alphas", ""),
+        # a count or a width below 1 is no number these lists can hold
+        *[(kind, flag, value)
+          for kind, flag in [("dims", "--dims"), ("criteria", "--counts")]
+          for value in ("0", "-12")]])
     def test_number_list_without_numbers_is_usage(self, tmp_path, fast_cfg,
                                                   capsys, kind, flag, value):
         out = tmp_path / "out"

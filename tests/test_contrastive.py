@@ -15,7 +15,7 @@ from mcgraph import autodiff as ad
 from mcgraph import contrastive as cl
 from mcgraph import evaluate as ev
 from mcgraph.dataset import DatasetError
-from mcgraph.graph import build_views
+from mcgraph.graph import Views, build_views
 from tests.test_attention import view_from_incidence
 
 
@@ -135,9 +135,10 @@ class TestAnchorSet:
         cfg = ev.ExperimentConfig()
         views = build_views(ev.prepared_data(cfg)[0])
         params = att.init_params(views[0].num_nodes, len(views), cfg.encoder, seed)
-        for view, emb in zip(views, att.encode_views(views, params, cfg.encoder)):
-            anchors = cl.build_anchor_set(view, emb.matrix, cfg.loss)
-            anchor, arrays = self.reference_anchor_set(view, emb.matrix, cfg.loss)
+        stack = att.encode_stack(views.block, params, cfg.encoder)[0]
+        for view, emb in zip(views, np.split(stack, len(views))):
+            anchors = cl.build_anchor_set(view, emb, cfg.loss)
+            anchor, arrays = self.reference_anchor_set(view, emb, cfg.loss)
             assert anchors.anchor == anchor
             got = [anchors.positives, anchors.negative_pool, anchors.eligible]
             for ours, ref in zip(got, arrays):
@@ -707,7 +708,7 @@ class TestTrain:
         return ev.ExperimentConfig(**base)
 
     def test_zero_epochs_returns_initial_params(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         params, trace = cl.train(views, cfg, seed=1, epochs=0)
         expected = att.init_params(8, 2, cfg.encoder, seed=1)
@@ -716,7 +717,7 @@ class TestTrain:
             assert np.array_equal(params[key], expected[key])
 
     def test_same_seed_is_bit_identical(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         p1, t1 = cl.train(views, cfg, seed=9)
         p2, t2 = cl.train(views, cfg, seed=9)
@@ -725,19 +726,19 @@ class TestTrain:
             assert np.array_equal(p1[key], p2[key])
 
     def test_different_seeds_differ(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         _, t1 = cl.train(views, cfg, seed=1)
         _, t2 = cl.train(views, cfg, seed=2)
         assert t1 != t2
 
     def test_loss_decreases_on_small_instance(self):
-        views = two_view_setup(seed=5)
+        views = Views(two_view_setup(seed=5))
         _, trace = cl.train(views, self.tiny_config(epochs=30), seed=0)
         assert trace[-1].l_total < trace[0].l_total
 
     def test_report_identity_on_real_trace(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         _, trace = cl.train(views, cfg, seed=3)
         for r in trace:
@@ -745,18 +746,18 @@ class TestTrain:
                 + cfg.loss.beta * r.l_hgcl + cfg.loss.l2_weight * r.l2_term
 
     def test_epoch_numbers_start_at_one(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         _, trace = cl.train(views, self.tiny_config(), seed=0, epochs=3)
         assert [r.epoch for r in trace] == [1, 2, 3]
 
     def test_non_finite_loss_aborts_with_epoch(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config(loss=cl.LossConfig(temperature=1e-6, num_negatives=2))
         with pytest.raises(cl.NonFiniteLossError, match="epoch 1"):
             cl.train(views, cfg, seed=0)
 
     def test_nan_gradient_aborts_before_the_update(self, monkeypatch):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         seen = []
         encode = att.encode_stack
@@ -785,7 +786,7 @@ class TestTrain:
             assert np.array_equal(value, initial[key])
 
     def test_contrastive_disabled_reports_zero_losses(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config(variant="no_global_attention_no_cl")
         _, trace = cl.train(views, cfg, seed=0, epochs=4)
         for r in trace:
@@ -793,7 +794,7 @@ class TestTrain:
             assert r.l_total == cfg.loss.l2_weight * r.l2_term
 
     def test_l2_term_is_total_loss_l2(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         _, trace = cl.train(views, cfg, seed=2, epochs=1)
         initial = att.init_params(8, 2, cfg.encoder, seed=2)
@@ -802,7 +803,7 @@ class TestTrain:
         assert trace[0].l_total == report.l_total
 
     def test_returns_init_params_layout_as_views_of_one_vector(self):
-        views = two_view_setup()
+        views = Views(two_view_setup())
         cfg = self.tiny_config()
         params, _ = cl.train(views, cfg, seed=1, epochs=2)
         initial = att.init_params(8, 2, cfg.encoder, seed=1)
@@ -831,7 +832,7 @@ class TestTrain:
         def fail(*args, **kwargs):
             raise AssertionError("the encoder ran without a contrastive loss")
         monkeypatch.setattr(att, "encode_stack", fail)
-        views = two_view_setup()[:num_views]
+        views = Views(two_view_setup()[:num_views])
         cfg = self.tiny_config(variant=variant, clip_norm=0.05)
         params, trace = cl.train(views, cfg, seed=6, epochs=7)
 

@@ -1,9 +1,11 @@
 """Experiment harness: metrics, configs, planted data, runs, sweeps, reports."""
 
+import gc
 import json
 import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,7 @@ from mcgraph import cli
 from mcgraph import contrastive as cl
 from mcgraph import dataset as ds
 from mcgraph import evaluate as ev
+from mcgraph import graph
 from mcgraph import recommend as rec
 from mcgraph.contrastive import LossConfig
 from mcgraph.graph import build_views
@@ -383,6 +386,60 @@ class TestFit:
         ev.save_model(model, tmp_path / "model.npz")
         loaded = ev.load_model(cfg, train_data, tmp_path / "model.npz")
         assert np.array_equal(loaded.predict(test_data), model.predict(test_data))
+
+    @pytest.mark.parametrize("variant", ev.VARIANTS)
+    def test_one_block_graph_per_fit_and_per_load(self, tmp_path, monkeypatch, variant):
+        real, built = graph.block_graph, []
+
+        def counting(views):
+            built.append(views)
+            return real(views)
+        # under every name a module looked it up by
+        for name, module in list(sys.modules.items()):
+            if name == "mcgraph" or name.startswith("mcgraph."):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counting)
+        cfg = fast_config(variant=variant)
+        train_data, _ = ev.prepared_data(cfg)
+        model = ev.fit(cfg, train_data, seed=1)
+        assert len(built) == 1
+        ev.save_model(model, tmp_path / "model.npz")
+        ev.load_model(cfg, train_data, tmp_path / "model.npz")
+        assert len(built) == 2
+
+    def test_train_and_head_encode_on_the_views_block(self, monkeypatch):
+        made, graphs = [], []
+        build, encode = ev.build_views, att.encode_stack
+
+        def building(data):
+            made.append(build(data))
+            return made[-1]
+
+        def encoding(blocks, *args):
+            graphs.append(blocks)
+            return encode(blocks, *args)
+        monkeypatch.setattr(ev, "build_views", building)
+        monkeypatch.setattr(att, "encode_stack", encoding)
+        cfg = fast_config()
+        ev.fit(cfg, ev.prepared_data(cfg)[0], seed=0)
+        assert len(made) == 1 and len(graphs) == cfg.epochs + 1
+        assert all(blocks is made[0].block for blocks in graphs)
+
+    def test_a_fit_leaves_no_reference_cycle(self):
+        cfg = fast_config()
+        train_data, _ = ev.prepared_data(cfg)
+        gc.collect()
+        gc.disable()  # so that no collection runs before the check
+        try:
+            views = build_views(train_data)
+            params, trace = cl.train(views, cfg, seed=0)
+            model = ev._with_head(cfg, train_data, views, params, trace)
+            embeddings = [att.encode_view(v, params, cfg.encoder) for v in views]
+            del views, params, trace, model, embeddings
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_benchmark_scale_calls_match_fit(self):
         # perfbench's scale workload drives the pipeline through these calls

@@ -110,12 +110,23 @@ def small_dataset():
 
 
 class TestBuildViews:
-    def test_one_view_per_criterion(self):
+    def test_one_view_per_criterion(self, monkeypatch):
         views = graph.build_views(small_dataset())
+        assert type(views) is graph.Views
         assert len(views) == 3
         assert [v.criterion_index for v in views] == [1, 2, 3]
         for v in views:
             assert v.adjacency.shape == (4, 4)
+        # the views' block graph is built on first use, once, and kept
+        real, built = graph.block_graph, []
+
+        def counting(views):
+            built.append(views)
+            return real(views)
+        monkeypatch.setattr(graph, "block_graph", counting)
+        block = views.block
+        assert views.block is block and len(built) == 1 and built[0] is views
+        assert block.view_indices == (1, 2, 3) and block.num_nodes == 4
 
     def test_edge_weights_are_criterion_scores(self):
         views = graph.build_views(small_dataset())
