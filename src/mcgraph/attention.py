@@ -19,7 +19,11 @@ operators (`S @ values`). The α-weighted sum of neighbour projections is
 one sparse-dense product (g-SpMM, as in DGL and PyG) with the graph's
 cached head-stacked operator (`BlockGraph.edge_product`), whose nonzeros
 are the (E, H) coefficients, so no per-edge message array is built; the
-backward multiplies by the transpose. `encode_stack` is the two kernel
+backward multiplies by the transpose. The backward's (E, H) score
+gradient is `graph.edge_dots` (g-SDDMM) over fixed edge tiles, and the
+softmax backward's per-center row term comes from the layer's pre-ELU
+output (the row term D = rowsum(dO * O) of FlashAttention's backward), so
+no (E, H, F') array is built either. `encode_stack` is the two kernel
 calls whatever the number of views and heads; encoding one view is the
 one-block case. `encode_view_tensors` wraps it as one autodiff tape node
 for gradient checks.
@@ -38,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .graph import BlockGraph, CriterionView
+from .graph import BlockGraph, CriterionView, edge_dots
 
 LEAKY_SLOPE = 0.2
 
@@ -150,6 +154,13 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
     heads one sparse product (`graph.edge_product`); its transpose gives
     the backward's message term of d P. The gate scales each view's rows
     by n * softmax(ReLU(h wg)) over that view's nodes.
+
+    In the backward, with G the gradient of that pre-ELU head output, the
+    coefficients' gradient G[center] . P_k[neighbor] is one dot per edge
+    and head, taken tile by tile (`graph.edge_dots`). The softmax
+    backward subtracts each center's coefficient-weighted mean of it,
+    sum_e coeffs[e, k] G[c] . P_k[neighbors[e]] = G[c] . (head k of c's
+    output), which is read from the output instead of summed over edges.
     """
     num_views, n = graph.num_views, graph.num_nodes
     num_heads, head_dim = w_in.shape[0] // num_views, w_in.shape[1]
@@ -198,9 +209,10 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
             d_wg = np.einsum("vn,vnd->vd", d_pre, act_v)
         d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
         d_rows = d_local.reshape(-1, num_heads, head_dim)
-        d_coeffs = np.einsum("ehd,ehd->eh", np.take(d_rows, centers, axis=0),
-                             np.take(proj, neighbors, axis=0))
-        weighted = graph.center_sum @ (coeffs * d_coeffs)
+        d_coeffs = edge_dots(d_rows, proj, centers, neighbors)
+        # the softmax row term, read from the pre-ELU output
+        weighted = np.einsum("nhd,nhd->nh", d_rows,
+                             local.reshape(-1, num_heads, head_dim))
         d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0)) * slope
         d_src = (graph.center_sum @ d_raw).reshape(num_views, n, num_heads)
         d_dst = (graph.neighbor_sum @ d_raw).reshape(num_views, n, num_heads)

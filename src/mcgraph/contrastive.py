@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from . import attention as att
 from . import autodiff as ad
 from .dataset import DatasetError
-from .graph import CriterionView, Views
+from .graph import CriterionView, Views, edge_dots
 
 if TYPE_CHECKING:  # evaluate imports this module
     from .evaluate import ExperimentConfig
@@ -151,7 +151,7 @@ def _neighbor_means(view: CriterionView, unit: np.ndarray) -> np.ndarray:
     """Mean cosine similarity of each node to its neighbors, for embeddings
     whose unit rows are `unit`; -inf if isolated."""
     centers, neighbors = view.neighbor_arrays()
-    edge_sims = np.einsum("ij,ij->i", unit[centers], unit[neighbors])
+    edge_sims = edge_dots(unit, unit, centers, neighbors)
     totals = np.bincount(centers, weights=edge_sims, minlength=view.num_nodes)
     counts = np.bincount(centers, minlength=view.num_nodes)
     out = np.full(view.num_nodes, -np.inf)
@@ -273,8 +273,8 @@ def _info_nce(source: np.ndarray, anchors: np.ndarray, candidates: np.ndarray,
     quotient it reaches the anchor and the candidate rows, and one scatter
     adds both into the source rows.
     """
-    left = source[anchors[:, None]]                  # (T, 1, d)
-    right = source[candidates]                       # (T, 1+K, d)
+    left = np.take(source, anchors[:, None], axis=0)  # (T, 1, d)
+    right = np.take(source, candidates, axis=0)       # (T, 1+K, d)
     norm_left = np.sqrt((left * left).sum(-1))       # (T, 1)
     norm_right = np.sqrt((right * right).sum(-1))    # (T, 1+K)
     denom = norm_left * norm_right

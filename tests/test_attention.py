@@ -1,5 +1,7 @@
 """Dual-attention encoder against brute-force oracles and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -454,6 +456,143 @@ class TestBlockDiagonalEncoder:
 
     def test_two_heads_two_views_stack_passes_gradient_check(self):
         self.check_stack_gradients(2, seed=9)
+
+    def test_multi_tile_stack_passes_gradient_check(self, monkeypatch):
+        # 7 edges per score-gradient tile: every view spans several tiles
+        monkeypatch.setattr(graph, "EDGE_TILE", 7 * self.num_heads * self.head_dim)
+        assert graph.block_graph(self.views(3)).centers.size > 2 * 7
+        self.check_stack_gradients(3, seed=5)
+
+
+def random_blocks(count, seed, users=7, items=5, density=0.5):
+    """`count` random views of one node set; user 0 and the last item rate
+    nothing, so every view has isolated nodes."""
+    rng = np.random.default_rng(seed)
+    views = []
+    for c in range(count):
+        b = rng.uniform(1, 5, size=(users, items)) * (rng.uniform(size=(users, items)) < density)
+        b[0, :] = b[:, -1] = 0.0
+        views.append(view_from_incidence(b, criterion_index=c + 1))
+    return graph.block_graph(views)
+
+
+def layer_inputs(blocks, first, use_global, num_heads, head_dim, seed):
+    """Random (h_in, w, a, wg) for `_dual_attention` of every view of `blocks`."""
+    rng = np.random.default_rng(seed)
+    count, n, width = blocks.num_views, blocks.num_nodes, num_heads * head_dim
+    fan_in = 3 if first else width
+    return (rng.normal(size=(n if first else count * n, fan_in)),
+            rng.normal(size=(count * num_heads, head_dim, fan_in)),
+            rng.normal(size=(count * num_heads, 2 * head_dim)),
+            rng.normal(size=(count, width)) if use_global else None)
+
+
+def composite_back(h_in, w_in, a_in, wg, blocks, first, g):
+    """The layer backward as `_dual_attention` computed it with whole gathers:
+    (E, H, F') rows of both operands for the score gradient, and the softmax
+    row term summed over edges, center_sum @ (coeffs * d_coeffs)."""
+    v, n, c, nb = blocks.num_views, blocks.num_nodes, blocks.centers, blocks.neighbors
+    num_heads, head_dim = w_in.shape[0] // v, w_in.shape[1]
+    width, edges = num_heads * head_dim, c.size
+    w = w_in.reshape(v, width, -1)
+    a = a_in.reshape(v, num_heads, 2, head_dim)
+    h_views = (np.broadcast_to(h_in, (v,) + h_in.shape) if first
+               else h_in.reshape(v, n, -1))
+    proj_v = (h_views @ w.transpose(0, 2, 1)).reshape(v, n, num_heads, head_dim)
+    proj = proj_v.reshape(v * n, num_heads, head_dim)
+    s_src, s_dst = (np.einsum("vnhd,vhd->vnh", proj_v, a[:, :, side]).reshape(v * n, -1)
+                    for side in (0, 1))
+    raw = s_src[c] + s_dst[nb]
+    slope = np.where(raw > 0.0, 1.0, att.LEAKY_SLOPE)
+    _, coeffs, factor, _ = att._dual_attention(h_in, w_in, a_in, wg, blocks, first)
+    local = blocks.center_sum @ (coeffs[:, :, None] * proj[nb]).reshape(edges, -1)
+    act = np.where(local > 0.0, local, np.expm1(local)) if first else local
+    d_act, d_wg = g, None
+    if wg is not None:
+        act_v, g_v, probs = act.reshape(v, n, width), g.reshape(v, n, width), factor / n
+        pre = (act_v @ wg[:, :, None])[:, :, 0]
+        d_probs = (g_v * act_v).sum(axis=2) * n
+        d_pre = probs * (d_probs - (probs * d_probs).sum(axis=1, keepdims=True)) * (pre > 0.0)
+        d_act = (g_v * factor[:, :, None] + d_pre[:, :, None] * wg[:, None, :]).reshape(-1, width)
+        d_wg = np.einsum("vn,vnd->vd", d_pre, act_v)
+    d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
+    d_rows = d_local.reshape(-1, num_heads, head_dim)
+    d_coeffs = np.einsum("ehd,ehd->eh", d_rows[c], proj[nb])
+    weighted = blocks.center_sum @ (coeffs * d_coeffs)
+    d_raw = coeffs * (d_coeffs - weighted[c]) * slope
+    d_src = (blocks.center_sum @ d_raw).reshape(v, n, num_heads)
+    d_dst = (blocks.neighbor_sum @ d_raw).reshape(v, n, num_heads)
+    d_proj = (blocks.neighbor_sum @ (coeffs[:, :, None] * d_rows[c]).reshape(edges, -1)
+              ).reshape(v, n, num_heads, head_dim)
+    d_proj += d_src[..., None] * a[:, None, :, 0] + d_dst[..., None] * a[:, None, :, 1]
+    d_a = np.stack([np.einsum("vnh,vnhd->vhd", d, proj_v) for d in (d_src, d_dst)], axis=2)
+    d_proj = d_proj.reshape(v, n, width)
+    d_w = d_proj.transpose(0, 2, 1) @ h_views
+    d_h = (np.einsum("vnk,vkf->nf", d_proj, w) if first
+           else (d_proj @ w).reshape(v * n, -1))
+    return d_h, d_w.reshape(w_in.shape), d_a.reshape(a_in.shape), d_wg
+
+
+class TestTiledScoreGradient:
+    """The layer backward's edge-tiled score gradient and output-side softmax
+    row term, against one tile, the whole-gather composite and a memory bound."""
+
+    num_heads, head_dim = 2, 3
+
+    def back(self, blocks, first, use_global, seed):
+        inputs = layer_inputs(blocks, first, use_global, self.num_heads,
+                              self.head_dim, seed)
+        out, _, _, back = att._dual_attention(*inputs, blocks, first=first)
+        return inputs, back, np.random.default_rng(seed + 1).normal(size=out.shape)
+
+    @pytest.mark.parametrize("edgeless", [False, True])
+    @pytest.mark.parametrize("use_global", [True, False])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_tiles_match_one_tile(self, monkeypatch, edgeless, use_global, first):
+        blocks = (graph.block_graph([view_from_incidence(np.zeros((3, 2)))])
+                  if edgeless else random_blocks(3, seed=2))
+        edges = blocks.centers.size
+        assert edges == 0 if edgeless else edges > 2 * 7 and edges % 7 != 0
+        _, back, g = self.back(blocks, first, use_global, seed=3)
+        one_tile = back(g)
+        # 7 edges per tile; the last tile is ragged
+        monkeypatch.setattr(graph, "EDGE_TILE", 7 * self.num_heads * self.head_dim)
+        tiled = back(g)
+        assert (tiled[3] is None) == (one_tile[3] is None) == (not use_global)
+        for got, want in zip(tiled, one_tile):
+            if want is not None:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("use_global", [True, False])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_matches_the_whole_gather_composite(self, seed, use_global, first):
+        blocks = random_blocks(1 + seed, seed=10 + seed, users=6 + seed)
+        inputs, back, g = self.back(blocks, first, use_global, seed=20 + seed)
+        want = composite_back(*inputs, blocks, first, g)
+        for got, ref in zip(back(g), want):
+            if ref is None:
+                assert got is None
+            else:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_back_never_holds_an_edge_by_head_by_dim_array(self, first):
+        # dense views: the edges far outnumber the nodes, and F' = 16
+        blocks = random_blocks(3, seed=4, users=60, items=60, density=0.9)
+        head_dim, edges = 16, blocks.centers.size
+        inputs = layer_inputs(blocks, first, True, self.num_heads, head_dim, seed=5)
+        out, _, _, back = att._dual_attention(*inputs, blocks, first=first)
+        g = np.random.default_rng(6).normal(size=out.shape)
+        gather_bytes = edges * self.num_heads * head_dim * 8
+        assert graph.EDGE_TILE * 8 * 2 < gather_bytes / 4  # several tiles
+        tracemalloc.start()
+        try:
+            back(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gather_bytes
 
 
 class TestEncoderConfigValidation:

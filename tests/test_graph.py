@@ -175,3 +175,24 @@ class TestBuildViews:
                            np.zeros((0, data.num_criteria)))
         with pytest.raises(DatasetError, match="empty dataset"):
             graph.build_views(empty)
+
+
+class TestEdgeDots:
+    @pytest.mark.parametrize("row_shape", [(5,), (2, 3)])
+    def test_tiles_equal_one_whole_gather(self, monkeypatch, row_shape):
+        rng = np.random.default_rng(1)
+        left, right = rng.normal(size=(2, 9) + row_shape)
+        centers, neighbors = rng.integers(0, 9, size=(2, 40))
+        want = np.einsum("e...d,e...d->e...", left[centers], right[neighbors])
+        width = int(np.prod(row_shape))
+        # one edge, 7 edges (ragged last tile) and one tile
+        for edges_per_tile in (1, 7, 40):
+            monkeypatch.setattr(graph, "EDGE_TILE", edges_per_tile * width)
+            got = graph.edge_dots(left, right, centers, neighbors)
+            assert got.shape == (40,) + row_shape[:-1]
+            assert np.array_equal(got, want)
+
+    def test_no_edges_give_an_empty_result(self):
+        rows = np.ones((3, 2, 4))
+        empty = np.zeros(0, dtype=np.intp)
+        assert graph.edge_dots(rows, rows, empty, empty).shape == (0, 2)
