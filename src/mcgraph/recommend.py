@@ -11,15 +11,17 @@ deterministic and needs no step-size schedule. UserKNN, its multi-criteria
 variant, and multiple linear regression serve as reference predictors.
 
 The KNN baselines never build a dense (users x items) or (users x users)
-array. Ratings live in one sparse CSR per criterion; user-user Pearson comes
-from sparse products of the pattern, the user-centred values and their
-squares, so only pairs that share an item cost anything. A pair whose
-variance on the common items is within rounding of zero (a user who gave
-those items one score) has similarity 0. MultiUserKNN averages the
-per-criterion scores, and a neighbor counts only above SIMILARITY_FLOOR,
-which keeps out the rounding noise left where the scores cancel. All test
-pairs are scored at once: the item's raters come from the CSC form, the
-top-k is ordered by (-similarity, user index).
+array. Ratings live in one sparse CSR per criterion. User-user Pearson
+counts each pair's common items with one sparse product of the rating
+pattern, and sums the user-centred values only for the pairs with at least
+two: each such pair looks the items of its shorter row up in the other row,
+by sorted int64 (row, column) keys. A pair whose variance on the common
+items is within rounding of zero (a user who gave those items one score)
+has similarity 0. MultiUserKNN averages the per-criterion scores, and a
+neighbor counts only above SIMILARITY_FLOOR, which keeps out the rounding
+noise left where the scores cancel. All test pairs are scored at once: the
+item's raters come from the CSC form, their similarities are read by the
+same key lookup, and the top-k is ordered by (-similarity, user index).
 """
 
 from __future__ import annotations
@@ -235,42 +237,70 @@ def _row_means(ratings: sparse.csr_array) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def _entries(matrix: sparse.csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """matrix[rows, cols] as a vector, 0 where nothing is stored."""
-    if rows.size == 0:  # scipy gives an empty sparse array, not a vector
-        return np.zeros(0)
-    return matrix[rows, cols]
+def _lookup(matrix: sparse.csr_array, rows: np.ndarray,
+            cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which (rows[t], cols[t]) are stored in `matrix`, and where.
+
+    Returns a mask over t and, for the stored ones, their positions in
+    matrix.data. Each entry's key is row * columns + column in int64, so the
+    keys of a CSR whose rows keep their columns sorted are sorted, and one
+    np.searchsorted finds every wanted key.
+    """
+    if not matrix.has_sorted_indices:
+        raise ValueError("rows of a looked-up matrix must keep their columns sorted")
+    keys = np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
+    keys *= matrix.shape[1]
+    keys += matrix.indices
+    wanted = rows.astype(np.int64) * matrix.shape[1] + cols
+    at = np.searchsorted(keys, wanted)
+    stored = at < keys.size
+    stored[stored] = keys[at[stored]] == wanted[stored]
+    return stored, at[stored]
 
 
 def pearson_user_similarities(ratings: sparse.csr_array) -> sparse.csr_array:
     """Pairwise sample Pearson over each pair's co-rated items.
 
-    `ratings` holds one stored entry per rating. The result is a sparse
-    (users x users) matrix: pairs with fewer than two common items, or zero
-    variance on the common support, have similarity 0, as has the diagonal.
-    Only pairs that share an item are ever computed.
-    """
-    def with_values(values: np.ndarray) -> sparse.csr_array:
-        return sparse.csr_array((values, ratings.indices, ratings.indptr),
-                                shape=ratings.shape)
+    `ratings` holds one stored entry per rating, each row's items sorted, as
+    `_rating_matrix` builds it. The result is a sparse (users x users)
+    matrix: pairs with fewer than two common items, or zero variance on the
+    common support, have similarity 0, as has the diagonal.
 
+    One sparse product of the rating pattern counts every pair's common
+    items. Only the pairs with at least two are summed: each walks the
+    shorter of its two rows and looks those items up in the other row. The
+    sums add in item order, as a sparse product adds them, so the scores are
+    the ones the products of the centred values would give.
+    """
+    counts = np.diff(ratings.indptr)
     # Pearson is unchanged by a per-user shift; centring on each user's own
     # mean cuts the cancellation in `sq - sum*sum/n`
-    centred = ratings.data - np.repeat(_row_means(ratings), np.diff(ratings.indptr))
-    pattern = with_values(np.ones_like(centred))
-    pattern_t = pattern.T.tocsr()
-    common = (pattern @ pattern_t).tocoo()
-    # one common item leaves zero variance anyway; most sharing pairs have
-    # only one, so dropping them here saves the lookups below
+    centred = ratings.data - np.repeat(_row_means(ratings), counts)
+    pattern = sparse.csr_array((np.ones_like(centred), ratings.indices, ratings.indptr),
+                               shape=ratings.shape)
+    common = (pattern @ pattern.T).tocoo()
+    # one common item leaves zero variance anyway, and most sharing pairs have
+    # only one: at 50k ratings about 7% of the sharing pairs are summed
     upper = (common.row < common.col) & (common.data >= 2)
     rows, cols, n = common.row[upper], common.col[upper], common.data[upper]
 
-    x = with_values(centred)
-    sums = x @ pattern_t                          # [u, v]: u's values over v's items
-    squares = with_values(centred * centred) @ pattern_t
-    sum_u, sum_v = _entries(sums, rows, cols), _entries(sums, cols, rows)
-    sq_u, sq_v = _entries(squares, rows, cols), _entries(squares, cols, rows)
-    cov = _entries(x @ x.T, rows, cols) - sum_u * sum_v / n
+    swap = counts[rows] > counts[cols]            # where v's row is the shorter
+    short, other = np.where(swap, cols, rows), np.where(swap, rows, cols)
+    lengths = counts[short]
+    pair = np.repeat(np.arange(rows.size), lengths)
+    walked = np.arange(pair.size) + np.repeat(
+        ratings.indptr[short] - (np.cumsum(lengths) - lengths), lengths)
+    stored, found = _lookup(ratings, other[pair], ratings.indices[walked])
+    pair, walked = pair[stored], walked[stored]
+    x_u = centred[np.where(swap[pair], found, walked)]
+    x_v = centred[np.where(swap[pair], walked, found)]
+
+    def total(values: np.ndarray) -> np.ndarray:
+        return np.bincount(pair, weights=values, minlength=rows.size)
+
+    sum_u, sum_v = total(x_u), total(x_v)
+    sq_u, sq_v = total(x_u * x_u), total(x_v * x_v)
+    cov = total(x_u * x_v) - sum_u * sum_v / n
     var_u = sq_u - sum_u * sum_u / n
     var_v = sq_v - sum_v * sum_v / n
     # equal values on the common support have zero variance, but rounding
@@ -308,7 +338,9 @@ def _knn_predictions(ratings: sparse.csr_array, train: RatingDataset,
     slot = np.arange(pair.size) + np.repeat(starts - (np.cumsum(lengths) - lengths),
                                             lengths)
     raters = by_item.indices[slot]
-    weights = _entries(sims, users[pair], raters)
+    stored, at = _lookup(sims, users[pair], raters)
+    weights = np.zeros(pair.size)
+    weights[stored] = sims.data[at]
     keep = weights > SIMILARITY_FLOOR
     pair, slot, raters, weights = pair[keep], slot[keep], raters[keep], weights[keep]
 

@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
 from scipy.optimize import minimize
 
 from mcgraph import evaluate as ev
 from mcgraph import recommend as rec
-from mcgraph.dataset import RatingRecord, from_records
+from mcgraph.dataset import RatingDataset, RatingRecord, from_records
 
 
 class TestFuse:
@@ -392,6 +395,72 @@ def mixed_dataset(seed, n_users=14, n_items=12, density=0.35, criteria=3):
     return from_records(recs)
 
 
+def composite_pearson(ratings):
+    """The composite that `pearson_user_similarities` replaces: Pearson sums
+    from four (users x users) sparse products, read with fancy indexing."""
+    def entries(matrix, rows, cols):
+        if rows.size == 0:
+            return np.zeros(0)
+        return matrix[rows, cols]
+
+    def with_values(values):
+        return sparse.csr_array((values, ratings.indices, ratings.indptr),
+                                shape=ratings.shape)
+
+    centred = ratings.data - np.repeat(rec._row_means(ratings), np.diff(ratings.indptr))
+    pattern = with_values(np.ones_like(centred))
+    pattern_t = pattern.T.tocsr()
+    common = (pattern @ pattern_t).tocoo()
+    upper = (common.row < common.col) & (common.data >= 2)
+    rows, cols, n = common.row[upper], common.col[upper], common.data[upper]
+    x = with_values(centred)
+    sums = x @ pattern_t
+    squares = with_values(centred * centred) @ pattern_t
+    sum_u, sum_v = entries(sums, rows, cols), entries(sums, cols, rows)
+    sq_u, sq_v = entries(squares, rows, cols), entries(squares, cols, rows)
+    cov = entries(x @ x.T, rows, cols) - sum_u * sum_v / n
+    var_u = sq_u - sum_u * sum_u / n
+    var_v = sq_v - sum_v * sum_v / n
+    bound = 4 * n * np.finfo(float).eps
+    varies = (var_u > bound * sq_u) & (var_v > bound * sq_v)
+    rows, cols = rows[varies], cols[varies]
+    sims = np.clip(cov[varies] / np.sqrt(var_u[varies] * var_v[varies]), -1.0, 1.0)
+    return sparse.csr_array((np.concatenate([sims, sims]),
+                             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                            shape=(ratings.shape[0], ratings.shape[0]))
+
+
+def assert_same_matrix(ours, reference):
+    assert ours.shape == reference.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ours, name), getattr(reference, name)), name
+
+
+@st.composite
+def pearson_matrices(draw):
+    """Small rating matrices with random cells around four planted users:
+    `cancel` rates items 0 and 1 with 3 and 4, so its centred values sum to
+    exactly 0 over any pair that shares both; `two` shares exactly those two
+    items with it, `one` exactly item 0, and a fourth user rates nothing.
+    Values are halves, so other sums cancel exactly too."""
+    num_items = draw(st.integers(3, 7))
+    num_random = draw(st.integers(0, 6))
+    value = st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0])
+    cancel = {0: 3.0, 1: 4.0}
+    two = {0: draw(value), 1: draw(value)}
+    one = {0: draw(value), 2: draw(value)}
+    rows = [cancel, two, one, {}]
+    for _ in range(num_random):
+        items = draw(st.sets(st.integers(0, num_items - 1), max_size=num_items))
+        rows.append({item: draw(value) for item in items})
+    order = draw(st.permutations(range(len(rows))))
+    cells = [(user, item, rating) for user, row in enumerate(rows[k] for k in order)
+             for item, rating in row.items()]
+    users, items, values = (np.array(column) for column in zip(*cells))
+    return rec._rating_matrix(users.astype(np.intp), items.astype(np.intp), values,
+                              (len(rows), num_items))
+
+
 class TestSparsePearson:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("criterion", [None, 0, 1, 2])
@@ -410,6 +479,108 @@ class TestSparsePearson:
         data = mixed_dataset(0)
         sims = rec.pearson_user_similarities(sparse_ratings(data)).toarray()
         assert np.all(sims[:2] == 0.0) and np.all(sims[:, :2] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("criterion", [None, 0, 1, 2])
+    def test_equals_composite(self, seed, criterion):
+        ratings = sparse_ratings(mixed_dataset(seed), criterion)
+        assert_same_matrix(rec.pearson_user_similarities(ratings),
+                           composite_pearson(ratings))
+
+    @given(pearson_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_composite_on_cancelling_sums(self, ratings):
+        assert_same_matrix(rec.pearson_user_similarities(ratings),
+                           composite_pearson(ratings))
+
+    def test_product_drops_an_exactly_cancelling_sum(self):
+        # the case the strategy plants: user 0's centred 3 and 4 sum to 0
+        # over user 1's items, so the product stores no entry there and the
+        # composite reads 0 where the pair's own sum is exactly 0
+        ratings = rec._rating_matrix(np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2]),
+                                     np.array([3.0, 4.0, 1.0, 5.0, 2.0]), (2, 3))
+        centred = ratings.data - np.repeat(rec._row_means(ratings), np.diff(ratings.indptr))
+        x = sparse.csr_array((centred, ratings.indices, ratings.indptr), shape=ratings.shape)
+        pattern = sparse.csr_array((np.ones_like(centred), ratings.indices, ratings.indptr),
+                                   shape=ratings.shape)
+        sums = (x @ pattern.T).tocoo()
+        stored = set(zip(sums.row.tolist(), sums.col.tolist()))
+        assert (0, 1) not in stored and (1, 0) in stored
+        ours = rec.pearson_user_similarities(ratings)
+        assert_same_matrix(ours, composite_pearson(ratings))
+        assert ours[[0], [1]].tolist() == [1.0]
+
+    @staticmethod
+    def wide_ratings():
+        """A few dozen ratings of 8 users near the top of 60,000 on 8 items
+        near the top of 40,000: users x items and users x users both exceed
+        2**31, so a key built as row * columns + column in int32 wraps."""
+        num_users, num_items = 60_000, 40_000
+        rng = np.random.default_rng(3)
+        raters = num_users - 1 - np.arange(8) * 3001
+        shared = num_items - 1 - np.arange(8) * 4999
+        users = np.repeat(raters, 6)
+        items = np.concatenate([rng.choice(shared, 6, replace=False) for _ in raters])
+        values = rng.integers(1, 6, users.size).astype(float)
+        return users, items, values, (num_users, num_items)
+
+    @pytest.mark.parametrize("index_dtype", [np.int64, np.int32])
+    def test_int64_keys(self, index_dtype):
+        # scipy keeps int32 index arrays when it is given them, and
+        # int32 * int stays int32
+        users, items, values, shape = self.wide_ratings()
+        ratings = rec._rating_matrix(users, items, values, shape)
+        ratings = sparse.csr_array((ratings.data, ratings.indices.astype(index_dtype),
+                                    ratings.indptr.astype(index_dtype)), shape=shape)
+        assert ratings.indices.dtype == index_dtype
+        sims = rec.pearson_user_similarities(ratings)
+        assert_same_matrix(sims, composite_pearson(ratings))
+        assert sims.nnz > 20
+
+    def test_knn_reads_int64_keys(self):
+        # raters[0] asks for an item that the other seven rated 1 to 7
+        users, items, values, (num_users, num_items) = self.wide_ratings()
+        raters = users[::6]
+        target, neighbours = num_items - 1 - 8 * 4999, raters[1:]
+        users = np.concatenate([users, neighbours])
+        items = np.concatenate([items, np.full(neighbours.size, target)])
+        values = np.concatenate([values, np.arange(1.0, 1.0 + neighbours.size)])
+        user_ids = np.array([f"u{k}" for k in range(num_users)], dtype=object)
+        item_ids = np.array([f"i{k}" for k in range(num_items)], dtype=object)
+        train = RatingDataset(user_ids, item_ids, users, items, values, values[:, None])
+        test = RatingDataset(user_ids, item_ids, raters[:1], np.array([target]),
+                             np.array([3.0]), np.array([[3.0]]))
+        weights = composite_pearson(
+            rec._rating_matrix(users, items, values, (num_users, num_items))
+        )[np.full(neighbours.size, raters[0]), neighbours]
+        weights = np.where(weights > rec.SIMILARITY_FLOOR, weights, 0.0)
+        assert np.count_nonzero(weights) >= 2
+        expected = weights @ np.arange(1.0, 1.0 + neighbours.size) / weights.sum()
+        assert_allclose(rec.baseline_user_knn(train, test), [expected],
+                        rtol=0, atol=1e-12)
+
+    def test_no_pair_sharing_two_items_gives_zero_matrix(self):
+        # every pair shares at most one item
+        users = np.array([0, 0, 1, 1, 2, 2, 3])
+        items = np.array([0, 1, 1, 2, 2, 0, 3])
+        ratings = rec._rating_matrix(users, items, np.array([1.0, 5.0, 2.0, 4.0, 3.0, 1.0, 2.0]),
+                                     (5, 4))
+        sims = rec.pearson_user_similarities(ratings)
+        assert isinstance(sims, sparse.csr_array)
+        assert sims.shape == (5, 5) and sims.nnz == 0
+
+    def test_criterion_nobody_rated_gives_zero_matrix(self):
+        empty = np.zeros(0, dtype=np.intp)
+        ratings = rec._rating_matrix(empty, empty, np.zeros(0), (6, 4))
+        sims = rec.pearson_user_similarities(ratings)
+        assert isinstance(sims, sparse.csr_array)
+        assert sims.shape == (6, 6) and sims.nnz == 0
+
+    def test_unsorted_rows_rejected(self):
+        ratings = sparse.csr_array((np.array([4.0, 2.0, 1.0]), np.array([1, 0, 0]),
+                                    np.array([0, 2, 3])), shape=(2, 2))
+        with pytest.raises(ValueError, match="sorted"):
+            rec.pearson_user_similarities(ratings)
 
 
 class TestUserKnn:
