@@ -15,12 +15,12 @@ every view's heads in one matmul, the second projects each view's block by
 its own heads in one batched matmul. One softmax runs over the (edges,
 heads) scores of all views, and the first layer's ELU and the global gate
 run inside the kernel. Sums of per-edge scores are cached CSR segment
-operators (`S @ values`). The α-weighted sum of neighbour projections is
-one sparse-dense product (g-SpMM, as in DGL and PyG) with the graph's
-cached head-stacked operator (`BlockGraph.edge_product`), whose nonzeros
-are the (E, H) coefficients, so no per-edge message array is built; the
-backward multiplies by the transpose. The backward's (E, H) score
-gradient is `graph.edge_dots` (g-SDDMM) over fixed edge tiles, and the
+operators (`S @ values`). The α-weighted sum of neighbour projections is,
+head by head, one sparse-dense product (g-SpMM, as in DGL and PyG) with
+the graph's one cached edge pattern (`BlockGraph.edge_product`), whose
+nonzeros are that head's (E,) coefficients, so no per-edge message array
+is built; the backward multiplies by the transpose. The backward's (E, H)
+score gradient is `graph.edge_dots` (g-SDDMM) over fixed edge tiles, and the
 softmax backward's per-center row term comes from the layer's pre-ELU
 output (the row term D = rowsum(dO * O) of FlashAttention's backward), so
 no (E, H, F') array is built either. `encode_stack` is the two kernel
@@ -150,8 +150,8 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
     Edge e = (centers[e], neighbors[e]) scores head k as
     LeakyReLU(a_k[:F'] . P_k[center] + a_k[F':] . P_k[neighbor]) with
     P_k = h W_k^T; the softmax runs per center and head. Head k of node c
-    is then sum_e coeffs[e, k] P_k[neighbors[e]] over c's edges, for all
-    heads one sparse product (`graph.edge_product`); its transpose gives
+    is then sum_e coeffs[e, k] P_k[neighbors[e]] over c's edges, one
+    sparse product per head (`graph.edge_product`); its transpose gives
     the backward's message term of d P. The gate scales each view's rows
     by n * softmax(ReLU(h wg)) over that view's nodes.
 

@@ -10,12 +10,13 @@ index arrays, computed once at construction.
 `block_graph` stacks V views into one block-diagonal graph of V*n nodes
 (`BlockGraph`), the layout the encoder runs on: the stacked edges plus
 cached CSR operators that sum edge values into their centers or
-neighbors. For H attention heads it also keeps one head-stacked CSR whose
-nonzeros are the edges, built on first use: `BlockGraph.edge_product`
-writes per-edge, per-head weights into its shared data buffer and
-multiplies, so an α-weighted sum over every center's neighbors is one
-sparse-dense product. `view.block` (one view) and `Views.block` (a fit's
-views, shared by training and the rating head) are built once and kept.
+neighbors. It also keeps the edge pattern itself as one (V*n, V*n) CSR,
+built on first use, that serves every head count: for each attention
+head, `BlockGraph.edge_product` writes that head's per-edge weights into
+its data buffer and multiplies, so an α-weighted sum over every center's
+neighbors is one sparse-dense product per head. `view.block` (one view)
+and `Views.block` (a fit's views, shared by training and the rating head)
+are built once and kept.
 
 `edge_dots` is the product's counterpart that yields one value per edge
 (g-SDDMM): the dot of a center row with a neighbor row, taken over fixed
@@ -90,13 +91,13 @@ class BlockGraph:
     edge's row into its center's (neighbor's) row, in edge order, as
     `np.bincount` adds its weights.
 
-    `edge_product` multiplies by the head operator: for H heads, an
-    (H*V*n, H*V*n) CSR, built once per H on first use and kept, whose row
-    h*V*n + c holds center c's edges in edge order at columns
-    h*V*n + neighbor. Its transpose is a CSC over the same three buffers.
-    The nonzero values live in one data buffer that every product
-    overwrites with its own weights first, so no caller may rely on the
-    weights an earlier call left there.
+    `edge_product` multiplies by the edge operator, a (V*n, V*n) CSR built
+    on first use and kept whose row c holds center c's edges in edge order
+    at their neighbors' columns: its `indptr` is `center_sum`'s and its
+    `indices` are `neighbors`. Its transpose is a CSC over the same three
+    buffers. Every head of every product writes its own weights into the
+    one data buffer first, so no caller may rely on the weights an earlier
+    call left there.
     """
 
     view_indices: tuple[int, ...]  # criterion index of each block
@@ -107,42 +108,35 @@ class BlockGraph:
     neighbor_sum: sp.csr_matrix
     run_starts: np.ndarray         # first edge of each center with edges
     run_lengths: np.ndarray        # its edge count
-    _head_operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_views(self) -> int:
         return len(self.view_indices)
 
+    @functools.cached_property
+    def _edge_operator(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """The edge operator and its transpose, sharing every buffer."""
+        size = self.num_views * self.num_nodes
+        op = sp.csr_matrix((np.zeros(self.centers.size), self.neighbors,
+                            self.center_sum.indptr), shape=(size, size))
+        return op, op.T
+
     def edge_product(self, coeffs: np.ndarray, rows: np.ndarray,
                      transpose: bool = False) -> np.ndarray:
-        """Per-head weighted sums over edges as one sparse product.
+        """Per-head weighted sums over edges, one sparse product per head.
 
         `coeffs` is (E, H) and `rows` is (V*n, H, F). Head h of row c of the
         (V*n, H*F) result sums coeffs[e, h] * rows[neighbors[e], h] over c's
         edges e, in edge order; with `transpose`, head h of row j sums
         coeffs[e, h] * rows[centers[e], h] over the edges whose neighbor is
-        j, in edge order. The rows are multiplied head-major, row h*V*n + i
-        holding rows[i, h].
+        j, in edge order.
         """
-        num_heads, size = coeffs.shape[1], rows.shape[0]
-        ops = self._head_operators.get(num_heads)
-        if ops is None:
-            ops = self._head_operators[num_heads] = self._head_operator(num_heads)
-        ops[0].data.reshape(num_heads, -1)[...] = coeffs.T
-        stacked = np.ascontiguousarray(rows.transpose(1, 0, 2)).reshape(-1, rows.shape[2])
-        out = (ops[1] if transpose else ops[0]) @ stacked
-        return out.reshape(num_heads, size, -1).transpose(1, 0, 2).reshape(size, -1)
-
-    def _head_operator(self, num_heads: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-        """The head operator and its transpose, sharing every buffer."""
-        size, edges = self.num_views * self.num_nodes, self.centers.size
-        heads = np.arange(num_heads)
-        indptr = np.append((self.center_sum.indptr[:-1] + edges * heads[:, None]).ravel(),
-                           num_heads * edges)
-        indices = (self.neighbors + size * heads[:, None]).ravel()
-        op = sp.csr_matrix((np.zeros(num_heads * edges), indices, indptr),
-                           shape=(num_heads * size, num_heads * size))
-        return op, op.T
+        op, op_t = self._edge_operator
+        out = np.empty(rows.shape)
+        for h in range(coeffs.shape[1]):
+            op.data[...] = coeffs[:, h]
+            out[:, h] = (op_t if transpose else op) @ rows[:, h]
+        return out.reshape(rows.shape[0], -1)
 
 
 def edge_dots(left: np.ndarray, right: np.ndarray, centers: np.ndarray,

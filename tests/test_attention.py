@@ -416,7 +416,7 @@ class TestBlockDiagonalEncoder:
         assert blocks.num_views == 3
         rng = np.random.default_rng(8)
         rows, edges, head_dim = 3 * blocks.num_nodes, blocks.centers.size, 3
-        for num_heads in (2, 1, 3, 2):  # one cached operator per head count
+        for num_heads in (2, 1, 3, 2):  # one cached edge pattern for every head count
             coeffs = rng.random((edges, num_heads))
             x = rng.normal(size=(rows, num_heads, head_dim))
             forward = blocks.center_sum @ (
@@ -426,6 +426,7 @@ class TestBlockDiagonalEncoder:
             assert np.array_equal(blocks.edge_product(coeffs, x), forward)
             assert np.array_equal(blocks.edge_product(coeffs, x, transpose=True),
                                   backward)
+        assert [m.nnz for m in cached_operators(blocks)] == [edges]
 
     def test_layer_backward_ignores_weights_left_by_the_other_layer(self):
         # both layers write their coefficients into the graph's one buffer
@@ -462,6 +463,25 @@ class TestBlockDiagonalEncoder:
         monkeypatch.setattr(graph, "EDGE_TILE", 7 * self.num_heads * self.head_dim)
         assert graph.block_graph(self.views(3)).centers.size > 2 * 7
         self.check_stack_gradients(3, seed=5)
+
+
+def cached_operators(blocks):
+    """The sparse operators a block graph keeps besides its two segment sums,
+    found in its attributes (also inside tuples and dicts); an operator and a
+    transpose that shares its data buffer count once."""
+    found = []
+    pending = [value for name, value in vars(blocks).items()
+               if name not in ("center_sum", "neighbor_sum")]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (tuple, list)):
+            pending.extend(value)
+        elif sp.issparse(value) and not any(np.shares_memory(value.data, m.data)
+                                            for m in found):
+            found.append(value)
+    return found
 
 
 def random_blocks(count, seed, users=7, items=5, density=0.5):
