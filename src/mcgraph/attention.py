@@ -14,12 +14,14 @@ with a hand-derived backward: the first layer projects the shared X by
 every view's heads in one matmul, the second projects each view's block by
 its own heads in one batched matmul. One softmax runs over the (edges,
 heads) scores of all views, and the first layer's ELU and the global gate
-run inside the kernel. Sums of per-edge scores are cached CSR segment
-operators (`S @ values`). The α-weighted sum of neighbour projections is,
-head by head, one sparse-dense product (g-SpMM, as in DGL and PyG) with
-the graph's one cached edge pattern (`BlockGraph.edge_product`), whose
-nonzeros are that head's (E,) coefficients, so no per-edge message array
-is built; the backward multiplies by the transpose. The backward's (E, H)
+run inside the kernel. Every sum over edges is, head by head, one
+sparse-dense product (g-SpMM, as in DGL and PyG) with the graph's one
+cached edge pattern (`BlockGraph.edge_product`), whose nonzeros are that
+head's (E,) edge values: the α-weighted sum of neighbour projections
+multiplies the projections, so no per-edge message array is built, and
+the softmax denominators and the score gradient's per-center and
+per-neighbour sums multiply a block of ones; the backward's message term
+multiplies by the transpose. The backward's (E, H)
 score gradient is `graph.edge_dots` (g-SDDMM) over fixed edge tiles, and the
 softmax backward's per-center row term comes from the layer's pre-ELU
 output (the row term D = rowsum(dO * O) of FlashAttention's backward), so
@@ -181,10 +183,12 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
     slope = np.where(raw > 0.0, 1.0, LEAKY_SLOPE)
     scores = raw * slope
     # per (center, head) max shift; a center's edges are one run
+    runs = np.diff(graph.indptr)
     e = np.exp(scores - np.repeat(
-        np.maximum.reduceat(scores, graph.run_starts, axis=0)
-        if centers.size else scores, graph.run_lengths, axis=0))
-    coeffs = e / np.take(graph.center_sum @ e, centers, axis=0)
+        np.maximum.reduceat(scores, graph.indptr[:-1][runs > 0], axis=0)
+        if centers.size else scores, runs[runs > 0], axis=0))
+    ones = np.ones((num_views * n, num_heads, 1))
+    coeffs = e / np.take(graph.edge_product(e, ones), centers, axis=0)
     local = graph.edge_product(coeffs, proj)
     act = np.where(local > 0.0, local, np.expm1(local)) if first else local
     factor = None
@@ -214,8 +218,8 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
         weighted = np.einsum("nhd,nhd->nh", d_rows,
                              local.reshape(-1, num_heads, head_dim))
         d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0)) * slope
-        d_src = (graph.center_sum @ d_raw).reshape(num_views, n, num_heads)
-        d_dst = (graph.neighbor_sum @ d_raw).reshape(num_views, n, num_heads)
+        d_src, d_dst = (graph.edge_product(d_raw, ones, transpose=side).reshape(
+            num_views, n, num_heads) for side in (False, True))
         d_proj = graph.edge_product(coeffs, d_rows, transpose=True).reshape(
             num_views, n, num_heads, head_dim)
         d_proj += (d_src[..., None] * a[:, None, :, 0]

@@ -8,15 +8,16 @@ A view also holds the normalized adjacency's edges as (center, neighbor)
 index arrays, computed once at construction.
 
 `block_graph` stacks V views into one block-diagonal graph of V*n nodes
-(`BlockGraph`), the layout the encoder runs on: the stacked edges plus
-cached CSR operators that sum edge values into their centers or
-neighbors. It also keeps the edge pattern itself as one (V*n, V*n) CSR,
-built on first use, that serves every head count: for each attention
-head, `BlockGraph.edge_product` writes that head's per-edge weights into
-its data buffer and multiplies, so an α-weighted sum over every center's
-neighbors is one sparse-dense product per head. `view.block` (one view)
-and `Views.block` (a fit's views, shared by training and the rating head)
-are built once and kept.
+(`BlockGraph`), the layout the encoder runs on: the stacked edges and
+each center's edge range. Its one sparse operator is the edge pattern
+itself, a (V*n, V*n) CSR built on first use that serves every head
+count: for each attention head, `BlockGraph.edge_product` writes that
+head's per-edge weights into its data buffer and multiplies, so an
+α-weighted sum over every center's neighbors is one sparse-dense product
+per head, and a plain sum of edge values into their centers (or, by the
+transpose, their neighbors) is the product with a block of ones.
+`view.block` (one view) and `Views.block` (a fit's views, shared by
+training and the rating head) are built once and kept.
 
 `edge_dots` is the product's counterpart that yields one value per edge
 (g-SDDMM): the dot of a center row with a neighbor row, taken over fixed
@@ -86,28 +87,24 @@ class BlockGraph:
     """V views of n nodes each as one graph of V*n nodes.
 
     Node i of view v is row v*n + i. The edges keep each view's row-major
-    order, so every center's edges are contiguous. `center_sum` and
-    `neighbor_sum` are (V*n, E) 0/1 CSR operators: `S @ values` adds each
-    edge's row into its center's (neighbor's) row, in edge order, as
-    `np.bincount` adds its weights.
+    order, so every center's edges are contiguous: center c's edges are
+    `indptr[c]:indptr[c+1]`.
 
-    `edge_product` multiplies by the edge operator, a (V*n, V*n) CSR built
-    on first use and kept whose row c holds center c's edges in edge order
-    at their neighbors' columns: its `indptr` is `center_sum`'s and its
-    `indices` are `neighbors`. Its transpose is a CSC over the same three
-    buffers. Every head of every product writes its own weights into the
-    one data buffer first, so no caller may rely on the weights an earlier
-    call left there.
+    `edge_product` multiplies by the edge operator, the graph's one sparse
+    operator: a (V*n, V*n) CSR built on first use and kept whose row c
+    holds center c's edges in edge order at their neighbors' columns. Its
+    row pointer is `indptr`, its `indices` are `neighbors`, and its
+    transpose is a CSC over the same three buffers. Both add a row's (a
+    column's) entries in stored order, that is, in edge order. Every head
+    of every product writes its own weights into the one data buffer
+    first, so no caller may rely on the weights an earlier call left there.
     """
 
     view_indices: tuple[int, ...]  # criterion index of each block
     num_nodes: int                 # per view
     centers: np.ndarray
     neighbors: np.ndarray
-    center_sum: sp.csr_matrix
-    neighbor_sum: sp.csr_matrix
-    run_starts: np.ndarray         # first edge of each center with edges
-    run_lengths: np.ndarray        # its edge count
+    indptr: np.ndarray             # (V*n + 1,) each center's first edge, then E
 
     @property
     def num_views(self) -> int:
@@ -118,7 +115,7 @@ class BlockGraph:
         """The edge operator and its transpose, sharing every buffer."""
         size = self.num_views * self.num_nodes
         op = sp.csr_matrix((np.zeros(self.centers.size), self.neighbors,
-                            self.center_sum.indptr), shape=(size, size))
+                            self.indptr), shape=(size, size))
         return op, op.T
 
     def edge_product(self, coeffs: np.ndarray, rows: np.ndarray,
@@ -164,21 +161,11 @@ def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
     n = views[0].num_nodes
     centers, neighbors = (np.concatenate([v.neighbor_arrays()[side] + k * n
                                           for k, v in enumerate(views)]) for side in (0, 1))
-    size, ones = len(views) * n, np.ones(centers.size)
-
-    def segment_sum(rows: np.ndarray) -> sp.csr_matrix:
-        # a stable sort keeps each row's edges in increasing order
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
-        return sp.csr_matrix((ones, np.argsort(rows, kind="stable"), indptr),
-                             shape=(size, rows.size))
-
-    center_sum = segment_sum(centers)
-    runs = np.diff(center_sum.indptr)
+    counts = np.bincount(centers, minlength=len(views) * n)
     return BlockGraph(
         view_indices=tuple(v.criterion_index for v in views), num_nodes=n,
-        centers=centers, neighbors=neighbors, center_sum=center_sum,
-        neighbor_sum=segment_sum(neighbors),
-        run_starts=center_sum.indptr[:-1][runs > 0], run_lengths=runs[runs > 0])
+        centers=centers, neighbors=neighbors,
+        indptr=np.concatenate([[0], np.cumsum(counts)]))
 
 
 class Views(tuple):

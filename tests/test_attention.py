@@ -393,16 +393,22 @@ class TestBlockDiagonalEncoder:
             assert [kernel_calls(v, use_global) for v in (1, 2, 4)] == [2, 2, 2]
 
     def test_csr_segment_sums_equal_scatter_add(self):
-        blocks = graph.block_graph(self.views(3))
+        # a sum over edges is the edge product with ones: into the centers,
+        # and by the transpose into the neighbors, added as np.add.at adds
         rng = np.random.default_rng(7)
-        rows = 3 * blocks.num_nodes
-        for shape in [(blocks.centers.size,), (blocks.centers.size, 5)]:
-            values = rng.normal(size=shape)
-            for operator, index in ((blocks.center_sum, blocks.centers),
-                                    (blocks.neighbor_sum, blocks.neighbors)):
-                want = np.zeros((rows,) + shape[1:])
-                np.add.at(want, index, values)
-                assert np.array_equal(operator @ values, want)
+        edgeless = graph.block_graph([view_from_incidence(np.zeros((3, 2)))])
+        assert edgeless.centers.size == 0
+        for blocks in (random_blocks(3, seed=7), graph.block_graph(self.views(3)),
+                       edgeless):
+            rows = blocks.num_views * blocks.num_nodes
+            for num_heads in (1, 2, 3):
+                values = rng.normal(size=(blocks.centers.size, num_heads))
+                ones = np.ones((rows, num_heads, 1))
+                for transpose, index in ((False, blocks.centers),
+                                         (True, blocks.neighbors)):
+                    assert np.array_equal(
+                        blocks.edge_product(values, ones, transpose=transpose),
+                        segment_sum(index, values, rows))
 
 
     @staticmethod
@@ -419,10 +425,10 @@ class TestBlockDiagonalEncoder:
         for num_heads in (2, 1, 3, 2):  # one cached edge pattern for every head count
             coeffs = rng.random((edges, num_heads))
             x = rng.normal(size=(rows, num_heads, head_dim))
-            forward = blocks.center_sum @ (
-                coeffs[:, :, None] * x[blocks.neighbors]).reshape(edges, -1)
-            backward = blocks.neighbor_sum @ (
-                coeffs[:, :, None] * x[blocks.centers]).reshape(edges, -1)
+            forward = segment_sum(blocks.centers, (
+                coeffs[:, :, None] * x[blocks.neighbors]).reshape(edges, -1), rows)
+            backward = segment_sum(blocks.neighbors, (
+                coeffs[:, :, None] * x[blocks.centers]).reshape(edges, -1), rows)
             assert np.array_equal(blocks.edge_product(coeffs, x), forward)
             assert np.array_equal(blocks.edge_product(coeffs, x, transpose=True),
                                   backward)
@@ -465,13 +471,20 @@ class TestBlockDiagonalEncoder:
         self.check_stack_gradients(3, seed=5)
 
 
+def segment_sum(index, values, rows):
+    """`values` row e added into row index[e] of `rows` zero rows, in edge
+    order: the scatter-add the block graph's edge sums replaced."""
+    out = np.zeros((rows,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
 def cached_operators(blocks):
-    """The sparse operators a block graph keeps besides its two segment sums,
-    found in its attributes (also inside tuples and dicts); an operator and a
-    transpose that shares its data buffer count once."""
+    """The sparse operators a block graph keeps, found in its attributes (also
+    inside tuples and dicts); an operator and a transpose that shares its data
+    buffer count once."""
     found = []
-    pending = [value for name, value in vars(blocks).items()
-               if name not in ("center_sum", "neighbor_sum")]
+    pending = list(vars(blocks).values())
     while pending:
         value = pending.pop()
         if isinstance(value, dict):
@@ -510,7 +523,7 @@ def layer_inputs(blocks, first, use_global, num_heads, head_dim, seed):
 def composite_back(h_in, w_in, a_in, wg, blocks, first, g):
     """The layer backward as `_dual_attention` computed it with whole gathers:
     (E, H, F') rows of both operands for the score gradient, and the softmax
-    row term summed over edges, center_sum @ (coeffs * d_coeffs)."""
+    row term summed over edges, segment_sum(centers, coeffs * d_coeffs)."""
     v, n, c, nb = blocks.num_views, blocks.num_nodes, blocks.centers, blocks.neighbors
     num_heads, head_dim = w_in.shape[0] // v, w_in.shape[1]
     width, edges = num_heads * head_dim, c.size
@@ -525,7 +538,7 @@ def composite_back(h_in, w_in, a_in, wg, blocks, first, g):
     raw = s_src[c] + s_dst[nb]
     slope = np.where(raw > 0.0, 1.0, att.LEAKY_SLOPE)
     _, coeffs, factor, _ = att._dual_attention(h_in, w_in, a_in, wg, blocks, first)
-    local = blocks.center_sum @ (coeffs[:, :, None] * proj[nb]).reshape(edges, -1)
+    local = segment_sum(c, (coeffs[:, :, None] * proj[nb]).reshape(edges, -1), v * n)
     act = np.where(local > 0.0, local, np.expm1(local)) if first else local
     d_act, d_wg = g, None
     if wg is not None:
@@ -538,12 +551,12 @@ def composite_back(h_in, w_in, a_in, wg, blocks, first, g):
     d_local = d_act * np.where(local > 0.0, 1.0, act + 1.0) if first else d_act
     d_rows = d_local.reshape(-1, num_heads, head_dim)
     d_coeffs = np.einsum("ehd,ehd->eh", d_rows[c], proj[nb])
-    weighted = blocks.center_sum @ (coeffs * d_coeffs)
+    weighted = segment_sum(c, coeffs * d_coeffs, v * n)
     d_raw = coeffs * (d_coeffs - weighted[c]) * slope
-    d_src = (blocks.center_sum @ d_raw).reshape(v, n, num_heads)
-    d_dst = (blocks.neighbor_sum @ d_raw).reshape(v, n, num_heads)
-    d_proj = (blocks.neighbor_sum @ (coeffs[:, :, None] * d_rows[c]).reshape(edges, -1)
-              ).reshape(v, n, num_heads, head_dim)
+    d_src = segment_sum(c, d_raw, v * n).reshape(v, n, num_heads)
+    d_dst = segment_sum(nb, d_raw, v * n).reshape(v, n, num_heads)
+    d_proj = segment_sum(nb, (coeffs[:, :, None] * d_rows[c]).reshape(edges, -1), v * n
+                         ).reshape(v, n, num_heads, head_dim)
     d_proj += d_src[..., None] * a[:, None, :, 0] + d_dst[..., None] * a[:, None, :, 1]
     d_a = np.stack([np.einsum("vnh,vnhd->vhd", d, proj_v) for d in (d_src, d_dst)], axis=2)
     d_proj = d_proj.reshape(v, n, width)
