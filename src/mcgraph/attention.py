@@ -67,14 +67,14 @@ class EncoderConfig:
         return self.num_heads * self.head_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerParams:
     """One view's layer, its heads stacked as `_dual_attention` takes them."""
     weight: np.ndarray  # (num_heads, head_dim, fan_in)
     attn: np.ndarray    # (num_heads, 2 * head_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewEmbedding:
     criterion_index: int
     matrix: np.ndarray  # (num_nodes, embed_dim)

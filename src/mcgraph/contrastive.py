@@ -24,10 +24,10 @@ source in one pass. That scatter, `_scatter_add`, is one `np.bincount` over
 flat (row·d + column) bins: it adds in index order exactly as `np.add.at`
 does, at a fraction of its cost. The global loss takes its view and
 corrupted means from the stack through a fixed 0/1 CSR operator, built
-from the permutations once per plan and carried by it. Each kernel returns
-its value and a `back` closure; `lcl_tensor` and `hgcl_tensor` wrap
-`lcl_stack` and `hgcl_stack` as one autodiff tape node over a list of
-per-view tensors, for gradient checks.
+with its transpose from the permutations once per plan and carried by it.
+Each kernel returns its value and a `back` closure; `lcl_tensor` and
+`hgcl_tensor` wrap `lcl_stack` and `hgcl_stack` as one autodiff tape node
+over a list of per-view tensors, for gradient checks.
 
 `train` takes the experiment config, `evaluate.ExperimentConfig`, and
 reads the fields it needs by name, so this module never imports `evaluate`.
@@ -121,7 +121,7 @@ class ContrastPlan:
     anchor_sets: tuple[AnchorSet, ...]
     samples: tuple[PairSample, ...]
     permutations: dict  # (view_a, view_b) -> (K, n, d) within-row column indices
-    mean_operator: sp.csr_matrix  # HGCL's `_mean_operator` of the permutations
+    mean_operator: tuple[sp.csr_matrix, sp.csc_matrix]  # HGCL's `_mean_operator`
 
 
 class IsolatedViewError(DatasetError, ValueError):
@@ -153,7 +153,7 @@ def _neighbor_means(view: CriterionView, unit: np.ndarray) -> np.ndarray:
     centers, neighbors = view.neighbor_arrays()
     edge_sims = edge_dots(unit, unit, centers, neighbors)
     totals = np.bincount(centers, weights=edge_sims, minlength=view.num_nodes)
-    counts = np.bincount(centers, minlength=view.num_nodes)
+    counts = np.diff(view.adjacency.indptr)
     out = np.full(view.num_nodes, -np.inf)
     rated = counts > 0
     out[rated] = totals[rated] / counts[rated]
@@ -325,11 +325,12 @@ def lcl_stack(stack: np.ndarray, num_views: int, samples: Sequence[PairSample],
     return _info_nce(stack, anchors, candidates, cfg, 1.0 / term_count)
 
 
-def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.csr_matrix:
-    """HGCL's scored rows times n, as a 0/1 CSR operator on the raveled
-    stack: row (r, j) picks E_s[i, perm[i, j]] for i = 0..n-1. The V view
-    means are s = v with the identity perm, then pair p = (a, b)'s K
-    corrupted means are s = a with perm = permutations[(a, b)][k]."""
+def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping
+                   ) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """HGCL's scored rows times n as a 0/1 CSR on the raveled stack, and its
+    transpose over the same buffers: row (r, j) picks E_s[i, perm[i, j]] for
+    i < n. The V view means are s = v with the identity perm, then pair
+    p = (a, b)'s K corrupted means are s = a, perm = permutations[(a, b)][k]."""
     identity = np.broadcast_to(np.arange(d), (1, n, d))
     blocks = [(v, identity) for v in range(num_views)] + [
         (a, permutations[(a, b)]) for a, b in _ordered_pairs(num_views)]
@@ -340,12 +341,13 @@ def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping) -> sp.
         np.add(perm.transpose(0, 2, 1), view * n * d + np.arange(n) * d,
                out=indices[first:first + perm.size].reshape(-1, d, n))
         first += perm.size
-    return sp.csr_matrix((np.ones(nnz), indices, np.arange(0, nnz + 1, n, dtype=dtype)),
-                         shape=(nnz // n, num_views * n * d))
+    op = sp.csr_matrix((np.ones(nnz), indices, np.arange(0, nnz + 1, n, dtype=dtype)),
+                       shape=(nnz // n, num_views * n * d))
+    return op, op.T
 
 
-def hgcl_stack(stack: np.ndarray, num_views: int, mean_operator: sp.csr_matrix,
-               cfg: LossConfig):
+def hgcl_stack(stack: np.ndarray, num_views: int,
+               mean_operator: tuple[sp.csr_matrix, sp.csc_matrix], cfg: LossConfig):
     """Mean InfoNCE term over ordered view pairs of column-mean embeddings,
     and its `back` to the stack's gradient.
 
@@ -356,14 +358,15 @@ def hgcl_stack(stack: np.ndarray, num_views: int, mean_operator: sp.csr_matrix,
     rows are the V view means followed by the P*K corrupted means, pair p's
     k-th at row V + p*K + k: the operator's row sums of the raveled stack,
     times 1/n, so each mean sums before it scales. The backward is the
-    transpose times 1/n.
+    operator's transpose times 1/n.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
         return 0.0, lambda g: np.zeros_like(stack)
     n, d = stack.shape[0] // num_views, stack.shape[1]
     scale = 1.0 / n
-    source = (mean_operator @ stack.reshape(-1) * scale).reshape(-1, d)
+    op, op_t = mean_operator
+    source = (op @ stack.reshape(-1) * scale).reshape(-1, d)
     view_a, view_b = np.array(pairs).T
     negatives = np.arange(num_views, source.shape[0]).reshape(len(pairs), -1)
     candidates = np.column_stack([view_b, negatives])
@@ -372,7 +375,7 @@ def hgcl_stack(stack: np.ndarray, num_views: int, mean_operator: sp.csr_matrix,
 
     def back(g):
         d_source = source_back(g).reshape(-1) * scale
-        return (mean_operator.T @ d_source).reshape(stack.shape)
+        return (op_t @ d_source).reshape(stack.shape)
     return value, back
 
 
@@ -465,7 +468,7 @@ def total_loss(l_lcl: float, l_hgcl: float, params: Mapping[str, np.ndarray],
 # ---------------------------------------------------------------------------
 # optimizer (flat vectors)
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First and second moments, laid out like the parameter vector; both
     start as zeros on the first step."""

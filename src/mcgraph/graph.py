@@ -4,12 +4,13 @@ Each rating criterion induces its own user-item graph: an N x M incidence
 holding the criterion's scores as edge weights, a symmetric (N+M) x (N+M)
 block extension of it, and a degree-normalized form of that extension. All
 matrices are kept sparse; (N+M)^2 dense storage is only for small oracles.
-A view also holds the normalized adjacency's edges as (center, neighbor)
-index arrays, computed once at construction.
+The normalized adjacency's CSR is the view's one edge list: its row pointer
+and column indices are the (center, neighbor) edges, in row-major order.
 
 `block_graph` stacks V views into one block-diagonal graph of V*n nodes
-(`BlockGraph`), the layout the encoder runs on: the stacked edges and
-each center's edge range. Its one sparse operator is the edge pattern
+(`BlockGraph`), the layout the encoder runs on: the views' CSRs stacked,
+each row pointer shifted by the edges and each column index by the nodes
+of the views before it. Its one sparse operator is the edge pattern
 itself, a (V*n, V*n) CSR built on first use that serves every head
 count: for each attention head, `BlockGraph.edge_product` writes that
 head's per-edge weights into its data buffer and multiplies, so an
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .dataset import DatasetError, RatingDataset
 EDGE_TILE = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionView:
     """One criterion's graph: incidence, block extension, degrees, normalization."""
 
@@ -54,15 +55,6 @@ class CriterionView:
     extended: sp.csr_matrix            # (N+M) x (N+M) block form [[0, B], [B^T, 0]]
     degrees: np.ndarray                # weighted degree per node, length N+M
     adjacency: sp.csr_matrix           # normalized extension
-    _edges: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
-                                                  compare=False)
-
-    def __post_init__(self):
-        coo = self.adjacency.tocoo()
-        edges = (coo.row.astype(np.intp), coo.col.astype(np.intp))
-        for arr in edges:
-            arr.flags.writeable = False  # shared by every caller
-        object.__setattr__(self, "_edges", edges)
 
     @property
     def num_nodes(self) -> int:
@@ -72,9 +64,11 @@ class CriterionView:
         """Edges of the normalized adjacency as (center, neighbor) index arrays.
 
         Row-major with sorted columns, so the order is deterministic. Item
-        nodes are offset by num_users. Computed once, at construction.
+        nodes are offset by num_users. Read from the adjacency's CSR per call.
         """
-        return self._edges
+        a = self.adjacency
+        return (np.repeat(np.arange(self.num_nodes), np.diff(a.indptr)),
+                a.indices.astype(np.intp))
 
     @functools.cached_property
     def block(self) -> "BlockGraph":
@@ -157,15 +151,16 @@ def edge_dots(left: np.ndarray, right: np.ndarray, centers: np.ndarray,
 
 
 def block_graph(views: Sequence[CriterionView]) -> BlockGraph:
-    """Stack the views' edges once; every encoder pass over them reuses it."""
-    n = views[0].num_nodes
-    centers, neighbors = (np.concatenate([v.neighbor_arrays()[side] + k * n
-                                          for k, v in enumerate(views)]) for side in (0, 1))
-    counts = np.bincount(centers, minlength=len(views) * n)
+    """Stack the views' adjacency CSRs once; every encoder pass over them reuses it."""
+    n, csrs = views[0].num_nodes, [v.adjacency for v in views]
+    shifts = np.cumsum([0] + [a.nnz for a in csrs])
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + s for a, s in zip(csrs, shifts)])
     return BlockGraph(
         view_indices=tuple(v.criterion_index for v in views), num_nodes=n,
-        centers=centers, neighbors=neighbors,
-        indptr=np.concatenate([[0], np.cumsum(counts)]))
+        centers=np.repeat(np.arange(len(views) * n), np.diff(indptr)),
+        neighbors=np.concatenate([a.indices.astype(np.intp) + k * n
+                                  for k, a in enumerate(csrs)]),
+        indptr=indptr)
 
 
 class Views(tuple):

@@ -410,6 +410,16 @@ class TestBlockDiagonalEncoder:
                         blocks.edge_product(values, ones, transpose=transpose),
                         segment_sum(index, values, rows))
 
+    @pytest.mark.parametrize("source", ["random", "fixture", "edgeless"])
+    def test_block_graph_equals_the_construction_it_replaced(self, source):
+        cases = {"random": [random_views(count, seed=7 + count) for count in (1, 2, 3)],
+                 "fixture": [self.views(3)],
+                 "edgeless": [[view_from_incidence(np.zeros((3, 2)))]]}[source]
+        for views in cases:
+            blocks, want = graph.block_graph(views), coo_block_graph(views)
+            for name, arr in want.items():
+                got = getattr(blocks, name)
+                assert got.dtype == np.intp and np.array_equal(got, arr)
 
     @staticmethod
     def planted_blocks():
@@ -497,7 +507,21 @@ def cached_operators(blocks):
     return found
 
 
-def random_blocks(count, seed, users=7, items=5, density=0.5):
+def coo_block_graph(views):
+    """`block_graph`'s centers, neighbors and indptr as they were built from
+    each view's COO edges: rows and columns concatenated with node offsets,
+    then the running sum of each center's edge count."""
+    n = views[0].num_nodes
+    coos = [v.adjacency.tocoo() for v in views]
+    centers, neighbors = (np.concatenate([side.astype(np.intp) + k * n
+                                          for k, side in enumerate(sides)])
+                          for sides in ([c.row for c in coos], [c.col for c in coos]))
+    counts = np.bincount(centers, minlength=len(views) * n)
+    return {"centers": centers, "neighbors": neighbors,
+            "indptr": np.concatenate([[0], np.cumsum(counts)])}
+
+
+def random_views(count, seed, users=7, items=5, density=0.5):
     """`count` random views of one node set; user 0 and the last item rate
     nothing, so every view has isolated nodes."""
     rng = np.random.default_rng(seed)
@@ -506,7 +530,12 @@ def random_blocks(count, seed, users=7, items=5, density=0.5):
         b = rng.uniform(1, 5, size=(users, items)) * (rng.uniform(size=(users, items)) < density)
         b[0, :] = b[:, -1] = 0.0
         views.append(view_from_incidence(b, criterion_index=c + 1))
-    return graph.block_graph(views)
+    return views
+
+
+def random_blocks(count, seed, **sizes):
+    """`random_views` as one block graph."""
+    return graph.block_graph(random_views(count, seed, **sizes))
 
 
 def layer_inputs(blocks, first, use_global, num_heads, head_dim, seed):

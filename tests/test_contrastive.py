@@ -502,8 +502,12 @@ class TestBatchedLosses:
         cfg = cl.LossConfig(num_negatives=2)
         perms = cl.sample_permutations(num_views, (n, d), cfg,
                                        np.random.default_rng(3))
-        op = cl._mean_operator(num_views, n, d, perms)
+        op, op_t = cl._mean_operator(num_views, n, d, perms)
         assert op.shape == ((num_views + 6 * 2) * d, num_views * n * d)
+        # the transpose is a CSC over the operator's own three buffers
+        assert op_t.format == "csc" and op_t.shape == op.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op_t, name), getattr(op, name))
         assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
         assert np.array_equal(np.diff(op.indptr), np.full(op.shape[0], n))
         assert np.array_equal(op.data, np.ones(op.nnz))
@@ -535,14 +539,16 @@ class TestBatchedLosses:
         assert self.tape_sizes(4, 8) == base
 
 
-def picker(groups, num_columns) -> sp.csr_matrix:
-    """0/1 CSR operator whose row r picks the entries groups[r], in order;
-    an entry picked twice is summed twice."""
+def picker(groups, num_columns):
+    """0/1 CSR operator whose row r picks the entries groups[r], in order,
+    and its transpose, as `_mean_operator` returns them; an entry picked
+    twice is summed twice."""
     groups = np.asarray(groups)
     rows, count = groups.shape
-    return sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
-                          np.arange(0, groups.size + 1, count)),
-                         shape=(rows, num_columns))
+    op = sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
+                        np.arange(0, groups.size + 1, count)),
+                       shape=(rows, num_columns))
+    return op, op.T
 
 
 def mean_step(patch, stack, num_views, operator):
@@ -696,6 +702,23 @@ def test_mean_operator_built_once_per_plan(monkeypatch):
     assert cfg.refresh_period == 10
     cl.train(views, cfg, seed=0, epochs=100)
     assert len(calls) == 10
+
+
+def test_csr_transposed_once_per_plan_and_once_for_the_edge_operator(monkeypatch):
+    # the HGCL backward multiplies by the plan's transpose instead of taking
+    # a new one each epoch
+    cfg = ev.ExperimentConfig()
+    views = build_views(ev.prepared_data(cfg)[0])
+    calls = []
+    transpose = sp.csr_matrix.transpose
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return transpose(self, *args, **kwargs)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
+    assert cfg.refresh_period == 10
+    cl.train(views, cfg, seed=0, epochs=100)
+    assert len(calls) == 10 + 1
 
 
 class TestTrain:

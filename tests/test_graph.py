@@ -161,12 +161,17 @@ class TestBuildViews:
         for i, j in zip(centers, neighbors):
             assert dense[i, j] > 0
 
-    def test_neighbor_arrays_built_once_and_read_only(self):
+    def test_neighbor_arrays_are_the_adjacency_csr(self):
         view = graph.build_views(small_dataset())[0]
+        coo = view.adjacency.tocoo()
         first = view.neighbor_arrays()
-        assert view.neighbor_arrays() is first
-        with pytest.raises(ValueError):
-            first[0][0] = 1
+        for got, want in zip(first, (coo.row, coo.col)):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+        # a fresh pair on each call: writing into one leaves the next intact
+        for arr in first:
+            arr[:] = -1
+        for got, want in zip(view.neighbor_arrays(), (coo.row, coo.col)):
+            assert np.array_equal(got, want)
 
     def test_empty_dataset_rejected(self):
         data = small_dataset()
