@@ -81,9 +81,13 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
     file_values: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise ValueError(f"config file not found: {path}")
-        file_values = ev.config_values(path.read_text(encoding="utf-8"))
+        try:
+            if not path.is_file():
+                raise ValueError(f"config file not found: {path}")
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:  # a name too long, a permission denied, ...
+            raise ValueError(f"cannot read config file {path}: {exc}") from None
+        file_values = ev.config_values(text)
     # one merge, so a flag replaces a file value before either is checked;
     # an empty --data, like an absent one, keeps the file's dataset_path
     values: dict[str, object] = dict(file_values)

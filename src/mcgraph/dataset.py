@@ -9,6 +9,10 @@ assigned in order of first appearance, and `user_index`/`item_index` map
 each id to its code. The loader, the split and every pipeline stage read
 the columns; `records`, one `RatingRecord` per rating, is built only when
 asked for.
+
+`load_ratings` reads a file that loads once, keeping no line numbers; for one
+that does not, `_first_bad_line` reads it again and names the first malformed
+row, else the first non-finite or negative rating, by its first physical line.
 """
 
 from __future__ import annotations
@@ -172,22 +176,22 @@ def _encode(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
 
 
 def from_columns(user_ids: Sequence[str], item_ids: Sequence[str], overall,
-                 criteria, dedupe: bool = False) -> RatingDataset:
+                 criteria) -> RatingDataset:
     """Assemble a dataset from per-rating columns; codes follow first appearance.
 
-    `criteria` is (R, C). With dedupe=True a repeated (user, item) pair keeps
-    the last occurrence's values at the pair's first position; otherwise
-    repeats are an error.
+    `criteria` is (R, C). A repeated (user, item) pair is an error.
     """
     user_index, item_index = {}, {}
     return _assemble(user_index, item_index, _encode(user_index, user_ids),
-                     _encode(item_index, item_ids), overall, criteria, dedupe)
+                     _encode(item_index, item_ids), overall, criteria, dedupe=False)
 
 
 def _assemble(user_index: dict[str, int], item_index: dict[str, int],
               users: np.ndarray, items: np.ndarray, overall, criteria,
               dedupe: bool) -> RatingDataset:
-    """The dataset of rows coded into the two indexes' ids; see `from_columns`."""
+    """The dataset of rows coded into the two indexes' ids. With dedupe=True a
+    repeated (user, item) pair keeps the last occurrence's values at the
+    pair's first position; otherwise repeats are an error."""
     if users.size == 0:
         raise DatasetError("empty dataset: no rating records")
     user_names, item_names = _id_array(list(user_index)), _id_array(list(item_index))
@@ -212,7 +216,7 @@ def _assemble(user_index: dict[str, int], item_index: dict[str, int],
     return RatingDataset(user_names, item_names, users, items, overall, criteria)
 
 
-def from_records(records: Iterable[RatingRecord], dedupe: bool = False) -> RatingDataset:
+def from_records(records: Iterable[RatingRecord]) -> RatingDataset:
     """Assemble a dataset from records; see `from_columns`."""
     user_ids, item_ids, overall, criteria = [], [], [], []
     for rec in records:
@@ -224,7 +228,7 @@ def from_records(records: Iterable[RatingRecord], dedupe: bool = False) -> Ratin
         item_ids.append(rec.item_id)
         overall.append(rec.overall)
         criteria.append(rec.criteria)
-    return from_columns(user_ids, item_ids, overall, criteria, dedupe)
+    return from_columns(user_ids, item_ids, overall, criteria)
 
 
 def subset(dataset: RatingDataset, rows: np.ndarray) -> RatingDataset:
@@ -272,20 +276,6 @@ def _expected_header(num_criteria: int) -> list[str]:
 _CHUNK_ROWS = 8192
 
 
-def _first_bad_row(rows: list[list[str]], width: int, first_line: int) -> ParseError | None:
-    """The error for the first ragged or non-numeric row; blank rows are skipped."""
-    for line_number, row in enumerate(rows, start=first_line):
-        if not row:
-            continue
-        if len(row) != width:
-            return ParseError(line_number, f"expected {width} columns, got {len(row)}")
-        try:
-            [float(v) for v in row[2:]]
-        except ValueError as exc:
-            return ParseError(line_number, f"non-numeric rating: {exc}")
-    return None
-
-
 @contextmanager
 def _opened(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
     """The checked header of the ratings CSV at `path` and a reader over the
@@ -306,6 +296,10 @@ def _opened(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]
             yield header, reader
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path} as UTF-8 text: {exc}") from None
+    except FileNotFoundError:  # its message names the path already
+        raise
+    except OSError as exc:  # a name too long, a permission denied, ...
+        raise DatasetError(f"cannot read {path}: {exc}") from None
 
 
 def header_criteria(path: str | Path) -> int:
@@ -318,50 +312,58 @@ def header_criteria(path: str | Path) -> int:
 def load_ratings(path: str | Path) -> RatingDataset:
     """Read a ratings CSV. A duplicate (user, item) row's values replace the
     earlier ones at the pair's first position; a leading byte-order mark is
-    skipped; a directory or non-UTF-8 file is a `DatasetError`."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    users, items, values, lines = [], [], [], []
+    skipped; an unreadable or malformed file is a `DatasetError`."""
+    user_index, item_index = {}, {}
+    users, items, values = [], [], []
     with _opened(path) as (header, reader):
-        width, first_line = len(header), 2
-        while True:
-            chunk: list[list[str]] = []
-            try:
-                chunk.extend(islice(reader, _CHUNK_ROWS))  # keeps rows read before an error
-            except csv.Error:
-                # a bad row before the unreadable one is reported first
-                error = _first_bad_row(chunk, width, first_line)
-                if error is None:
-                    raise
-                raise error from None
-            if not chunk:
-                break
-            filled = [k for k, row in enumerate(chunk) if row]  # blank lines hold no rating
-            rows = [chunk[k] for k in filled]
-            try:
+        width = len(header)
+        try:
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                rows = [row for row in chunk if row]  # blank lines hold no rating
                 if any(len(row) != width for row in rows):
                     raise ValueError("ragged row")
                 columns = [list(map(itemgetter(k), rows)) for k in range(width)]
-                values.append(np.column_stack([
+                block = np.column_stack([
                     np.fromiter(map(float, column), dtype=np.float64, count=len(rows))
-                    for column in columns[2:]]))
-            except ValueError:
-                raise _first_bad_row(chunk, width, first_line) from None
-            users.append(_encode(user_index, columns[0]))
-            items.append(_encode(item_index, columns[1]))
-            lines.append(np.asarray(filled, dtype=np.intp) + first_line)
-            first_line += len(chunk)
+                    for column in columns[2:]])
+                if not (np.isfinite(block) & (block >= 0.0)).all():
+                    raise ValueError("bad rating")
+                values.append(block)
+                users.append(_encode(user_index, columns[0]))
+                items.append(_encode(item_index, columns[1]))
+        except (ValueError, csv.Error):  # a non-UTF-8 byte is a ValueError too
+            raise _first_bad_line(path) from None
     if not user_index:
         raise DatasetError(f"empty dataset: {path} has a header but no records")
     values = np.concatenate(values)
-    bad = ~(np.isfinite(values) & (values >= 0.0))
-    if bad.any():
-        first, column = np.argwhere(bad)[0]
-        raise ParseError(int(np.concatenate(lines)[first]),
-                         f"rating {float(values[first, column])!r} in column "
-                         f"{header[2 + column]} must be finite and nonnegative")
     return _assemble(user_index, item_index, np.concatenate(users), np.concatenate(items),
                      values[:, 0], values[:, 1:], dedupe=True)
+
+
+def _first_bad_line(path: str | Path) -> ParseError:
+    """The error of a ratings CSV that failed to load, found by reading it again
+    row by row: its first ragged, non-numeric or unreadable row, else its first
+    rating, in row then column order, that is not finite and nonnegative."""
+    bad_rating = None
+    with _opened(path) as (header, reader):
+        while True:
+            line = reader.line_num + 1  # the row's first line; a quoted id may span more
+            try:
+                row = next(reader)
+            except StopIteration:
+                return bad_rating
+            except csv.Error as exc:
+                return ParseError(line, f"unreadable row: {exc}")
+            if row and len(row) != len(header):  # blank lines hold no rating
+                return ParseError(line, f"expected {len(header)} columns, got {len(row)}")
+            try:
+                ratings = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                return ParseError(line, f"non-numeric rating: {exc}")
+            bad = [(v, name) for v, name in zip(ratings, header[2:]) if not 0.0 <= v < np.inf]
+            if bad and bad_rating is None:
+                bad_rating = ParseError(line, "rating {!r} in column {} must be finite "
+                                              "and nonnegative".format(*bad[0]))
 
 
 def save_ratings(dataset: RatingDataset, path: str | Path) -> None:

@@ -110,18 +110,29 @@ class TestExitCodes:
         assert cli.main(["stats", "--data", str(bad)]) == cli.EXIT_DATA
         capsys.readouterr()
 
-    @pytest.mark.parametrize("rows, line", [
-        ("u1,i1,4,4\nu1,i2,nan,3\nu2,i1,5,inf\n", 3),
-        ("u1,i1,4,4\n\nu2,i1,5,-1\n", 4),
-    ], ids=["nan_then_inf", "negative_after_blank_line"])
+    @pytest.mark.parametrize("rows, named", [
+        ("u1,i1,4,4\nu1,i2,nan,3\nu2,i1,5,inf\n", "line 3:"),
+        ("u1,i1,4,4\n\nu2,i1,5,-1\n", "line 4:"),
+        ('"u\n1",i1,4,4\nu2,i1,5,-1\n', "line 4:"),
+        ('u1,i1,4,4\n"u2,i1,5,4\n' + "".join(f"u{k},i1,4,4\n" for k in range(15_000)),
+         "line 3: unreadable row: field larger than field limit"),
+    ], ids=["nan_then_inf", "negative_after_blank_line",
+            "negative_after_two_line_id", "runaway_quote"])
     def test_invalid_rating_is_data_error_naming_line(self, tmp_path, capsys,
-                                                       rows, line):
+                                                       rows, named):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,overall,c1\n" + rows, encoding="utf-8")
         assert cli.main(["stats", "--data", str(bad)]) == cli.EXIT_DATA
         captured = capsys.readouterr()
-        assert f"line {line}:" in captured.err
-        assert captured.out == ""
+        assert f"data error: {named}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_unopenable_data_path_is_data_error(self, tmp_path, capsys):
+        long_name = tmp_path / ("x" * 300 + ".csv")
+        assert cli.main(["stats", "--data", str(long_name)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"data error: cannot read {long_name}: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unrated_criterion_is_data_error(self, tmp_path, ratings_csv,
                                              fast_cfg, capsys):
@@ -303,6 +314,13 @@ class TestExitCodes:
     def test_missing_config_file_is_usage(self, capsys):
         assert cli.main(["evaluate", "--config", "/no/such.cfg"]) == cli.EXIT_USAGE
         capsys.readouterr()
+
+    def test_unopenable_config_path_is_usage(self, tmp_path, capsys):
+        long_name = tmp_path / ("x" * 300 + ".cfg")
+        assert cli.main(["evaluate", "--config", str(long_name)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: cannot read config file {long_name}: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_variant_flag_is_usage(self, capsys):
         assert cli.main(["evaluate", "--variant", "no_dropout"]) == cli.EXIT_USAGE

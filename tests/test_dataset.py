@@ -65,6 +65,14 @@ class TestLoad:
         with pytest.raises(ds.ParseError, match="line 2"):
             ds.load_ratings(write_csv(tmp_path / "r.csv", text))
 
+    def test_malformed_row_outranks_an_earlier_bad_rating(self, tmp_path):
+        text = ("user_id,item_id,overall,c1\n"
+                "u1,i1,nan,4\n"
+                "u2,i1,5,4\n"
+                "u2,i2,5\n")
+        with pytest.raises(ds.ParseError, match="^line 4: expected 4 columns, got 3$"):
+            ds.load_ratings(write_csv(tmp_path / "r.csv", text))
+
     def test_empty_file_is_empty_dataset_error(self, tmp_path):
         with pytest.raises(ds.DatasetError, match="empty"):
             ds.load_ratings(write_csv(tmp_path / "r.csv", ""))
@@ -330,7 +338,11 @@ def ref_load_ratings(path):
         reader = csv.reader(fh)
         header = next(reader)
         records, ratings, line_numbers = [], [], []
-        for line_number, row in enumerate(reader, start=2):
+        while True:
+            line_number = reader.line_num + 1  # a quoted id may span lines
+            row = next(reader, None)
+            if row is None:
+                break
             if not row:
                 continue
             if len(row) != len(header):
@@ -424,10 +436,10 @@ DEFECTS = {"ragged": lambda row, k: row[:-1],
 @st.composite
 def rating_csvs(draw):
     """CSV text with repeated pairs whose values change, blank lines, quoted ids
-    holding commas and quotes, unrated zeros, 1-4 criteria, and possibly one
-    defect class in one or two rows."""
+    holding commas, quotes and line breaks, unrated zeros, 1-4 criteria, and
+    possibly one defect class in one or two rows."""
     n_criteria = draw(st.integers(1, 4))
-    ids = st.text(alphabet='ab,"1 ', min_size=1, max_size=3)
+    ids = st.text(alphabet='ab,"1 \n', min_size=1, max_size=3)
     users = draw(st.lists(ids, min_size=2, max_size=8, unique=True))
     items = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
     value = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.integers(0, 10).map(float))
@@ -486,6 +498,26 @@ def test_columnar_layer_matches_record_reference(tmp_path_factory, text, source,
             assert error == expected_error
             if error is None:
                 assert same_dataset(sub, sub_expected)
+
+
+@given(st.text(alphabet='u1i2,"\n\r .5-x\x00', max_size=60),
+       st.sampled_from([1, 2, ds._CHUNK_ROWS]))
+@settings(max_examples=400, deadline=None)
+def test_any_text_after_a_header_loads_or_is_a_data_error(tmp_path_factory, text,
+                                                          chunk_rows):
+    """Whatever stopped the chunked read, the row-by-row reread names a line:
+    no `csv.Error` or other exception escapes, even when a runaway quote
+    outgrows the CSV reader's field size limit."""
+    path = tmp_path_factory.mktemp("fuzz") / "ratings.csv"
+    path.write_text("user_id,item_id,overall,c1\n" + text, encoding="utf-8", newline="")
+    limit = csv.field_size_limit(16)
+    try:
+        with mock.patch.object(ds, "_CHUNK_ROWS", chunk_rows):
+            ds.load_ratings(path)
+    except ds.DatasetError:
+        pass
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_pipeline_builds_no_records(tmp_path, monkeypatch):

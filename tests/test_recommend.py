@@ -780,8 +780,10 @@ def test_knn_baselines_stay_sparse():
     values = rng.integers(1, 6, size=(items.size, 3)).astype(float)
     recs = [RatingRecord(f"u{u}", f"i{v}", float(row.mean()), tuple(row.tolist()))
             for u, v, row in zip(users.tolist(), items.tolist(), values)]
-    train = from_records(recs[:10_000], dedupe=True)
-    test = from_records(recs[10_000:], dedupe=True)
+    # a repeated pair keeps its last values at its first position, as the
+    # loader does
+    train, test = (from_records({(r.user_id, r.item_id): r for r in part}.values())
+                   for part in (recs[:10_000], recs[10_000:]))
     tracemalloc.start()
     try:
         rec.baseline_user_knn(train, test)
