@@ -180,8 +180,8 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
     s_src, s_dst = (_head_scores(blocks, a[:, :, side]) for side in (0, 1))
     # np.take: row gathers run several times faster than fancy indexing
     raw = np.take(s_src, centers, axis=0) + np.take(s_dst, neighbors, axis=0)
-    positive = raw > 0.0
-    scores = np.maximum(raw, LEAKY_SLOPE * raw)
+    slope = np.where(raw > 0.0, 1.0, LEAKY_SLOPE)
+    scores = raw * slope
     # per (center, head) max shift; a center's edges are one run
     runs = np.diff(graph.indptr)
     e = np.exp(scores - np.repeat(
@@ -217,8 +217,7 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
         # the softmax row term, read from the pre-ELU output
         weighted = np.einsum("nhd,nhd->nh", d_rows,
                              local.reshape(-1, num_heads, head_dim))
-        d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0))
-        d_raw = np.where(positive, d_raw, d_raw * LEAKY_SLOPE)
+        d_raw = coeffs * (d_coeffs - np.take(weighted, centers, axis=0)) * slope
         d_src, d_dst = (graph.edge_product(d_raw, ones, transpose=side).reshape(
             num_views, n, num_heads) for side in (False, True))
         d_proj = graph.edge_product(coeffs, d_rows, transpose=True).reshape(
