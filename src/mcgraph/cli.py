@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +105,13 @@ def effective_config(args: argparse.Namespace) -> ev.ExperimentConfig:
 
 
 def _out_path(args: argparse.Namespace) -> Path:
-    """`--out`, checked but not created: a file at it or at its nearest
-    existing parent is a usage error."""
+    """`--out`, checked but not created: a name the OS rejects, or a file at
+    it or at its nearest existing parent, is a usage error."""
     out = Path(args.out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:  # a name too long, a permission denied, ...
+        raise ValueError(f"--out {out}: {exc.strerror}") from None
     if not existing.is_dir():
         raise ValueError(f"--out {out}: {existing} exists and is not a directory")
     return out
@@ -137,7 +140,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     ds.save_ratings(data, out / "ratings.csv")
     _write_json({"config": ev.config_as_dict(cfg), "source": cfg.dataset_path,
                  "scale": args.scale, "records": len(data),
-                 "stats": ds.compute_stats(data).as_dict()},
+                 "stats": asdict(ds.compute_stats(data))},
                 out / "ingest.json")
     print(f"wrote {out / 'ratings.csv'} ({len(data)} records)")
     return EXIT_OK
@@ -145,8 +148,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    stats = ds.compute_stats(ev.load_dataset(cfg))
-    payload = stats.as_dict()
+    payload = asdict(ds.compute_stats(ev.load_dataset(cfg)))
     payload["config"] = ev.config_as_dict(cfg)
     print(ev.json_text(payload))
     return EXIT_OK

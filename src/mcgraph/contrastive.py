@@ -24,7 +24,7 @@ source in one pass. That scatter, `_scatter_add`, is one `np.bincount` over
 flat (row·d + column) bins: it adds in index order exactly as `np.add.at`
 does, at a fraction of its cost. The global loss takes its view and
 corrupted means from the stack through a fixed 0/1 CSR operator, built
-with its transpose from the permutations once per plan and carried by it.
+with its transpose once per draw and carried by the `Permutations` drawn.
 Each kernel returns its value and a `back` closure; `lcl_tensor` and
 `hgcl_tensor` wrap `lcl_stack` and `hgcl_stack` as one autodiff tape node
 over a list of per-view tensors, for gradient checks.
@@ -46,6 +46,7 @@ decay alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -120,8 +121,7 @@ class PairSample:
 class ContrastPlan:
     anchor_sets: tuple[AnchorSet, ...]
     samples: tuple[PairSample, ...]
-    permutations: dict  # (view_a, view_b) -> (K, n, d) within-row column indices
-    mean_operator: tuple[sp.csr_matrix, sp.csc_matrix]  # HGCL's `_mean_operator`
+    permutations: Permutations
 
 
 class IsolatedViewError(DatasetError, ValueError):
@@ -222,14 +222,40 @@ def sample_pair_negatives(anchor_sets: Sequence[AnchorSet], cfg: LossConfig,
     return tuple(samples)
 
 
+class Permutations(dict):
+    """HGCL's draw: ordered pair (a, b) -> (K, n, d) within-row column indices."""
+
+    @functools.cached_property
+    def mean_operator(self) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+        """HGCL's scored rows times n as a 0/1 CSR on the raveled stack, and
+        its transpose over the same buffers: row (r, j) picks E_s[i, perm[i, j]]
+        for i < n; the V view means (s = v, identity perm), then pair (a, b)'s
+        K corrupted means (s = a, perm = self[(a, b)][k])."""
+        num_views = 1 + max(a for a, _ in self)
+        n, d = next(iter(self.values())).shape[1:]
+        identity = np.broadcast_to(np.arange(d), (1, n, d))
+        blocks = [(v, identity) for v in range(num_views)] + [
+            (a, self[(a, b)]) for a, b in _ordered_pairs(num_views)]
+        nnz = sum(perm.size for _, perm in blocks)
+        dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indices, first = np.empty(nnz, dtype=dtype), 0
+        for view, perm in blocks:  # filled in place, one (K, d, n) block at a time
+            np.add(perm.transpose(0, 2, 1), view * n * d + np.arange(n) * d,
+                   out=indices[first:first + perm.size].reshape(-1, d, n))
+            first += perm.size
+        op = sp.csr_matrix((np.ones(nnz), indices,
+                            np.arange(0, nnz + 1, n, dtype=dtype)),
+                           shape=(nnz // n, num_views * n * d))
+        return op, op.T
+
+
 def sample_permutations(num_views: int, shape: tuple[int, int], cfg: LossConfig,
-                        rng: np.random.Generator) -> dict:
+                        rng: np.random.Generator) -> Permutations:
     """Fresh within-row column permutations per ordered pair, K per term."""
     n, d = shape
-    perms = {}
-    for a, b in _ordered_pairs(num_views):
-        perms[(a, b)] = np.argsort(rng.random((cfg.num_negatives, n, d)), axis=2)
-    return perms
+    return Permutations(
+        {pair: np.argsort(rng.random((cfg.num_negatives, n, d)), axis=2)
+         for pair in _ordered_pairs(num_views)})
 
 
 def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
@@ -238,8 +264,7 @@ def build_plan(views: Sequence[CriterionView], embeddings: Sequence[np.ndarray],
                         for v, e in zip(views, embeddings))
     samples = sample_pair_negatives(anchor_sets, cfg, rng)
     perms = sample_permutations(len(views), embeddings[0].shape, cfg, rng)
-    return ContrastPlan(anchor_sets, samples, perms,
-                        _mean_operator(len(views), *embeddings[0].shape, perms))
+    return ContrastPlan(anchor_sets, samples, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -325,47 +350,25 @@ def lcl_stack(stack: np.ndarray, num_views: int, samples: Sequence[PairSample],
     return _info_nce(stack, anchors, candidates, cfg, 1.0 / term_count)
 
 
-def _mean_operator(num_views: int, n: int, d: int, permutations: Mapping
-                   ) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-    """HGCL's scored rows times n as a 0/1 CSR on the raveled stack, and its
-    transpose over the same buffers: row (r, j) picks E_s[i, perm[i, j]] for
-    i < n. The V view means are s = v with the identity perm, then pair
-    p = (a, b)'s K corrupted means are s = a, perm = permutations[(a, b)][k]."""
-    identity = np.broadcast_to(np.arange(d), (1, n, d))
-    blocks = [(v, identity) for v in range(num_views)] + [
-        (a, permutations[(a, b)]) for a, b in _ordered_pairs(num_views)]
-    nnz = sum(perm.size for _, perm in blocks)
-    dtype = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    indices, first = np.empty(nnz, dtype=dtype), 0
-    for view, perm in blocks:  # filled in place, one (K, d, n) block at a time
-        np.add(perm.transpose(0, 2, 1), view * n * d + np.arange(n) * d,
-               out=indices[first:first + perm.size].reshape(-1, d, n))
-        first += perm.size
-    op = sp.csr_matrix((np.ones(nnz), indices, np.arange(0, nnz + 1, n, dtype=dtype)),
-                       shape=(nnz // n, num_views * n * d))
-    return op, op.T
-
-
-def hgcl_stack(stack: np.ndarray, num_views: int,
-               mean_operator: tuple[sp.csr_matrix, sp.csc_matrix], cfg: LossConfig):
+def hgcl_stack(stack: np.ndarray, num_views: int, permutations: Permutations,
+               cfg: LossConfig):
     """Mean InfoNCE term over ordered view pairs of column-mean embeddings,
     and its `back` to the stack's gradient.
 
     Pair p = (a, b) contrasts mean(E_a) with mean(E_b) against the K means
     of E_a with each row's columns permuted by permutations[(a, b)][k]; every
-    pair's (K, n, d) block has the same K. E_v is block v of `stack`, and
-    `mean_operator` is `_mean_operator` of those permutations. The scored
-    rows are the V view means followed by the P*K corrupted means, pair p's
-    k-th at row V + p*K + k: the operator's row sums of the raveled stack,
-    times 1/n, so each mean sums before it scales. The backward is the
-    operator's transpose times 1/n.
+    pair's (K, n, d) block has the same K. E_v is block v of `stack`. The
+    scored rows are the V view means followed by the P*K corrupted means,
+    pair p's k-th at row V + p*K + k: `permutations.mean_operator`'s row sums
+    of the raveled stack, times 1/n, so each mean sums before it scales. The
+    backward is the operator's transpose times 1/n.
     """
     pairs = list(_ordered_pairs(num_views))
     if not pairs:
         return 0.0, lambda g: np.zeros_like(stack)
     n, d = stack.shape[0] // num_views, stack.shape[1]
     scale = 1.0 / n
-    op, op_t = mean_operator
+    op, op_t = permutations.mean_operator
     source = (op @ stack.reshape(-1) * scale).reshape(-1, d)
     view_a, view_b = np.array(pairs).T
     negatives = np.arange(num_views, source.shape[0]).reshape(len(pairs), -1)
@@ -393,11 +396,10 @@ def lcl_tensor(embeddings: Sequence[ad.Tensor], samples: Sequence[PairSample],
     return _views_node("lcl", embeddings, lcl_stack, samples, cfg)
 
 
-def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Mapping,
+def hgcl_tensor(embeddings: Sequence[ad.Tensor], permutations: Permutations,
                 cfg: LossConfig) -> ad.Tensor:
     """`hgcl_stack` of per-view embedding tensors, as one tape node."""
-    operator = _mean_operator(len(embeddings), *embeddings[0].shape, permutations)
-    return _views_node("hgcl", embeddings, hgcl_stack, operator, cfg)
+    return _views_node("hgcl", embeddings, hgcl_stack, permutations, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +423,11 @@ def global_contrastive_loss(embeddings: Sequence[np.ndarray], cfg: LossConfig,
                             permutations: Mapping | None = None) -> float:
     if len(embeddings) < 2:
         raise ValueError("global contrastive loss needs at least two views")
-    shape = np.shape(embeddings[0])
     if permutations is None:
-        permutations = sample_permutations(len(embeddings), shape, cfg,
-                                           np.random.default_rng(seed))
-    operator = _mean_operator(len(embeddings), *shape, permutations)
+        permutations = sample_permutations(len(embeddings), np.shape(embeddings[0]),
+                                           cfg, np.random.default_rng(seed))
     stack = np.concatenate(embeddings, dtype=np.float64)
-    return hgcl_stack(stack, len(embeddings), operator, cfg)[0]
+    return hgcl_stack(stack, len(embeddings), Permutations(permutations), cfg)[0]
 
 
 def _l2(theta: np.ndarray) -> float:
@@ -543,7 +543,7 @@ def train(views: Views, cfg: ExperimentConfig, seed: int,
                         views, stack.reshape(len(views), num_nodes, -1),
                         cfg.loss, np.random.default_rng([seed, epoch]))
                 l_lcl, lcl_back = lcl_stack(stack, len(views), plan.samples, cfg.loss)
-                l_hgcl, hgcl_back = hgcl_stack(stack, len(views), plan.mean_operator,
+                l_hgcl, hgcl_back = hgcl_stack(stack, len(views), plan.permutations,
                                                cfg.loss)
             else:
                 l_lcl = l_hgcl = 0.0

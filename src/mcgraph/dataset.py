@@ -137,15 +137,6 @@ class DatasetStats:
     num_criteria: int
     variance_criteria_ratings: float
 
-    def as_dict(self) -> dict:
-        return {
-            "avg_reviews_per_user": self.avg_reviews_per_user,
-            "avg_reviews_per_item": self.avg_reviews_per_item,
-            "num_criteria": self.num_criteria,
-            "sparsity": self.sparsity,
-            "variance_criteria_ratings": self.variance_criteria_ratings,
-        }
-
 
 def content_digest(dataset: RatingDataset) -> str:
     """SHA-256 hex digest of every column (ids, codes, overall, criteria) with

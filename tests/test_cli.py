@@ -322,6 +322,19 @@ class TestExitCodes:
         assert f"usage error: cannot read config file {long_name}: " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command, flags, sub", [
+        ("ingest", [], ()), ("evaluate", ["--runs", "1"], ("sub",))])
+    def test_unopenable_out_path_is_usage(self, tmp_path, capsys, command, flags,
+                                          sub):
+        # --data names no file: a command that read anything would exit 2
+        out = tmp_path.joinpath("x" * 300, *sub)
+        argv = [command, *flags, "--data", str(tmp_path / "none.csv"),
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: --out {out}: File name too long" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_bad_variant_flag_is_usage(self, capsys):
         assert cli.main(["evaluate", "--variant", "no_dropout"]) == cli.EXIT_USAGE
         capsys.readouterr()

@@ -1,7 +1,9 @@
 """Anchors, contrastive losses, and training loop behavior."""
 
+import functools
 from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,8 +404,8 @@ def three_view_plan(rng, n=5, d=3, k_neg=3, k_perm=2):
         if (a, b) == (2, 0):
             positives, negatives = positives[:0], negatives[:0]
         samples.append(cl.PairSample(a, b, positives, negatives))
-    perms = {pair: np.argsort(rng.random((k_perm, n, d)), axis=2)
-             for pair in permutations(range(3), 2)}
+    perms = cl.Permutations({pair: np.argsort(rng.random((k_perm, n, d)), axis=2)
+                             for pair in permutations(range(3), 2)})
     return embs, tuple(samples), perms
 
 
@@ -491,8 +493,7 @@ class TestBatchedLosses:
         cfg = cl.LossConfig(temperature=0.6, num_negatives=k)
         perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
         expected, expected_grad = hgcl_composite(stack, num_views, perms, cfg)
-        loss, back = cl.hgcl_stack(stack, num_views,
-                                   cl._mean_operator(num_views, n, d, perms), cfg)
+        loss, back = cl.hgcl_stack(stack, num_views, perms, cfg)
         assert_allclose(loss, expected, rtol=1e-12, atol=0)
         assert_allclose(back(1.0), expected_grad, rtol=1e-12,
                         atol=1e-12 * np.abs(expected_grad).max())
@@ -502,7 +503,7 @@ class TestBatchedLosses:
         cfg = cl.LossConfig(num_negatives=2)
         perms = cl.sample_permutations(num_views, (n, d), cfg,
                                        np.random.default_rng(3))
-        op, op_t = cl._mean_operator(num_views, n, d, perms)
+        op, op_t = perms.mean_operator
         assert op.shape == ((num_views + 6 * 2) * d, num_views * n * d)
         # the transpose is a CSC over the operator's own three buffers
         assert op_t.format == "csc" and op_t.shape == op.shape[::-1]
@@ -540,18 +541,19 @@ class TestBatchedLosses:
 
 
 def picker(groups, num_columns):
-    """0/1 CSR operator whose row r picks the entries groups[r], in order,
-    and its transpose, as `_mean_operator` returns them; an entry picked
-    twice is summed twice."""
+    """A stand-in draw whose `mean_operator` is the 0/1 CSR operator whose
+    row r picks the entries groups[r], in order, and its transpose, as
+    `Permutations.mean_operator` holds them; an entry picked twice is summed
+    twice."""
     groups = np.asarray(groups)
     rows, count = groups.shape
     op = sp.csr_matrix((np.ones(groups.size), groups.reshape(-1),
                         np.arange(0, groups.size + 1, count)),
                        shape=(rows, num_columns))
-    return op, op.T
+    return SimpleNamespace(mean_operator=(op, op.T))
 
 
-def mean_step(patch, stack, num_views, operator):
+def mean_step(patch, stack, num_views, draw):
     """The means `hgcl_stack` scores, and its gradient in the stack when
     every mean's gradient is one: `_info_nce` is swapped for a probe that
     records its source and hands back ones."""
@@ -561,7 +563,7 @@ def mean_step(patch, stack, num_views, operator):
         sources.append(source)
         return 0.0, lambda g: np.ones_like(source)
     patch.setattr(cl, "_info_nce", probe)
-    _, back = cl.hgcl_stack(stack, num_views, operator, cl.LossConfig())
+    _, back = cl.hgcl_stack(stack, num_views, draw, cl.LossConfig())
     return sources[0], back(1.0)
 
 
@@ -575,8 +577,7 @@ class TestHgclMeanStep:
         stack = rng.normal(size=(num_views * n, d))
         cfg = cl.LossConfig(num_negatives=2)
         perms = cl.sample_permutations(num_views, (n, d), cfg, rng)
-        means, _ = mean_step(monkeypatch, stack, num_views,
-                             cl._mean_operator(num_views, n, d, perms))
+        means, _ = mean_step(monkeypatch, stack, num_views, perms)
         blocks = stack.reshape(num_views, n, d)
         corrupted = [np.take_along_axis(blocks[a], perm, axis=1).sum(axis=0)
                      for (a, _), block in perms.items() for perm in block]
@@ -586,8 +587,8 @@ class TestHgclMeanStep:
     def test_accumulates_repeated_entries(self, monkeypatch):
         # two views of three one-column rows; four means, three picks each
         stack = np.arange(6.0).reshape(6, 1)
-        operator = picker([[0, 0, 4], [1, 5, 5], [2, 3, 3], [2, 2, 2]], 6)
-        means, grad = mean_step(monkeypatch, stack, 2, operator)
+        draw = picker([[0, 0, 4], [1, 5, 5], [2, 3, 3], [2, 2, 2]], 6)
+        means, grad = mean_step(monkeypatch, stack, 2, draw)
         assert_allclose(means[:, 0], np.array([4.0, 11.0, 8.0, 6.0]) / 3.0)
         assert_allclose(grad[:, 0], np.array([2, 1, 4, 2, 1, 2]) / 3.0)
 
@@ -595,12 +596,12 @@ class TestHgclMeanStep:
         rng = np.random.default_rng(6)
         # two views of five two-column rows; row r of the (V + P*K)*d = 8
         # means picks entries r, 3r + 1 and (5r + 2) mod 20, five times in all
-        operator = picker([[r, (3 * r + 1) % 20, (5 * r + 2) % 20,
-                            (3 * r + 1) % 20, r] for r in range(8)], 20)
+        draw = picker([[r, (3 * r + 1) % 20, (5 * r + 2) % 20,
+                        (3 * r + 1) % 20, r] for r in range(8)], 20)
         cfg = cl.LossConfig(temperature=0.7)
 
         def loss_fn(t):
-            value, back = cl.hgcl_stack(t["stack"].value, 2, operator, cfg)
+            value, back = cl.hgcl_stack(t["stack"].value, 2, draw, cfg)
             return ad.Tensor(value, "hgcl", (t["stack"],), lambda g: (back(g),))
 
         report = ad.finite_diff_check(loss_fn, {"stack": rng.normal(size=(10, 2))})
@@ -689,19 +690,31 @@ class TestPlantedEpochSchedule:
             assert len(trace) == 2
 
 
-def test_mean_operator_built_once_per_plan(monkeypatch):
+def test_mean_operator_built_once_per_draw(monkeypatch):
     calls = []
-    build = cl._mean_operator
+    build = cl.Permutations.mean_operator.func
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-    monkeypatch.setattr(cl, "_mean_operator", counting)
+    def counting(perms):
+        calls.append(perms)
+        return build(perms)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(cl.Permutations, "mean_operator")
+    monkeypatch.setattr(cl.Permutations, "mean_operator", counted)
     cfg = ev.ExperimentConfig()
     views = build_views(ev.prepared_data(cfg)[0])
     assert cfg.refresh_period == 10
     cl.train(views, cfg, seed=0, epochs=100)
-    assert len(calls) == 10
+    assert len(calls) == 10 and len({id(perms) for perms in calls}) == 10
+
+    # the tape adaptor reads the draw's operator instead of building its own
+    calls.clear()
+    views = two_view_setup()
+    loss_cfg = cl.LossConfig(num_negatives=2)
+    embs = [np.random.default_rng(v).normal(size=(8, 4)) for v in range(2)]
+    plan = cl.build_plan(views, embs, loss_cfg, np.random.default_rng(4))
+    for _ in range(50):
+        cl.hgcl_tensor([ad.Tensor(e) for e in embs], plan.permutations, loss_cfg)
+    assert len(calls) == 1 and calls[0] is plan.permutations
 
 
 def test_csr_transposed_once_per_plan_and_once_for_the_edge_operator(monkeypatch):

@@ -12,8 +12,9 @@ import pytest
 
 import mcgraph
 
-# a field annotation naming a numpy array or a scipy sparse matrix
-ARRAY_TYPE = re.compile(r"ndarray|sp\.\w+_matrix")
+# a field annotation naming a numpy array, a scipy sparse matrix or a
+# `contrastive.Permutations` draw (a dict of arrays, which `==` cannot compare)
+ARRAY_TYPE = re.compile(r"ndarray|sp\.\w+_matrix|Permutations")
 
 
 def array_dataclasses():
