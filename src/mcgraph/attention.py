@@ -10,11 +10,11 @@ input matrix X is itself a learnable parameter shared by all views.
 All views are encoded together as one block-diagonal graph of V*n nodes
 (`graph.BlockGraph`; node i of view v is row v*n + i), and each layer is
 one kernel, `_dual_attention`, that returns its value and a `back` closure
-with a hand-derived backward: the first layer projects the shared X by
-every view's heads in one matmul, the second projects each view's block by
-its own heads in one batched matmul. One softmax runs over the (edges,
-heads) scores of all views, and the first layer's ELU and the global gate
-run inside the kernel. Every sum over edges is, head by head, one
+with a hand-derived backward: both layers project each view's input by
+that view's heads in one batched matmul, the first layer's shared X
+broadcast over the views. One softmax runs over the (edges, heads) scores
+of all views, and the first layer's ELU and the global gate run inside
+the kernel. Every sum over edges is, head by head, one
 sparse-dense product (g-SpMM, as in DGL and PyG) with the graph's one
 cached edge pattern (`BlockGraph.edge_product`), whose nonzeros are that
 head's (E,) edge values: the α-weighted sum of neighbour projections
@@ -170,12 +170,9 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
     centers, neighbors = graph.centers, graph.neighbors
     w = w_in.reshape(num_views, width, -1)
     a = a_in.reshape(num_views, num_heads, 2, head_dim)
-    if first:
-        proj = (h_in @ w.reshape(num_views * width, -1).T).reshape(
-            n, num_views, width).transpose(1, 0, 2)
-    else:
-        proj = h_in.reshape(num_views, n, -1) @ w.transpose(0, 2, 1)
-    proj = np.ascontiguousarray(proj).reshape(num_views * n, num_heads, head_dim)
+    # the first layer's shared (n, F) input broadcasts over the views
+    h_blocks = h_in if first else h_in.reshape(num_views, n, -1)
+    proj = (h_blocks @ w.transpose(0, 2, 1)).reshape(num_views * n, num_heads, head_dim)
     blocks = proj.reshape(num_views, n, num_heads, head_dim)
     s_src, s_dst = (_head_scores(blocks, a[:, :, side]) for side in (0, 1))
     # np.take: row gathers run several times faster than fancy indexing
@@ -227,13 +224,12 @@ def _dual_attention(h_in: np.ndarray, w_in: np.ndarray, a_in: np.ndarray,
         d_a = np.stack([np.einsum("vnh,vnhd->vhd", d_src, blocks),
                         np.einsum("vnh,vnhd->vhd", d_dst, blocks)], axis=2)
         d_proj = d_proj.reshape(num_views, n, width)
+        d_w = d_proj.transpose(0, 2, 1) @ h_blocks
         if first:
-            d_w = d_proj.transpose(0, 2, 1) @ h_in
-            d_h = (d_proj.transpose(1, 0, 2).reshape(n, -1)
-                   @ w.reshape(num_views * width, -1))
+            # one product over all V*width columns: a sum of per-view
+            # products rounds differently
+            d_h = d_proj.transpose(1, 0, 2).reshape(n, -1) @ w.reshape(num_views * width, -1)
         else:
-            h_blocks = h_in.reshape(num_views, n, -1)
-            d_w = d_proj.transpose(0, 2, 1) @ h_blocks
             d_h = (d_proj @ w).reshape(num_views * n, -1)
         return d_h, d_w.reshape(w_in.shape), d_a.reshape(a_in.shape), d_wg
     return out, coeffs, factor, back

@@ -397,13 +397,15 @@ def compute_stats(dataset: RatingDataset) -> DatasetStats:
     if dataset.num_users <= 0 or dataset.num_items <= 0:
         raise DatasetError("stats need at least one user and one item")
     n_records = len(dataset)
+    # a criterion value of 0 is "not rated"; row-major, the order the
+    # summation has always run in
+    rated = dataset.criteria[dataset.criteria != 0.0]
     return DatasetStats(
         avg_reviews_per_user=n_records / dataset.num_users,
         avg_reviews_per_item=n_records / dataset.num_items,
         sparsity=1.0 - n_records / (dataset.num_users * dataset.num_items),
         num_criteria=dataset.num_criteria,
-        # row-major, the order the summation has always run in
-        variance_criteria_ratings=float(dataset.criteria.ravel().var()),
+        variance_criteria_ratings=float(rated.var()) if rated.size else 0.0,
     )
 
 

@@ -6,7 +6,7 @@ import json
 import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -454,20 +454,9 @@ class MetricReport:
         return float(np.std(self.rmse_runs))
 
     def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "label": self.label,
-            "ts_percent": self.ts_percent,
-            "run_indices": list(self.run_indices),
-            "mae_runs": list(self.mae_runs),
-            "rmse_runs": list(self.rmse_runs),
-            "mae_mean": self.mae_mean,
-            "mae_std": self.mae_std,
-            "rmse_mean": self.rmse_mean,
-            "rmse_std": self.rmse_std,
-            "failed_runs": self.failed_runs,
-            "config": dict(self.config),
-        }
+        return {**asdict(self),
+                **{name: getattr(self, name) for name in
+                   ("label", "mae_mean", "mae_std", "rmse_mean", "rmse_std")}}
 
 
 def aggregate_runs(cfg: ExperimentConfig, results: Sequence[RunResult]) -> MetricReport:

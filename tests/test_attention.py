@@ -342,7 +342,7 @@ class TestBlockDiagonalEncoder:
             for view, block in zip(views, np.split(stack, len(views))):
                 alone = att.encode_view(view, params, cfg, use_global)
                 assert alone.criterion_index == view.criterion_index
-                assert_allclose(block, alone.matrix, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(block, alone.matrix)
 
     def check_stack_gradients(self, count, seed):
         """Two-layer, two-head `encode_stack` of `count` views against

@@ -193,6 +193,16 @@ class TestStats:
         stats = ds.compute_stats(ds.from_records(recs))
         assert_allclose(stats.variance_criteria_ratings, np.var([1.0, 3.0, 5.0, 3.0]))
 
+    def test_variance_leaves_unrated_criteria_out(self):
+        recs = [ds.RatingRecord("u1", "i1", 1.0, (1.0, 0.0)),
+                ds.RatingRecord("u2", "i2", 4.0, (3.0, 5.0))]
+        assert ds.compute_stats(ds.from_records(recs)).variance_criteria_ratings == 8 / 3
+
+    def test_variance_without_rated_criteria_is_zero(self):
+        recs = [ds.RatingRecord("u1", "i1", 3.0, (0.0, 0.0)),
+                ds.RatingRecord("u2", "i2", 4.0, (0.0, 0.0))]
+        assert ds.compute_stats(ds.from_records(recs)).variance_criteria_ratings == 0.0
+
 
 class TestSplit:
     def make(self, n_users=10, n_items=10, density=1.0, seed=0):
@@ -398,7 +408,8 @@ def ref_subsample(records, ts_percent, seed):
 
 
 def ref_variance(records):
-    return float(np.array([v for rec in records for v in rec.criteria]).var())
+    rated = [v for rec in records for v in rec.criteria if v != 0.0]
+    return float(np.array(rated).var()) if rated else 0.0
 
 
 def ref_normalize(records, lo, hi):

@@ -657,6 +657,14 @@ class TestReportFiles:
             cli._write_json(report.as_dict(), path)
         assert not path.exists()
 
+    def test_json_report_keys(self, tmp_path):
+        report = ev.MetricReport("full", 100, (0, 1), (0.5, 0.7), (0.6, 0.9), 1, {"epochs": 3})
+        path = tmp_path / "report.json"
+        cli._write_json(report.as_dict(), path)
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == {
+            "variant", "label", "ts_percent", "run_indices", "mae_runs", "rmse_runs",
+            "mae_mean", "mae_std", "rmse_mean", "rmse_std", "failed_runs", "config"}
+
     def test_json_report_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         cli._write_json(ev.run_experiment(fast_config()).as_dict(), a)
